@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-import networkx as nx
-
 from repro.exceptions import ConceptualModelError
 from repro.cm.cardinality import Cardinality, ConnectionCategory
 from repro.cm.model import ConceptualModel, ISA_LABEL, SemanticType
@@ -103,11 +101,18 @@ class CMGraph:
 
     Construction materializes both directions of every relationship and
     ISA link, so traversal code never needs to special-case inverses.
+
+    The graph is two insertion-ordered dicts: ``_nodes`` maps each node
+    to its attributes (``kind``, plus ``reified`` or ``owner``) and
+    ``_out`` maps ``source -> target -> label -> CMEdge``. A source's
+    edges therefore iterate grouped by target, targets in the order
+    they were first linked from it.
     """
 
     def __init__(self, model: ConceptualModel) -> None:
         self.model = model
-        self._graph = nx.MultiDiGraph()
+        self._nodes: dict[str, dict] = {}
+        self._out: dict[str, dict[str, dict[str, CMEdge]]] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -115,10 +120,10 @@ class CMGraph:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         for cls in self.model.classes.values():
-            self._graph.add_node(cls.name, kind="class", reified=cls.reified)
+            self._add_node(cls.name, kind="class", reified=cls.reified)
             for attr in cls.attributes:
                 node = attribute_node_id(cls.name, attr)
-                self._graph.add_node(node, kind="attribute", owner=cls.name)
+                self._add_node(node, kind="attribute", owner=cls.name)
                 edge = CMEdge(
                     label=attr,
                     source=cls.name,
@@ -156,14 +161,19 @@ class CMGraph:
             self._add_edge(forward)
             self._add_edge(forward.reversed())
 
+    def _add_node(self, node: str, **attributes) -> None:
+        self._nodes.setdefault(node, {}).update(attributes)
+        self._out.setdefault(node, {})
+
     def _add_edge(self, edge: CMEdge) -> None:
-        self._graph.add_edge(edge.source, edge.target, key=edge.label, edge=edge)
+        # The model checks both endpoints exist, so both are nodes here.
+        self._out[edge.source].setdefault(edge.target, {})[edge.label] = edge
 
     # ------------------------------------------------------------------
     # Nodes
     # ------------------------------------------------------------------
     def has_node(self, node: str) -> bool:
-        return self._graph.has_node(node)
+        return node in self._nodes
 
     def class_nodes(self) -> tuple[str, ...]:
         """Class node names, in model declaration order."""
@@ -173,43 +183,35 @@ class CMGraph:
         return tuple(
             sorted(
                 n
-                for n, data in self._graph.nodes(data=True)
+                for n, data in self._nodes.items()
                 if data["kind"] == "attribute"
             )
         )
 
     def is_class_node(self, node: str) -> bool:
-        return (
-            self._graph.has_node(node)
-            and self._graph.nodes[node]["kind"] == "class"
-        )
+        return self._nodes.get(node, {}).get("kind") == "class"
 
     def is_attribute_node(self, node: str) -> bool:
-        return (
-            self._graph.has_node(node)
-            and self._graph.nodes[node]["kind"] == "attribute"
-        )
+        return self._nodes.get(node, {}).get("kind") == "attribute"
 
     def is_reified(self, node: str) -> bool:
         """True for class nodes standing for reified relationships."""
-        return bool(
-            self._graph.has_node(node)
-            and self._graph.nodes[node].get("reified", False)
-        )
+        return bool(self._nodes.get(node, {}).get("reified", False))
 
     def attribute_owner(self, attr_node: str) -> str:
         """The class node owning an attribute node."""
         if not self.is_attribute_node(attr_node):
             raise ConceptualModelError(f"{attr_node!r} is not an attribute node")
-        return self._graph.nodes[attr_node]["owner"]
+        return self._nodes[attr_node]["owner"]
 
     # ------------------------------------------------------------------
     # Edges
     # ------------------------------------------------------------------
     def edges(self) -> Iterator[CMEdge]:
         """All directed edges (both directions of every relationship)."""
-        for _, _, data in self._graph.edges(data=True):
-            yield data["edge"]
+        for targets in self._out.values():
+            for by_label in targets.values():
+                yield from by_label.values()
 
     def edges_from(
         self,
@@ -222,16 +224,16 @@ class CMGraph:
         Attribute edges are excluded by default because connection
         discovery runs over class nodes only.
         """
-        if not self._graph.has_node(node):
+        if node not in self._out:
             raise ConceptualModelError(f"CM graph has no node {node!r}")
         result = []
-        for _, _, data in self._graph.out_edges(node, data=True):
-            edge: CMEdge = data["edge"]
-            if edge.is_attribute and not include_attributes:
-                continue
-            if functional_only and not edge.is_functional:
-                continue
-            result.append(edge)
+        for by_label in self._out[node].values():
+            for edge in by_label.values():
+                if edge.is_attribute and not include_attributes:
+                    continue
+                if functional_only and not edge.is_functional:
+                    continue
+                result.append(edge)
         return tuple(sorted(result, key=lambda e: (e.label, e.target)))
 
     def edge(self, source: str, label: str, target: str | None = None) -> CMEdge:
@@ -241,12 +243,13 @@ class CMGraph:
         has several sub- or superclasses the ``target`` argument must
         disambiguate; an ambiguous lookup without it is an error.
         """
+        targets = self._out.get(source, {})
+        if target is None:
+            candidates = targets.values()
+        else:
+            candidates = (targets.get(target, {}),)
         matches = [
-            data["edge"]
-            for _, edge_target, key, data in self._graph.out_edges(
-                source, keys=True, data=True
-            )
-            if key == label and (target is None or edge_target == target)
+            by_label[label] for by_label in candidates if label in by_label
         ]
         if not matches:
             raise ConceptualModelError(
@@ -262,14 +265,8 @@ class CMGraph:
 
     def edges_between(self, source: str, target: str) -> tuple[CMEdge, ...]:
         """All directed edges from ``source`` to ``target``."""
-        if not self._graph.has_edge(source, target):
-            return ()
-        return tuple(
-            sorted(
-                (data["edge"] for data in self._graph[source][target].values()),
-                key=lambda e: e.label,
-            )
-        )
+        by_label = self._out.get(source, {}).get(target, {})
+        return tuple(sorted(by_label.values(), key=lambda e: e.label))
 
     def attribute_edge(self, class_name: str, attribute: str) -> CMEdge:
         """The edge from a class node to one of its attribute nodes."""
@@ -288,10 +285,8 @@ class CMGraph:
 
     def size(self) -> tuple[int, int]:
         """(number of class nodes, number of attribute nodes)."""
-        classes = sum(
-            1 for _, d in self._graph.nodes(data=True) if d["kind"] == "class"
-        )
-        attributes = self._graph.number_of_nodes() - classes
+        classes = sum(1 for d in self._nodes.values() if d["kind"] == "class")
+        attributes = len(self._nodes) - classes
         return classes, attributes
 
     def describe(self) -> str:

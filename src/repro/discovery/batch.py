@@ -43,7 +43,6 @@ import threading
 import time
 import traceback
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -552,6 +551,13 @@ class BatchDiscovery:
         Returns the number of scenarios that were re-run serially after
         a worker death.
         """
+        # Imported here so the serial path never loads multiprocessing.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         policy = self.policy
         # Probe every scenario for picklability before spawning workers:
         # ProcessPoolExecutor raises lazily otherwise, poisoning the pool

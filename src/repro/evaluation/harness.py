@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.baseline.clio import RICBasedMapper
@@ -256,6 +255,9 @@ def run_all(
     serially inside their worker.
     """
     if workers > 1:
+        # Imported here so the serial path never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         names = dataset_names()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(

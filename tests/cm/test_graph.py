@@ -1,5 +1,7 @@
 """Unit tests for CM graph compilation."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import ConceptualModelError
@@ -41,6 +43,10 @@ class TestNodes:
         assert not graph.is_class_node("Person.pname")
         assert graph.is_attribute_node("Person.pname")
         assert not graph.is_attribute_node("Person")
+        assert not graph.has_node("Ghost")
+        assert not graph.is_class_node("Ghost")
+        assert not graph.is_attribute_node("Ghost")
+        assert not graph.is_reified("Ghost")
 
     def test_attribute_owner(self, graph):
         assert graph.attribute_owner(attribute_node_id("Person", "pname")) == "Person"
@@ -108,10 +114,16 @@ class TestEdges:
         labels = [e.label for e in graph.edges_between("Person", "Book")]
         assert labels == ["favourite", "writes"]
         assert graph.edges_between("Book", "Author") == ()
+        assert graph.edges_between("Ghost", "Person") == ()
+        assert graph.edges_between("Person", "Ghost") == ()
 
     def test_edge_lookup_unknown_raises(self, graph):
         with pytest.raises(ConceptualModelError):
             graph.edge("Person", "ghost")
+        with pytest.raises(ConceptualModelError, match="no edge labeled"):
+            graph.edge("Ghost", "writes")
+        with pytest.raises(ConceptualModelError, match="toward 'Author'"):
+            graph.edge("Person", "writes", "Author")
         with pytest.raises(ConceptualModelError):
             graph.edges_from("Ghost")
 
@@ -126,6 +138,42 @@ class TestEdges:
             graph.edge("Book", "favourite" + INVERSE_MARK).category
             is ConnectionCategory.ONE_MANY
         )
+
+
+class TestBehaviourPins:
+    """Exact orders and errors that callers and caches depend on."""
+
+    def test_edges_in_insertion_order(self, graph):
+        # Grouped by source node (node insertion order); within a source,
+        # by target in the order it was first linked, then by label.
+        assert [(e.source, e.label, e.target) for e in graph.edges()] == [
+            ("Person", "pname", "Person.pname"),
+            ("Person", "writes", "Book"),
+            ("Person", "favourite", "Book"),
+            ("Person", "isa" + INVERSE_MARK, "Author"),
+            ("Book", "bid", "Book.bid"),
+            ("Book", "writes" + INVERSE_MARK, "Person"),
+            ("Book", "favourite" + INVERSE_MARK, "Person"),
+            ("Author", "isa", "Person"),
+        ]
+
+    def test_ambiguous_isa_lookup_raises(self, model):
+        model.add_class("Editor")
+        model.add_isa("Editor", "Person")
+        graph = CMGraph(model)
+        with pytest.raises(ConceptualModelError, match="ambiguous"):
+            graph.edge("Person", "isa" + INVERSE_MARK)
+        edge = graph.edge("Person", "isa" + INVERSE_MARK, "Editor")
+        assert edge.target == "Editor" and edge.is_inverse
+
+    def test_pickle_round_trip(self, graph):
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone.size() == graph.size()
+        assert list(clone.edges()) == list(graph.edges())
+        for node in graph.class_nodes() + graph.attribute_nodes():
+            assert clone.edges_from(
+                node, include_attributes=True
+            ) == graph.edges_from(node, include_attributes=True)
 
 
 class TestRendering:

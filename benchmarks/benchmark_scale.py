@@ -14,6 +14,9 @@ under test:
 * **equivalence** — the TGD output is byte-identical between the two
   modes at every size (the oracle only prunes provably fruitless work);
 * **coverage** — every point discovers at least one candidate;
+* **no truncated web** — no ``reified_web`` point reports
+  ``rewrite_limit_hits`` (chain and isa_fan points from 30 classes up
+  do: their rewrites stop at the enumeration limit);
 * **sub-linear growth** — oracle-guided time grows strictly slower
   than model size: between the second size and the largest, the wall
   ratio must stay under half the class ratio;
@@ -54,6 +57,7 @@ POINT_COUNTERS = (
     "oracle_sweeps",
     "lossy_paths_pruned",
     "required_subtree_prunes",
+    "rewrite_limit_hits",
 )
 
 
@@ -90,6 +94,13 @@ def run_scale_benchmark(
                 failures.append(f"{label}: oracle output differs from seed")
             if len(oracle_result) < 1:
                 failures.append(f"{label}: no candidate discovered")
+            # The reified web's mapping stays small at every size, so its
+            # rewrites must never reach the enumeration limit.
+            limit_hits = oracle_result.stats.get("rewrite_limit_hits", 0)
+            if family == "reified_web" and limit_hits:
+                failures.append(
+                    f"{label}: {limit_hits} rewrites hit the rewrite limit"
+                )
             points.append(
                 {
                     "classes": actual,

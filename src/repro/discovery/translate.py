@@ -19,7 +19,6 @@ from repro.exceptions import DiscoveryError
 from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 from repro.queries.conjunctive import ConjunctiveQuery, Term
-from repro.queries.normalize import key_positions_of_schema
 from repro.queries.rewrite import rewrite_query
 from repro.semantics.encoder import apply_key_merge, encode_tree
 from repro.semantics.lav import SchemaSemantics
@@ -176,7 +175,7 @@ def _translate_uncached(
             required.add(column.table)
     return rewrite_query(
         cm_query,
-        semantics.views(),
+        semantics,
         required_tables=required,
-        key_positions=key_positions_of_schema(semantics.schema),
+        key_positions=semantics.key_positions(),
     )

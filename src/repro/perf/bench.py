@@ -91,6 +91,7 @@ _REPORTED_COUNTERS = (
     "lossy_paths_expanded",
     "lossy_paths_pruned",
     "tied_paths_dropped",
+    "rewrite_limit_hits",
     "path_consistency_cache_hits",
     "tree_consistency_cache_hits",
     "profile_cache_hits",

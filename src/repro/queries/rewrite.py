@@ -21,9 +21,17 @@ rewritings contained in another are dropped.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.exceptions import RewritingError
 from repro.queries.conjunctive import (
@@ -122,14 +130,39 @@ def inverse_rules(view: LAVView) -> tuple[InverseRule, ...]:
     )
 
 
-def _rules_by_predicate(
-    views: Iterable[LAVView],
-) -> dict[str, list[InverseRule]]:
-    index: dict[str, list[InverseRule]] = {}
-    for view in views:
-        for rule in inverse_rules(view):
-            index.setdefault(rule.head.predicate, []).append(rule)
-    return index
+@runtime_checkable
+class ViewSource(Protocol):
+    """Where a rewrite plan reads its LAV views from, one at a time.
+
+    ``tables_mentioning(predicate)`` returns the keys of a superset of
+    the views whose body holds an atom over ``predicate``, in view
+    order; ``view(key)`` returns one of those views.
+    :class:`~repro.semantics.lav.SchemaSemantics` is a source keyed by
+    table name that builds each view on first use.
+    """
+
+    def tables_mentioning(self, predicate: str) -> tuple[Hashable, ...]:
+        ...
+
+    def view(self, table: Hashable) -> LAVView:
+        ...
+
+
+class _ViewSequence:
+    """A plain view sequence as a :class:`ViewSource`, keyed by position."""
+
+    def __init__(self, views: Iterable[LAVView]) -> None:
+        self._views = tuple(views)
+
+    def tables_mentioning(self, predicate: str) -> tuple[int, ...]:
+        return tuple(
+            position
+            for position, view in enumerate(self._views)
+            if any(atom.predicate == predicate for atom in view.body)
+        )
+
+    def view(self, table: int) -> LAVView:
+        return self._views[table]
 
 
 def _rename_rule(rule: InverseRule, suffix: str) -> InverseRule:
@@ -144,12 +177,19 @@ def _rename_rule(rule: InverseRule, suffix: str) -> InverseRule:
 
 
 class _RewritePlan:
-    """Precomputed unfolding state for one set of LAV views.
+    """Unfolding state for one view source, filled on demand.
 
     Building inverse rules and renaming them apart per atom occurrence is
     pure string/tuple churn that repeats identically for every query over
-    the same schema, so the plan caches the predicate→rules index and the
-    renamed-apart candidate lists per (predicate, occurrence).
+    the same schema, so the plan caches it. ``rule_index[p]`` is filled
+    the first time a query mentions predicate ``p``: the rules with head
+    predicate ``p`` of every view the source reports as mentioning
+    ``p``, in view order and then body order. That is exactly the list
+    one pass over all views would build, so the enumeration order and
+    its ``limit`` window never depend on which views were built. Each
+    view's inverse rules are derived once (``_view_rules``); renamed
+    candidates are cached per (predicate, occurrence). The plan never
+    holds its source (plans are weakly keyed by it): callers pass it in.
 
     ``prefix_states`` is the *subtree-translation memo*: for a body
     prefix (a tuple of CM atoms, matched by content), the complete list
@@ -161,10 +201,11 @@ class _RewritePlan:
     *position*, so equal prefixes see identical rules and bindings.
     """
 
-    __slots__ = ("rule_index", "_renamed", "prefix_states")
+    __slots__ = ("rule_index", "_view_rules", "_renamed", "prefix_states")
 
-    def __init__(self, views: tuple[LAVView, ...]) -> None:
-        self.rule_index = _rules_by_predicate(views)
+    def __init__(self) -> None:
+        self.rule_index: dict[str, tuple[InverseRule, ...]] = {}
+        self._view_rules: dict[Hashable, tuple[InverseRule, ...]] = {}
         self._renamed: dict[tuple[str, int], tuple[InverseRule, ...]] = {}
         self.prefix_states: dict[
             tuple[Atom, ...],
@@ -177,25 +218,45 @@ class _RewritePlan:
             ],
         ] = {}
 
+    def rules(
+        self, source: ViewSource, predicate: str
+    ) -> tuple[InverseRule, ...]:
+        rules = self.rule_index.get(predicate)
+        if rules is None:
+            collected: list[InverseRule] = []
+            for table in source.tables_mentioning(predicate):
+                view_rules = self._view_rules.get(table)
+                if view_rules is None:
+                    view_rules = inverse_rules(source.view(table))
+                    self._view_rules[table] = view_rules
+                collected.extend(
+                    rule
+                    for rule in view_rules
+                    if rule.head.predicate == predicate
+                )
+            rules = tuple(collected)
+            self.rule_index[predicate] = rules
+        return rules
+
     def renamed_candidates(
-        self, predicate: str, occurrence: int
+        self, source: ViewSource, predicate: str, occurrence: int
     ) -> tuple[InverseRule, ...]:
         key = (predicate, occurrence)
         cached = self._renamed.get(key)
         if cached is None:
             cached = tuple(
                 _rename_rule(rule, f"_{occurrence}")
-                for rule in self.rule_index.get(predicate, [])
+                for rule in self.rules(source, predicate)
             )
             self._renamed[key] = cached
         return cached
 
 
-@lru_cache(maxsize=128)
-def _plan_for(views: tuple[LAVView, ...]) -> _RewritePlan:
-    # Views are frozen value objects, so the cache can never go stale:
-    # equal keys always denote identical rule sets.
-    return _RewritePlan(views)
+#: Rewrite plans, weakly keyed by their view source: a semantics' plan
+#: dies with the semantics, a wrapped view sequence's with its call.
+_PLANS: "weakref.WeakKeyDictionary[ViewSource, _RewritePlan]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def clear_rewrite_caches() -> None:
@@ -204,7 +265,7 @@ def clear_rewrite_caches() -> None:
     ``repro.perf.clear_caches`` calls this so a forced-cold run rebuilds
     plans and prefix states from scratch.
     """
-    _plan_for.cache_clear()
+    _PLANS.clear()
 
 
 #: Sentinel for candidates that count toward the enumeration limit but
@@ -223,6 +284,7 @@ _SUBTREE_MAX_STATES = 256
 
 def _candidate_rewritings(
     query: ConjunctiveQuery,
+    source: ViewSource,
     plan: _RewritePlan,
     limit: int,
     required_bare: frozenset[str] = frozenset(),
@@ -230,7 +292,7 @@ def _candidate_rewritings(
     body = query.body
     per_atom_rules: list[tuple[InverseRule, ...]] = []
     for occurrence, atom in enumerate(body):
-        matches = plan.renamed_candidates(atom.predicate, occurrence)
+        matches = plan.renamed_candidates(source, atom.predicate, occurrence)
         if not matches:
             return  # Some atom has no view covering it: no rewriting.
         per_atom_rules.append(matches)
@@ -447,7 +509,11 @@ def _candidate_rewritings(
                     bare = rule.body.bare_predicate
                     table_counts[bare] = table_counts.get(bare, 0) + 1
             yield from walk(start_depth)
-    if captured is not None and produced < limit:
+    if produced >= limit:
+        # Rule combinations past the cap were never tried: count it, so
+        # the truncation is not silent.
+        perf_counters.record("rewrite_limit_hits")
+    elif captured is not None:
         for depth, states in captured.items():
             if depth > shallowest_prune:
                 continue  # Incomplete: a pruned subtree skipped captures.
@@ -460,7 +526,7 @@ def _candidate_rewritings(
 
 def rewrite_query(
     query: ConjunctiveQuery,
-    views: Sequence[LAVView],
+    views: Sequence[LAVView] | ViewSource,
     required_tables: Iterable[str] = (),
     limit: int = 256,
     key_positions: Mapping[str, tuple[int, ...]] | None = None,
@@ -472,7 +538,10 @@ def rewrite_query(
     query:
         A conjunctive query over ``O:`` predicates.
     views:
-        The LAV table semantics of one schema.
+        The LAV table semantics of one schema: a :class:`ViewSource`
+        (such as a ``SchemaSemantics``, whose rewrite plan is kept for
+        the next call and builds only the views the query's predicates
+        need) or a plain sequence of views (planned for this call only).
     required_tables:
         Table names that every surviving rewriting must mention —
         the paper requires rewritings to "mention tables that have
@@ -489,10 +558,16 @@ def rewrite_query(
             raise RewritingError(
                 f"rewrite_query expects O: atoms, got {atom.predicate!r}"
             )
-    plan = _plan_for(tuple(views))
+    source = views if isinstance(views, ViewSource) else _ViewSequence(views)
+    plan = _PLANS.get(source)
+    if plan is None:
+        plan = _RewritePlan()
+        _PLANS[source] = plan
     required = frozenset(required_tables)
     candidates = []
-    for candidate in _candidate_rewritings(query, plan, limit, required):
+    for candidate in _candidate_rewritings(
+        query, source, plan, limit, required
+    ):
         if key_positions:
             # Collapse same-key atoms (egd chase), dropping rewritings
             # that become unsatisfiable.

@@ -3,7 +3,9 @@
 A :class:`SchemaSemantics` bundles a relational schema, the CM graph of
 its conceptual model, and one :class:`~repro.semantics.stree.SemanticTree`
 per table. From these it derives the key-merged LAV views used by the
-rewriting step, and answers the lookups the discovery algorithm needs:
+rewriting step (one table at a time, on first use, so a rewrite touches
+only the views whose tables can mention its query's predicates), and
+answers the lookups the discovery algorithm needs:
 which class node carries a given column, and which s-trees are
 *pre-selected* by a set of columns (Section 3.1).
 """
@@ -15,7 +17,8 @@ from typing import Iterable, Mapping
 from repro.exceptions import SemanticsError
 from repro.cm.graph import CMGraph
 from repro.cm.model import ConceptualModel
-from repro.queries.conjunctive import Variable
+from repro.queries.conjunctive import CM_PREFIX, Variable
+from repro.queries.normalize import key_positions_of_schema
 from repro.queries.rewrite import LAVView
 from repro.relational.schema import Column, RelationalSchema
 from repro.semantics.encoder import encode_and_merge
@@ -35,7 +38,9 @@ class SchemaSemantics:
         self.graph = graph
         self._trees: dict[str, SemanticTree] = dict(trees)
         self._validate()
-        self._views: dict[str, LAVView] | None = None
+        self._views: dict[str, LAVView] = {}
+        self._tables_by_predicate: dict[str, tuple[str, ...]] | None = None
+        self._key_positions: dict[str, tuple[int, ...]] | None = None
 
     def _validate(self) -> None:
         for table_name, tree in self._trees.items():
@@ -81,22 +86,54 @@ class SchemaSemantics:
     # ------------------------------------------------------------------
     def views(self) -> tuple[LAVView, ...]:
         """Key-merged LAV views for every table with semantics."""
-        if self._views is None:
-            self._views = {
-                name: self._build_view(name)
-                for name in self.tables_with_semantics()
-            }
-        return tuple(self._views[name] for name in self.tables_with_semantics())
+        return tuple(self.view(name) for name in self.tables_with_semantics())
 
     def view(self, table_name: str) -> LAVView:
-        self.views()
-        assert self._views is not None
-        try:
-            return self._views[table_name]
-        except KeyError:
-            raise SemanticsError(
-                f"no semantics recorded for table {table_name!r}"
-            ) from None
+        """One table's key-merged LAV view, built on first use."""
+        view = self._views.get(table_name)
+        if view is None:
+            if table_name not in self._trees:
+                raise SemanticsError(
+                    f"no semantics recorded for table {table_name!r}"
+                )
+            view = self._build_view(table_name)
+            self._views[table_name] = view
+        return view
+
+    def tables_mentioning(self, predicate: str) -> tuple[str, ...]:
+        """Tables whose view body may hold an atom over ``predicate``.
+
+        Read off the s-trees without encoding them: a class atom per
+        node, a relationship atom per non-ISA edge and an attribute atom
+        per column. Key-merging only drops atoms, so the result is a
+        superset of the tables whose view mentions ``predicate``, in
+        :meth:`tables_with_semantics` order.
+        """
+        if self._tables_by_predicate is None:
+            index: dict[str, list[str]] = {}
+            for name in self.tables_with_semantics():
+                tree = self._trees[name]
+                names = {node.cm_node for node in tree.nodes()}
+                names.update(
+                    edge.cm_edge.base_name
+                    for edge in tree.edges
+                    if not edge.cm_edge.is_isa
+                )
+                names.update(
+                    attribute for _, attribute in tree.columns.values()
+                )
+                for bare in names:
+                    index.setdefault(CM_PREFIX + bare, []).append(name)
+            self._tables_by_predicate = {
+                key: tuple(tables) for key, tables in index.items()
+            }
+        return self._tables_by_predicate.get(predicate, ())
+
+    def key_positions(self) -> Mapping[str, tuple[int, ...]]:
+        """``table name → primary-key column positions`` (do not mutate)."""
+        if self._key_positions is None:
+            self._key_positions = key_positions_of_schema(self.schema)
+        return self._key_positions
 
     def _build_view(self, table_name: str) -> LAVView:
         table = self.schema.table(table_name)

@@ -80,6 +80,21 @@ def test_views_match_table_arity(model):
 
 @settings(max_examples=60, deadline=None)
 @given(model=conceptual_models())
+def test_tables_mentioning_covers_every_view_atom(model):
+    semantics = design_schema(model, "s").semantics
+    order = semantics.tables_with_semantics()
+    predicates = set()
+    for table in order:
+        for atom in semantics.view(table).body:
+            predicates.add(atom.predicate)
+            assert table in semantics.tables_mentioning(atom.predicate)
+    for predicate in predicates:
+        tables = semantics.tables_mentioning(predicate)
+        assert list(tables) == [name for name in order if name in tables]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=conceptual_models())
 def test_stree_columns_are_table_columns(model):
     result = design_schema(model, "s")
     for table_name in result.semantics.tables_with_semantics():

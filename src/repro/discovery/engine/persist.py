@@ -55,7 +55,7 @@ STORE_FORMAT = "repro-stage-store"
 #: Bump on any change that invalidates previously written artifacts
 #: (artifact dataclass shape, fingerprint conventions, pickling layout).
 #: Entries carrying a different version read as misses.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Environment variable naming a default cache directory (lowest
 #: precedence; see :func:`active_cache_dir`).

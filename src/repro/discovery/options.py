@@ -73,10 +73,6 @@ class DiscoveryOptions:
         output — the oracle only prunes provably fruitless work — so
         this is an equivalence-testing and profiling switch, on by
         default.
-    subtree_cache_size:
-        Per-run override for the rewrite prefix-state memo bound
-        (``None`` keeps the module default; ``0`` disables the memo).
-        Output-neutral like the other cache bounds.
     cache_dir:
         Directory of the persistent, cross-process stage-artifact store
         (see :mod:`repro.discovery.engine.persist`). ``None`` (the
@@ -98,7 +94,6 @@ class DiscoveryOptions:
     translation_cache_size: int | None = None
     stage_cache_size: int | None = None
     distance_oracle: bool = True
-    subtree_cache_size: int | None = None
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -135,7 +130,6 @@ class DiscoveryOptions:
             ("profile_cache_size", 1),
             ("translation_cache_size", 1),
             ("stage_cache_size", 0),
-            ("subtree_cache_size", 0),
         ):
             value = getattr(self, name)
             if value is None:
@@ -233,7 +227,6 @@ class DiscoveryOptions:
             "profile": self.profile_cache_size,
             "translation": self.translation_cache_size,
             "stage": self.stage_cache_size,
-            "subtree": self.subtree_cache_size,
         }
         return {name: size for name, size in sizes.items() if size is not None}
 

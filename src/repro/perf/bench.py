@@ -104,8 +104,6 @@ _REPORTED_COUNTERS = (
     "oracle_cache_misses",
     "lossy_prefix_skips",
     "required_subtree_prunes",
-    "subtree_cache_hits",
-    "subtree_cache_misses",
 )
 
 

@@ -36,10 +36,6 @@ DEFAULT_CACHE_SIZES: dict[str, int | None] = {
     "profile": 8192,
     "translation": None,
     "stage": 512,
-    # Prefix-state entries of the rewrite subtree memo (per plan);
-    # ``DiscoveryOptions.subtree_cache_size`` overrides per run, 0
-    # disables the memo entirely.
-    "subtree": 2048,
 }
 
 _SIZE_OVERRIDES: ContextVar[tuple[tuple[str, int], ...]] = ContextVar(

@@ -54,10 +54,7 @@ Counter names used across the codebase:
     before full enumeration;
 ``required_subtree_prunes``
     rewrite DFS subtrees skipped because no downstream rule choice
-    could mention a required table;
-``subtree_cache_hits``, ``subtree_cache_misses``
-    rewrite prefix-state memo traffic (resumed vs re-unified body
-    prefixes).
+    could mention a required table.
 """
 
 from __future__ import annotations

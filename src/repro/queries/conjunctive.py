@@ -27,6 +27,11 @@ DB_PREFIX = "T:"
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
+#
+# Terms and atoms cache their hash at construction. String hashes are
+# salted per process (``PYTHONHASHSEED``), so each class pickles as a call
+# to its constructor: a copy loaded by another process (the disk tier, a
+# sibling worker) recomputes the hash instead of carrying a stale one.
 
 
 @dataclass(frozen=True, order=True)
@@ -43,6 +48,9 @@ class Variable:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        return Variable, (self.name,)
+
     def __str__(self) -> str:
         return self.name
 
@@ -58,6 +66,9 @@ class Constant:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self) -> tuple:
+        return Constant, (self.value,)
 
     def __str__(self) -> str:
         return repr(self.value)
@@ -77,6 +88,9 @@ class SkolemTerm:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self) -> tuple:
+        return SkolemTerm, (self.function, self.arguments)
 
     def __str__(self) -> str:
         args = ", ".join(str(a) for a in self.arguments)
@@ -121,6 +135,9 @@ class Atom:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self) -> tuple:
+        return Atom, (self.predicate, self.terms)
 
     @property
     def arity(self) -> int:
@@ -419,6 +436,12 @@ class ConjunctiveQuery:
 
     def __hash__(self) -> int:
         return hash((self.head_terms, frozenset(self.body)))
+
+    def __getstate__(self) -> dict:
+        # The containment-search profile is a per-process cache.
+        state = dict(self.__dict__)
+        state.pop("_hom_profile", None)
+        return state
 
     def __str__(self) -> str:
         head = ", ".join(str(t) for t in self.head_terms)

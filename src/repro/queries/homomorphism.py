@@ -11,7 +11,7 @@ deduplicating candidate mappings, and comparing generated mappings against
 benchmark mappings in the evaluation harness.
 
 Containment checks sit on discovery's hottest path (every candidate
-rewriting is minimized and then compared pairwise in
+rewriting is minimized and then compared against the kept ones in
 :func:`keep_maximal`), so the search here is engineered for speed while
 staying *extensionally identical* to the naive formulation:
 
@@ -380,34 +380,21 @@ def keep_maximal(
 
     This is the pruning step of Example 3.4: ``q'₂ ⊆ q'₃`` eliminates
     ``q'₂``. Among equivalent queries, the first (in list order) is kept.
+
+    One sweep keeps an antichain of the queries seen so far: a query some
+    kept query contains is dropped (it comes later, so among equivalent
+    queries the earliest survives); otherwise it evicts every kept query
+    it contains and joins the antichain. Containment is a preorder, so
+    this keeps exactly the earliest query of each maximal class, in list
+    order, without any pairwise state.
     """
-    # Memoize the pairwise checks: ``index ⊆ other`` may be consulted
-    # from both sides of the outer loop.
-    contained: dict[tuple[int, int], bool] = {}
-
-    def check(first: int, second: int) -> bool:
-        key = (first, second)
-        cached = contained.get(key)
-        if cached is None:
-            cached = is_contained_in(queries[first], queries[second])
-            contained[key] = cached
-        return cached
-
-    survivors: list[ConjunctiveQuery] = []
-    for index, query in enumerate(queries):
-        dominated = False
-        for other_index in range(len(queries)):
-            if index == other_index:
-                continue
-            if check(index, other_index):
-                if check(other_index, index):
-                    # Equivalent: keep only the earliest occurrence.
-                    if other_index < index:
-                        dominated = True
-                        break
-                else:
-                    dominated = True
-                    break
-        if not dominated:
-            survivors.append(query)
-    return survivors
+    kept: list[ConjunctiveQuery] = []
+    for query in queries:
+        # Newest first: callers sort related queries next to each other
+        # (an exact duplicate follows its original), so the last kept
+        # query is the likeliest container.
+        if any(is_contained_in(query, other) for other in reversed(kept)):
+            continue
+        kept = [other for other in kept if not is_contained_in(other, query)]
+        kept.append(query)
+    return kept

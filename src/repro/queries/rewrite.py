@@ -48,7 +48,6 @@ from repro.queries.conjunctive import (
     unify_atoms_inplace,
     variables_of,
 )
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 from repro.queries.homomorphism import keep_maximal, minimize
 from repro.queries.normalize import chase_with_keys
@@ -190,33 +189,14 @@ class _RewritePlan:
     view's inverse rules are derived once (``_view_rules``); renamed
     candidates are cached per (predicate, occurrence). The plan never
     holds its source (plans are weakly keyed by it): callers pass it in.
-
-    ``prefix_states`` is the *subtree-translation memo*: for a body
-    prefix (a tuple of CM atoms, matched by content), the complete list
-    of surviving partial unifications at that depth, in DFS discovery
-    order. Two queries sharing a body prefix — e.g. translations of CSGs
-    sharing a root fragment across targets — unify the shared prefix
-    once; the second query resumes from the recorded states. States are
-    a pure function of (views, prefix): rule candidates are renamed per
-    *position*, so equal prefixes see identical rules and bindings.
     """
 
-    __slots__ = ("rule_index", "_view_rules", "_renamed", "prefix_states")
+    __slots__ = ("rule_index", "_view_rules", "_renamed")
 
     def __init__(self) -> None:
         self.rule_index: dict[str, tuple[InverseRule, ...]] = {}
         self._view_rules: dict[Hashable, tuple[InverseRule, ...]] = {}
         self._renamed: dict[tuple[str, int], tuple[InverseRule, ...]] = {}
-        self.prefix_states: dict[
-            tuple[Atom, ...],
-            tuple[
-                tuple[
-                    tuple[InverseRule, ...],
-                    tuple[tuple[Variable, Term], ...],
-                ],
-                ...,
-            ],
-        ] = {}
 
     def rules(
         self, source: ViewSource, predicate: str
@@ -260,10 +240,10 @@ _PLANS: "weakref.WeakKeyDictionary[ViewSource, _RewritePlan]" = (
 
 
 def clear_rewrite_caches() -> None:
-    """Drop every cached rewrite plan (and with it every subtree memo).
+    """Drop every cached rewrite plan.
 
     ``repro.perf.clear_caches`` calls this so a forced-cold run rebuilds
-    plans and prefix states from scratch.
+    plans from scratch.
     """
     _PLANS.clear()
 
@@ -272,14 +252,6 @@ def clear_rewrite_caches() -> None:
 #: are dropped early (missing a required table). Keeping them in the
 #: count preserves the exact enumeration window of the unfiltered search.
 _FILTERED = object()
-
-#: Subtree-memo capture window. Shared prefixes between translations sit
-#: at the top of the DFS tree (a CSG fragment shared across targets maps
-#: to the leading body atoms), and the tree fans out with depth — so
-#: capture is limited to shallow depths and small state lists, keeping
-#: the bookkeeping off the hot combinatorial tail.
-_SUBTREE_MAX_DEPTH = 4
-_SUBTREE_MAX_STATES = 256
 
 
 def _candidate_rewritings(
@@ -393,56 +365,13 @@ def _candidate_rewritings(
     # (those combinations would each have failed at the same atom).
     # The substitution lives in a single dict with a trail (undo log)
     # instead of being copied at every extension.
-    #
-    # The plan's subtree memo sits on top: surviving partial
-    # unifications are recorded per body prefix (in DFS order), and a
-    # later query sharing a prefix resumes from those states instead of
-    # re-unifying it. States are only stored when the walk ran to
-    # completion — aborting at ``limit`` leaves the per-depth lists
-    # partial — so a resumed enumeration replays the exact scratch
-    # order, limit window included.
     produced = 0
     chosen: list[InverseRule] = []
     substitution: dict[Variable, Term] = {}
     trail: list[Variable] = []
-    # Shallowest depth at which required-table pruning fired: captured
-    # state lists deeper than this are incomplete and must not be
-    # stored in the subtree memo (states are required-set independent).
-    shallowest_prune = count + 1
-
-    memo = plan.prefix_states if perf_config.enabled() else None
-    bound: int | None = None
-    if memo is not None:
-        bound = perf_config.cache_size("subtree")
-        if bound == 0:
-            memo = None
-
-    start_depth = 0
-    resume_states = None
-    if memo is not None and count > 1:
-        for depth in range(min(count - 1, _SUBTREE_MAX_DEPTH), 0, -1):
-            entry = memo.get(body[:depth])
-            if entry is not None:
-                start_depth = depth
-                resume_states = entry
-                perf_counters.record("subtree_cache_hits")
-                break
-        else:
-            perf_counters.record("subtree_cache_misses")
-
-    captured: dict[int, list] | None = None
-    if memo is not None and count > 1:
-        captured = {
-            depth: []
-            for depth in range(
-                start_depth + 1, min(count, _SUBTREE_MAX_DEPTH + 1)
-            )
-        }
-        if not captured:
-            captured = None
 
     def walk(depth: int) -> Iterator[ConjunctiveQuery]:
-        nonlocal produced, shallowest_prune
+        nonlocal produced
         if depth == count:
             result = finish(chosen, substitution)
             if result is not None:
@@ -450,30 +379,10 @@ def _candidate_rewritings(
                 if result is not _FILTERED:
                     yield result
             return
-        if captured is not None:
-            states = captured.get(depth)
-            if states is not None:
-                if len(states) >= _SUBTREE_MAX_STATES:
-                    # Too bushy to be worth replaying: stop capturing
-                    # this depth (the entry will simply not be stored).
-                    del captured[depth]
-                else:
-                    states.append(
-                        (
-                            tuple(chosen),
-                            tuple(
-                                (var, substitution[var]) for var in trail
-                            ),
-                        )
-                    )
-        # The capture above must precede this check: memo states are
-        # required-set independent, and a pruned subtree skips the
-        # deeper captures (hence ``shallowest_prune`` gates the store).
         if suffix_tables is not None:
             reachable = suffix_tables[depth]
             for table in required_bare:
                 if table not in reachable and not table_counts.get(table):
-                    shallowest_prune = min(shallowest_prune, depth)
                     perf_counters.record("required_subtree_prunes")
                     return
         pattern = body[depth]
@@ -493,35 +402,11 @@ def _candidate_rewritings(
             if produced >= limit:
                 return
 
-    if resume_states is None:
-        yield from walk(0)
-    else:
-        for state_rules, state_bindings in resume_states:
-            if produced >= limit:
-                break
-            chosen[:] = state_rules
-            substitution.clear()
-            substitution.update(state_bindings)
-            trail[:] = [var for var, _ in state_bindings]
-            if suffix_tables is not None:
-                table_counts.clear()
-                for rule in state_rules:
-                    bare = rule.body.bare_predicate
-                    table_counts[bare] = table_counts.get(bare, 0) + 1
-            yield from walk(start_depth)
+    yield from walk(0)
     if produced >= limit:
         # Rule combinations past the cap were never tried: count it, so
         # the truncation is not silent.
         perf_counters.record("rewrite_limit_hits")
-    elif captured is not None:
-        for depth, states in captured.items():
-            if depth > shallowest_prune:
-                continue  # Incomplete: a pruned subtree skipped captures.
-            key = body[:depth]
-            if key not in memo:
-                if bound is not None and len(memo) >= bound:
-                    memo.clear()
-                memo[key] = tuple(states)
 
 
 def rewrite_query(
@@ -585,8 +470,4 @@ def rewrite_query(
         ]
     # Deterministic order: larger bodies (more faithful) first, then text.
     candidates.sort(key=lambda cq: (-len(cq.body), str(cq)))
-    # Drop exact duplicates (equal head and body set) before the O(n²)
-    # containment sweep: duplicates are mutually equivalent, so
-    # keep_maximal would keep only the earliest anyway.
-    candidates = list(dict.fromkeys(candidates))
     return keep_maximal(candidates)

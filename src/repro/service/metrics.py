@@ -38,7 +38,7 @@ Counter vocabulary (all exported with the ``repro_service_`` prefix):
 The algorithmic counters ride along under ``repro_perf_`` — including
 the distance-oracle vocabulary (``oracle_sweeps``,
 ``astar_expansions``, ``bound_prunes``, ``lossy_prefix_skips``,
-``required_subtree_prunes``, ``subtree_cache_*``; see
+``required_subtree_prunes``; see
 :mod:`repro.perf.counters`) — so a scrape sees search-guidance
 effectiveness next to request health.
 """

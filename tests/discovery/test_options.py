@@ -83,7 +83,6 @@ class TestSerialisation:
             "translation_cache_size": None,
             "stage_cache_size": None,
             "distance_oracle": True,
-            "subtree_cache_size": None,
             "cache_dir": None,
         }
 

@@ -10,8 +10,13 @@ in-memory tiers) re-serves a previous run's output from disk,
 byte-identical, via a full hit on the ``rank`` artifact.
 """
 
+import json
 import multiprocessing
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +307,72 @@ class TestEngineDiskTier:
         ).discover()
         assert "stage_cache_disk_writes" not in result.stats
         assert "stage_cache_disk_misses" not in result.stats
+
+
+#: Discover the bookstore example through a disk cache, then cold in the
+#: same process, and report whether the two candidate lists are equal.
+_HASH_SEED_PROBE = """
+import json, sys
+from repro.datasets.paper_examples import bookstore_example
+from repro.discovery import DiscoveryOptions, SemanticMapper
+from repro.perf import clear_caches
+
+example = bookstore_example()
+
+def discover(**options):
+    return SemanticMapper(
+        example.source, example.target, example.correspondences,
+        options=DiscoveryOptions(**options),
+    ).discover()
+
+cached = discover(cache_dir=sys.argv[1])
+clear_caches()
+cold = discover()
+print(json.dumps({
+    "disk_hit_rank": cached.stats.get("stage_cache_disk_hit_rank", 0),
+    "equal": cached.candidates == cold.candidates,
+    "text_equal": [str(c) for c in cached.candidates]
+    == [str(c) for c in cold.candidates],
+}))
+"""
+
+
+class TestCrossProcessHashSeeds:
+    """Entries written under one string-hash seed serve another.
+
+    Terms and atoms cache their hash; an artifact unpickled in a
+    process with a different ``PYTHONHASHSEED`` must rebuild those
+    hashes, or its queries print the same as a cold run's but compare
+    unequal to them.
+    """
+
+    def _probe(self, cache_dir, seed):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            pathlib.Path(__file__).resolve().parents[2] / "src"
+        )
+        env["PYTHONHASHSEED"] = str(seed)
+        env.pop("REPRO_CACHE_DIR", None)
+        completed = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE, str(cache_dir)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return json.loads(completed.stdout.splitlines()[-1])
+
+    def test_disk_warm_candidates_equal_cold_under_another_seed(
+        self, tmp_path
+    ):
+        writer = self._probe(tmp_path, seed=1)
+        assert writer["disk_hit_rank"] == 0
+        assert writer["equal"] is True
+        reader = self._probe(tmp_path, seed=2)
+        assert reader["disk_hit_rank"] == 1
+        assert reader["text_equal"] is True
+        assert reader["equal"] is True
 
 
 class TestShrunkBoundEnforcedOnGet:

@@ -106,19 +106,6 @@ def test_distance_oracle_option_disables_guided_search():
     assert blind.stats.get("oracle_sweeps", 0) == 0
 
 
-def test_subtree_cache_size_zero_disables_memo():
-    source, target, correspondences = _scenario()
-    perf.clear_caches()
-    off = SemanticMapper(
-        source,
-        target,
-        correspondences,
-        options=DiscoveryOptions(subtree_cache_size=0),
-    ).discover()
-    assert off.stats.get("subtree_cache_hits", 0) == 0
-    assert off.stats.get("subtree_cache_misses", 0) == 0
-
-
 def test_new_options_keep_default_fingerprint():
     assert DiscoveryOptions().to_pairs() == ()
     assert DiscoveryOptions(distance_oracle=False).to_pairs() == (

@@ -1,5 +1,7 @@
 """Unit tests for terms, atoms, unification, and conjunctive queries."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import QueryError
@@ -12,6 +14,7 @@ from repro.queries import (
     VariableFactory,
     cm_atom,
     db_atom,
+    is_contained_in,
     substitute_atom,
     substitute_term,
     unify_atoms,
@@ -169,6 +172,42 @@ class TestConjunctiveQuery:
     def test_constant_in_head_allowed(self):
         q = ConjunctiveQuery([Constant(1), x], [db_atom("r", x)])
         assert q.head_terms[0] == Constant(1)
+
+
+class TestPickling:
+    """Unpickled terms recompute their cached hash.
+
+    A hash cached under one process's string-hash seed is wrong in
+    another, so the cached value must not travel with the object.
+    Planting a wrong ``_hash`` stands in for the foreign seed.
+    """
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            x,
+            Constant("ann"),
+            SkolemTerm("f_t_x", (x, Constant(1))),
+            cm_atom("hasName", SkolemTerm("f", (x,)), y),
+        ],
+        ids=["variable", "constant", "skolem", "atom"],
+    )
+    def test_hash_is_recomputed_on_load(self, value):
+        fresh = hash(value)
+        object.__setattr__(value, "_hash", fresh + 1)
+        loaded = pickle.loads(pickle.dumps(value))
+        object.__setattr__(value, "_hash", fresh)
+        assert loaded == value
+        assert hash(loaded) == fresh
+        assert loaded in {value}
+
+    def test_query_drops_containment_profile(self):
+        query = ConjunctiveQuery([x], [cm_atom("Person", x)])
+        assert is_contained_in(query, query)
+        assert "_hom_profile" in vars(query)
+        loaded = pickle.loads(pickle.dumps(query))
+        assert "_hom_profile" not in vars(loaded)
+        assert loaded == query
 
 
 class TestVariableFactory:

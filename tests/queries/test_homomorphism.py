@@ -165,3 +165,84 @@ def test_keep_maximal_survivors_dominate(queries):
     survivors = keep_maximal(queries)
     for query in queries:
         assert any(is_contained_in(query, survivor) for survivor in survivors)
+
+
+def pairwise_keep_maximal(queries):
+    """The pairwise reference: one memoized check per ordered pair."""
+    contained = {}
+
+    def check(first, second):
+        key = (first, second)
+        if key not in contained:
+            contained[key] = is_contained_in(queries[first], queries[second])
+        return contained[key]
+
+    survivors = []
+    for index, query in enumerate(queries):
+        dominated = False
+        for other_index in range(len(queries)):
+            if index == other_index:
+                continue
+            if check(index, other_index):
+                if check(other_index, index):
+                    if other_index < index:
+                        dominated = True
+                        break
+                else:
+                    dominated = True
+                    break
+        if not dominated:
+            survivors.append(query)
+    return survivors
+
+
+def with_redundant_atom(query, index):
+    """``query`` plus a copy of one body atom over fresh existentials.
+
+    The copy maps back onto its original, so the result is equivalent
+    to ``query`` but not minimal.
+    """
+    atom = query.body[index % len(query.body)]
+    head = set(query.head_variables())
+    fresh = {
+        variable: Variable(f"{variable.name}_r")
+        for variable in atom.variables()
+        if variable not in head
+    }
+    copy = db_atom(
+        atom.bare_predicate, *(fresh.get(t, t) for t in atom.terms)
+    )
+    return ConjunctiveQuery(query.head_terms, query.body + (copy,))
+
+
+@st.composite
+def query_lists_with_variants(draw):
+    """Random queries plus duplicates, renamings and redundant variants."""
+    pool = draw(st.lists(random_query(), min_size=1, max_size=5))
+    queries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        base = draw(st.sampled_from(pool))
+        kind = draw(
+            st.sampled_from(["same", "copy", "renamed", "redundant"])
+        )
+        if kind == "same":
+            queries.append(base)
+        elif kind == "copy":
+            queries.append(ConjunctiveQuery(base.head_terms, base.body))
+        elif kind == "renamed":
+            queries.append(base.rename_apart("_n"))
+        else:
+            queries.append(
+                with_redundant_atom(base, draw(st.integers(0, 3)))
+            )
+    return queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(queries=query_lists_with_variants())
+def test_keep_maximal_matches_pairwise_reference(queries):
+    survivors = keep_maximal(queries)
+    reference = pairwise_keep_maximal(queries)
+    assert [id(query) for query in survivors] == [
+        id(query) for query in reference
+    ]

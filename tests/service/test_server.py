@@ -125,6 +125,16 @@ class TestDiscover:
         assert status == 400
         assert payload["status"] == "bad-request"
 
+    def test_unknown_option_key_400(self, client):
+        status, payload = client.request(
+            "POST",
+            "/discover",
+            {"scenario": DBLP_CASE, "options": {"subtree_cache_size": 0}},
+        )
+        assert status == 400
+        assert payload["status"] == "bad-request"
+        assert "subtree_cache_size" in payload["error"]["message"]
+
     def test_client_checked_call_raises(self, client):
         with pytest.raises(ServiceCallError) as excinfo:
             client.job("job-does-not-exist")

@@ -206,6 +206,22 @@ class TestDiscoverRequest:
         with pytest.raises(WireFormatError, match="server-side"):
             discover_request_from_wire(payload)
 
+    @pytest.mark.parametrize("where", ["request", "scenario"])
+    def test_removed_subtree_cache_size_is_unknown(self, where):
+        payload: dict = {
+            "scenario": {
+                "dataset": "DBLP",
+                "case": "dblp-article-in-journal",
+            }
+        }
+        options = {"subtree_cache_size": 0}
+        if where == "request":
+            payload["options"] = options
+        else:
+            payload["scenario"]["options"] = options
+        with pytest.raises(WireFormatError, match="subtree_cache_size"):
+            discover_request_from_wire(payload)
+
 
 class TestResultPayloads:
     def test_result_to_wire_reuses_mapping_serializer(self):

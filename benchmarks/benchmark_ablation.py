@@ -26,12 +26,16 @@ from repro.datasets.paper_examples import (
     partof_example,
 )
 from repro.discovery.mapper import SemanticMapper
+from repro.discovery.options import DiscoveryOptions
 from repro.semantics import design_schema
 
 
 def discover(scenario, **flags):
     return SemanticMapper(
-        scenario.source, scenario.target, scenario.correspondences, **flags
+        scenario.source,
+        scenario.target,
+        scenario.correspondences,
+        options=DiscoveryOptions(**flags),
     ).discover()
 
 
@@ -102,7 +106,7 @@ class TestCardinalityAblation:
                 source,
                 target,
                 correspondences,
-                use_cardinality_filter=use_filter,
+                options=DiscoveryOptions(use_cardinality_filter=use_filter),
             ).discover()
 
         with_filter = run(True)

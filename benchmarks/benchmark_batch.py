@@ -2,11 +2,11 @@
 
 Not a paper exhibit — this measures the shared-computation layer itself:
 
-* chain-12 discovery with the perf layer disabled (the uncached seed
-  path) versus warm caches, asserting the ≥2x speedup the layer exists
-  to deliver (in practice it is orders of magnitude);
-* byte-identical TGD output across disabled / cold / warm runs and
-  across ``workers=1`` / ``workers=2`` batches;
+* chain-12 discovery cold (fresh objects, every cache emptied) versus
+  warm, asserting the ≥2x speedup the layer exists to deliver (in
+  practice it is orders of magnitude);
+* byte-identical TGD output across cold / warm runs and across
+  ``workers=1`` / ``workers=2`` batches;
 * candidate counts on the paper scenarios pinned to
   ``repro.perf.invariants`` — caching must never change results;
 * per-phase wall times from the trace exhibit plus the disabled-tracer
@@ -99,19 +99,12 @@ def test_trace_json_export_round_trips():
 
 
 def test_modes_byte_identical():
-    """disabled / cold / warm discovery all print the same TGDs."""
-    source, target, correspondences = build_chain_scenario(length=4)
-    with perf.disabled():
-        perf.clear_caches()
-        reference = _tgds(
-            SemanticMapper(source, target, correspondences).discover()
-        )
+    """Cold and warm discovery print the same TGDs."""
     source, target, correspondences = build_chain_scenario(length=4)
     perf.clear_caches()
     cold = _tgds(SemanticMapper(source, target, correspondences).discover())
     warm = _tgds(SemanticMapper(source, target, correspondences).discover())
-    assert cold == reference
-    assert warm == reference
+    assert warm == cold
 
 
 def test_parallel_batch_byte_identical():

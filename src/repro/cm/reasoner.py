@@ -19,7 +19,6 @@ from typing import Sequence
 from repro.cm.cardinality import Cardinality, ConnectionCategory
 from repro.cm.graph import CMEdge
 from repro.cm.model import ConceptualModel
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 
 
@@ -51,11 +50,8 @@ class CMReasoner:
         """The memo-sharing reasoner of ``model``.
 
         Cached on the model object itself so the memo's lifetime matches
-        the model's. With the perf layer disabled a fresh reasoner is
-        returned and nothing is cached.
+        the model's.
         """
-        if not perf_config.enabled():
-            return cls(model)
         reasoner = getattr(model, "_shared_reasoner", None)
         if reasoner is None:
             reasoner = cls(model)
@@ -169,8 +165,6 @@ class CMReasoner:
         after climbing from ``C``, descending into ``D`` requires ``C`` and
         ``D`` to be satisfiable together.
         """
-        if not perf_config.enabled():
-            return self._path_is_consistent(edges)
         key = _edge_key_tuple(edges)
         cached = self._path_consistency.get(key)
         if cached is not None:
@@ -201,8 +195,6 @@ class CMReasoner:
         subclasses on the same root-to-leaf path, the tree denotes false.
         This conservative check walks all consecutive pairs.
         """
-        if not perf_config.enabled():
-            return self._tree_is_consistent(edges)
         key = _edge_key_tuple(edges)
         cached = self._tree_consistency.get(key)
         if cached is not None:

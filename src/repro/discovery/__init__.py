@@ -21,7 +21,6 @@ from repro.discovery.compatibility import (
 from repro.discovery.options import (
     DEFAULT_OPTIONS,
     DiscoveryOptions,
-    merge_legacy_kwargs,
 )
 from repro.discovery.csg import (
     CSG,
@@ -88,7 +87,6 @@ __all__ = [
     "path_semantic_type",
     "DEFAULT_OPTIONS",
     "DiscoveryOptions",
-    "merge_legacy_kwargs",
     "CSG",
     "csg_from_discovered",
     "csg_from_table",

@@ -45,7 +45,7 @@ import traceback
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.correspondences import CorrespondenceSet
 from repro.discovery.fingerprint import (
@@ -53,7 +53,7 @@ from repro.discovery.fingerprint import (
     semantics_content_key,
 )
 from repro.discovery.mapper import DiscoveryResult, SemanticMapper
-from repro.discovery.options import DiscoveryOptions, merge_legacy_kwargs
+from repro.discovery.options import DiscoveryOptions
 from repro.exceptions import (
     BatchError,
     ScenarioTimeout,
@@ -74,11 +74,9 @@ class Scenario:
     ``mapper_options`` stores the discovery options as a sorted tuple of
     ``(field, value)`` pairs — the picklable, fingerprint-stable storage
     form of :class:`~repro.discovery.options.DiscoveryOptions`
-    (:meth:`~repro.discovery.options.DiscoveryOptions.to_pairs`). New
-    code passes ``options=DiscoveryOptions(...)`` to :meth:`create`; the
-    old ``**mapper_options`` keyword spelling still works but emits a
-    :class:`DeprecationWarning`, and its values are only validated when
-    the scenario *runs* so one malformed spec stays a per-scenario
+    (:meth:`~repro.discovery.options.DiscoveryOptions.to_pairs`), built
+    by :meth:`create`. Pairs are parsed when the scenario *runs*, so a
+    malformed spec built with the constructor stays a per-scenario
     failure record instead of killing batch assembly.
     """
 
@@ -96,52 +94,25 @@ class Scenario:
         target: SchemaSemantics,
         correspondences: CorrespondenceSet,
         options: DiscoveryOptions | None = None,
-        **mapper_options: object,
     ) -> "Scenario":
-        if options is not None:
-            # Eager validation: an explicit options object is the new
-            # API, so mixing in legacy kwargs fails fast here.
-            options = merge_legacy_kwargs(
-                options, mapper_options, "Scenario.create()"
-            )
-            pairs = options.to_pairs()
-        else:
-            pairs = tuple(sorted(mapper_options.items()))
-            if mapper_options:
-                warnings.warn(
-                    f"passing {sorted(mapper_options)} to Scenario.create() "
-                    f"as keyword arguments is deprecated; pass "
-                    f"options=DiscoveryOptions(...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
+        pairs = options.to_pairs() if options is not None else ()
         return cls(scenario_id, source, target, correspondences, pairs)
 
-    def discovery_options(self) -> DiscoveryOptions | None:
-        """The stored pairs as a :class:`DiscoveryOptions`, if they parse.
+    def discovery_options(self) -> DiscoveryOptions:
+        """The stored pairs as a :class:`DiscoveryOptions`.
 
-        ``None`` means the pairs hold legacy values no options object
-        accepts; :meth:`run` then falls back to the deprecated keyword
-        path (and surfaces its error, if any, at run time).
+        Raises ``ValueError`` when the pairs name an unknown option or
+        carry a bad value.
         """
-        try:
-            return DiscoveryOptions.from_pairs(self.mapper_options)
-        except (TypeError, ValueError):
-            return None
+        return DiscoveryOptions.from_pairs(self.mapper_options)
 
     def run(self, tracer=None) -> DiscoveryResult:
-        options = self.discovery_options()
-        if options is not None:
-            mapper = SemanticMapper(
-                self.source, self.target, self.correspondences, options=options
-            )
-        else:
-            mapper = SemanticMapper(
-                self.source,
-                self.target,
-                self.correspondences,
-                **dict(self.mapper_options),
-            )
+        mapper = SemanticMapper(
+            self.source,
+            self.target,
+            self.correspondences,
+            options=self.discovery_options(),
+        )
         result = mapper.discover(tracer=tracer)
         result.scenario_id = self.scenario_id
         return result
@@ -674,19 +645,12 @@ def scenarios_for_cases(
     source: SchemaSemantics,
     target: SchemaSemantics,
     cases: Iterable[tuple[str, CorrespondenceSet]],
-    mapper_options: Mapping[str, object] | None = None,
     options: DiscoveryOptions | None = None,
 ) -> list[Scenario]:
-    """Scenarios for many correspondence sets over one schema pair.
-
-    ``options`` is the supported spelling; ``mapper_options`` keyword
-    pairs are deprecated (the per-scenario ``Scenario.create`` shim
-    warns once per case).
-    """
-    legacy = dict(mapper_options or {})
+    """Scenarios for many correspondence sets over one schema pair."""
     return [
         Scenario.create(
-            case_id, source, target, correspondences, options=options, **legacy
+            case_id, source, target, correspondences, options=options
         )
         for case_id, correspondences in cases
     ]

@@ -9,11 +9,9 @@ safely shared across scenarios, threads (service job workers), and
 repeated ``discover()`` calls: a hit can only ever return the artifact
 the stage would have recomputed.
 
-The cache layers on :mod:`repro.perf`: it is bypassed entirely under
-``perf.disabled()``, its entry bound comes from
-``perf.config.cache_size("stage")`` (overridable per run through
-``DiscoveryOptions.stage_cache_size``), its traffic lands in the perf
-counters (``stage_cache_hits`` / ``stage_cache_misses`` plus per-stage
+The cache holds at most :data:`STAGE_CACHE_SIZE` artifacts and evicts
+the least recently used first. Its traffic lands in the perf counters
+(``stage_cache_hits`` / ``stage_cache_misses`` plus per-stage
 ``stage_cache_hit_<stage>`` breakdowns), and ``perf.clear_caches()``
 drops it alongside the other process-wide caches.
 
@@ -24,11 +22,6 @@ memory miss falls through to the content-addressed store (a disk hit is
 promoted into memory and counted as ``stage_cache_disk_hit_<stage>``),
 and every ``put`` writes through so other processes — CLI runs, batch
 workers, pre-fork service siblings — can start warm.
-
-The per-run entry bound is enforced on ``get`` as well as ``put``: a run
-that shrinks ``stage_cache_size`` via ``perf.cache_size_overrides``
-immediately drops entries above its bound instead of reading (and
-pinning) artifacts an earlier, larger bound admitted.
 
 Thread-safety: a single lock guards the ordered map. Artifacts are
 frozen dataclasses of immutable payloads, so returning a shared
@@ -42,42 +35,34 @@ from collections import OrderedDict
 from typing import Any
 
 from repro.discovery.engine import persist
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
+
+
+#: Entry bound of the process-wide stage cache.
+STAGE_CACHE_SIZE = 512
 
 
 class StageCache:
     """A thread-safe LRU map from ``(stage, fingerprint)`` to artifacts."""
 
-    def __init__(self, capacity: int | None = None) -> None:
+    def __init__(self, capacity: int = STAGE_CACHE_SIZE) -> None:
         self._capacity = capacity
         self._entries: "OrderedDict[tuple[str, str], Any]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def _bound(self) -> int | None:
-        if self._capacity is not None:
-            return self._capacity
-        return perf_config.cache_size("stage")
-
-    def _shrink_to(self, bound: int) -> None:
-        """Evict LRU entries down to ``bound`` (caller holds the lock)."""
-        while len(self._entries) > max(bound, 0):
+    def _shrink(self) -> None:
+        """Evict LRU entries down to capacity (caller holds the lock)."""
+        while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
 
     def get(self, stage: str, fingerprint: str) -> Any | None:
         """The cached artifact, or ``None``; counts hit/miss traffic.
 
-        Enforces the *current* entry bound before looking up: a shrunk
-        per-run ``stage_cache_size`` override takes effect immediately,
-        so the run can never read or hold entries above its bound.
         On a memory miss, the persistent disk tier (when active) is
         consulted; a disk hit is promoted into memory.
         """
-        bound = self._bound()
         key = (stage, fingerprint)
         with self._lock:
-            if bound is not None and len(self._entries) > bound:
-                self._shrink_to(bound)
             artifact = self._entries.get(key)
             if artifact is not None:
                 self._entries.move_to_end(key)
@@ -86,14 +71,13 @@ class StageCache:
             perf_counters.record(f"stage_cache_hit_{stage}")
             return artifact
         store = persist.active_store()
-        if store is not None and (bound is None or bound > 0):
+        if store is not None and self._capacity > 0:
             artifact = store.get(stage, fingerprint)
             if artifact is not None:
                 with self._lock:
                     self._entries[key] = artifact
                     self._entries.move_to_end(key)
-                    if bound is not None:
-                        self._shrink_to(bound)
+                    self._shrink()
                 perf_counters.record("stage_cache_disk_hits")
                 perf_counters.record(f"stage_cache_disk_hit_{stage}")
                 return artifact
@@ -103,15 +87,13 @@ class StageCache:
         return None
 
     def put(self, stage: str, fingerprint: str, artifact: Any) -> None:
-        bound = self._bound()
-        if bound is not None and bound <= 0:
+        if self._capacity <= 0:
             return
         key = (stage, fingerprint)
         with self._lock:
             self._entries[key] = artifact
             self._entries.move_to_end(key)
-            if bound is not None:
-                self._shrink_to(bound)
+            self._shrink()
         store = persist.active_store()
         if store is not None:
             store.put(stage, fingerprint, artifact)

@@ -20,7 +20,6 @@ from repro.discovery.fingerprint import (
     semantics_content_key,
     stage_fingerprint,
 )
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 
 
@@ -53,13 +52,7 @@ def run_clio(
         source_semantics, target_semantics, correspondences
     )
     fingerprints = {"clio": fingerprint}
-    size = perf_config.cache_size("stage")
-    use_cache = (
-        perf_config.enabled()
-        and not tracer.enabled
-        and not (size is not None and size <= 0)
-    )
-    cache = stage_cache() if use_cache else None
+    cache = None if tracer.enabled else stage_cache()
     with perf_counters.phase("clio"), tracer.span("clio") as span:
         if cache is not None:
             ranked = cache.get("clio", fingerprint)

@@ -29,10 +29,9 @@ target CSG's content plus the correspondences relevant to it — this is
 what makes a one-correspondence edit cheap: every unaffected target's
 unit replays from cache.
 
-Caching discipline: the stage cache is consulted only when the perf
-layer is enabled, the run is untraced (a tracer wants the real spans
-and prune events, so cached fast paths are bypassed), and the run's
-``stage_cache_size`` is non-zero. Cold runs are byte-identical to the
+Caching discipline: the stage cache is consulted only when the run is
+untraced (a tracer wants the real spans and prune events, so cached
+fast paths are bypassed). Cold runs are byte-identical to the
 pre-engine pipeline; warm runs replay recorded notes/eliminations in
 order, so they are byte-identical too.
 """
@@ -80,7 +79,6 @@ from repro.mappings.expression import (
     trim_redundant_joins,
 )
 from repro.mappings.refinement import optional_tables
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 
 #: The semantic pipeline's stages, in execution order. This tuple is the
@@ -104,9 +102,9 @@ UNIT_STAGE = "source_search.unit"
 
 #: The :class:`DiscoveryOptions` fields each stage's output depends on.
 #: Fields *not* listed for a stage must never change its artifact;
-#: ``explain`` / ``trace`` / cache sizing / ``distance_oracle`` are
-#: deliberately absent everywhere (observability and output-neutral
-#: search guidance must not invalidate caches).
+#: ``explain`` / ``trace`` / ``cache_dir`` are deliberately absent
+#: everywhere (observability and the deployment-local cache directory
+#: must not invalidate caches).
 STAGE_OPTION_FIELDS: dict[str, tuple[str, ...]] = {
     "lift": (),
     "target_csgs": (),
@@ -219,21 +217,9 @@ class SemanticEngine:
     # Entry point
     # ------------------------------------------------------------------
     def _cache(self) -> StageCache | None:
-        """The stage cache, or ``None`` when this run must bypass it.
-
-        Bypassed when the perf layer is disabled (the seed path must
-        recompute everything), when a tracer is recording (spans and
-        prune events must come from real execution), or when the run
-        disabled it via ``stage_cache_size=0``.
-        """
-        if not perf_config.enabled():
-            return None
-        if self._tracer.enabled:
-            return None
-        size = perf_config.cache_size("stage")
-        if size is not None and size <= 0:
-            return None
-        return stage_cache()
+        """The stage cache, or ``None`` when a tracer is recording (spans
+        and prune events must come from real execution)."""
+        return None if self._tracer.enabled else stage_cache()
 
     def run(
         self, notes: list[str], eliminations: list[str]

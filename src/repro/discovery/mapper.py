@@ -1,7 +1,7 @@
 """The end-to-end semantic mapping discovery pipeline (Section 3).
 
 :class:`SemanticMapper` is a thin orchestrator: it validates inputs,
-resolves the run's tracer and cache sizing, and delegates the algorithm
+resolves the run's tracer and cache directory, and delegates the algorithm
 to the staged engine (:mod:`repro.discovery.engine`), which runs it as
 six explicit stages:
 
@@ -28,9 +28,8 @@ a bounded LRU stage cache makes repeated and *incremental* discovery
 
 Tuning knobs live on one frozen
 :class:`~repro.discovery.options.DiscoveryOptions` object shared by
-every entry point (library, batch, CLI, service); the old per-knob
-keyword arguments still work through a :class:`DeprecationWarning`
-shim. ``DiscoveryOptions(engine="clio")`` routes the run through the
+every entry point (library, batch, CLI, service).
+``DiscoveryOptions(engine="clio")`` routes the run through the
 schema-only RIC baseline behind the same API. With
 ``DiscoveryOptions(explain=True)`` (or an externally activated
 :class:`repro.trace.Tracer`) the run records a span tree of per-phase
@@ -52,9 +51,8 @@ from repro.correspondences import Correspondence, CorrespondenceSet
 from repro.discovery.engine import persist
 from repro.discovery.engine.clio import run_clio
 from repro.discovery.engine.stages import EngineOutcome, SemanticEngine
-from repro.discovery.options import DiscoveryOptions, merge_legacy_kwargs
+from repro.discovery.options import DEFAULT_OPTIONS, DiscoveryOptions
 from repro.mappings.expression import MappingCandidate, MappingSet
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 from repro.semantics.lav import SchemaSemantics
 from repro.trace.tracer import NOOP, NoopTracer, Tracer
@@ -145,13 +143,10 @@ class SemanticMapper:
         target_semantics: SchemaSemantics,
         correspondences: CorrespondenceSet,
         options: DiscoveryOptions | None = None,
-        **legacy_options: object,
     ) -> None:
         """``options`` collects every tuning knob (ablation filter
         switches, the lossy-path length cap, engine selection,
-        explain/trace recording, cache sizing); the old per-knob keyword
-        arguments are still accepted but emit a
-        :class:`DeprecationWarning`.
+        explain/trace recording, the cache directory).
 
         Inputs are validated up front through :mod:`repro.validation`;
         ill-formed semantics or dangling correspondences raise
@@ -163,32 +158,13 @@ class SemanticMapper:
         validate_pair(
             source_semantics, target_semantics, correspondences
         ).raise_if_errors()
-        self.options = merge_legacy_kwargs(
-            options, legacy_options, "SemanticMapper()"
-        )
+        self.options = options if options is not None else DEFAULT_OPTIONS
         self.source_semantics = source_semantics
         self.target_semantics = target_semantics
         self.correspondences = correspondences
         self._source_reasoner = CMReasoner.shared(source_semantics.model)
         self._target_reasoner = CMReasoner.shared(target_semantics.model)
         self._tracer: Tracer | NoopTracer = NOOP
-
-    # -- legacy attribute views (kept for backward compatibility) --------
-    @property
-    def max_path_edges(self) -> int:
-        return self.options.max_path_edges
-
-    @property
-    def use_partof_filter(self) -> bool:
-        return self.options.use_partof_filter
-
-    @property
-    def use_disjointness_filter(self) -> bool:
-        return self.options.use_disjointness_filter
-
-    @property
-    def use_cardinality_filter(self) -> bool:
-        return self.options.use_cardinality_filter
 
     # ------------------------------------------------------------------
     # Entry point
@@ -223,25 +199,13 @@ class SemanticMapper:
             if recording and tracing.current() is not self._tracer
             else nullcontext()
         )
-        size_overrides = self.options.cache_size_overrides()
-        sizing = (
-            perf_config.cache_size_overrides(**size_overrides)
-            if size_overrides
-            else nullcontext()
-        )
-        oracle = (
-            perf_config.distance_oracle(False)
-            if not self.options.distance_oracle
-            else nullcontext()
-        )
         persistence = (
             persist.cache_dir_override(self.options.cache_dir)
             if self.options.cache_dir is not None
             else nullcontext()
         )
         try:
-            with activation, sizing, oracle, persistence, \
-                    perf_counters.scope() as frame:
+            with activation, persistence, perf_counters.scope() as frame:
                 with self._tracer.span("discover"):
                     outcome = self._run_engine(notes)
         finally:
@@ -328,7 +292,6 @@ def discover_mappings(
     correspondences: CorrespondenceSet,
     options: DiscoveryOptions | None = None,
     trace: Tracer | None = None,
-    **legacy_options: object,
 ) -> DiscoveryResult:
     """One-shot convenience wrapper around :class:`SemanticMapper`.
 
@@ -341,5 +304,4 @@ def discover_mappings(
         target_semantics,
         correspondences,
         options=options,
-        **legacy_options,
     ).discover(tracer=trace)

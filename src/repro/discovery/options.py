@@ -1,12 +1,10 @@
 """The one options object every discovery entry point accepts.
 
-Before this module existed, four entry points each re-plumbed the same
-tuning knobs: ``SemanticMapper(**kwargs)``, ``batch.Scenario``'s
-``mapper_options`` pairs, the service's hand-rolled ``_mapper_options``
-dict, and CLI flags. :class:`DiscoveryOptions` is now the single source
-of truth; the old keyword spellings keep working everywhere through
-:func:`merge_legacy_kwargs`, which emits a :class:`DeprecationWarning`
-(see ``docs/api.md`` for the deprecation policy).
+Library calls (``SemanticMapper(options=...)``), batch
+:class:`~repro.discovery.batch.Scenario` specs, the service wire format
+and the CLI all pass their knobs through :class:`DiscoveryOptions`;
+there is no other way to set them (``docs/api.md`` lists the removed
+per-knob spellings and their replacements).
 
 The frozen dataclass is hashable and picklable, so it travels inside
 batch :class:`~repro.discovery.batch.Scenario` specs across process
@@ -20,18 +18,8 @@ warm across the API change.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
-
-#: Legacy ``SemanticMapper`` keyword names, all absorbed by
-#: :class:`DiscoveryOptions` (new code passes ``options=`` instead).
-LEGACY_OPTION_NAMES = (
-    "max_path_edges",
-    "use_partof_filter",
-    "use_disjointness_filter",
-    "use_cardinality_filter",
-)
 
 #: The engines :class:`DiscoveryOptions.engine` may select.
 ENGINE_NAMES = ("semantic", "clio")
@@ -59,20 +47,6 @@ class DiscoveryOptions:
         pipeline, the default) or ``"clio"`` (the schema-only RIC
         baseline adapted behind the same entry points; see
         ``repro.discovery.engine.clio``).
-    profile_cache_size / translation_cache_size / stage_cache_size:
-        Per-run overrides for the perf layer's memo-cache entry bounds
-        (``None`` keeps the module defaults in
-        ``repro.perf.config.DEFAULT_CACHE_SIZES``). ``stage_cache_size=0``
-        disables the staged engine's artifact cache for the run. These
-        knobs — like ``explain``/``trace`` — never change discovery
-        output, so stage fingerprints deliberately exclude them.
-    distance_oracle:
-        Whether the run uses oracle-guided search (backward distance
-        tables, A*-pruned Steiner expansion, lossy lower bounds; see
-        ``docs/performance.md``). Both settings produce identical
-        output — the oracle only prunes provably fruitless work — so
-        this is an equivalence-testing and profiling switch, on by
-        default.
     cache_dir:
         Directory of the persistent, cross-process stage-artifact store
         (see :mod:`repro.discovery.engine.persist`). ``None`` (the
@@ -90,10 +64,6 @@ class DiscoveryOptions:
     explain: bool = False
     trace: bool = False
     engine: str = "semantic"
-    profile_cache_size: int | None = None
-    translation_cache_size: int | None = None
-    stage_cache_size: int | None = None
-    distance_oracle: bool = True
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -114,7 +84,6 @@ class DiscoveryOptions:
             "use_cardinality_filter",
             "explain",
             "trace",
-            "distance_oracle",
         ):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -126,23 +95,6 @@ class DiscoveryOptions:
                 f"engine must be one of {sorted(ENGINE_NAMES)}, got "
                 f"{self.engine!r}"
             )
-        for name, minimum in (
-            ("profile_cache_size", 1),
-            ("translation_cache_size", 1),
-            ("stage_cache_size", 0),
-        ):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(
-                    f"{name} must be an int or None, got "
-                    f"{type(value).__name__}"
-                )
-            if value < minimum:
-                raise ValueError(
-                    f"{name} must be >= {minimum}, got {value}"
-                )
         if self.cache_dir is not None and (
             not isinstance(self.cache_dir, str) or not self.cache_dir
         ):
@@ -177,7 +129,7 @@ class DiscoveryOptions:
     def from_pairs(
         cls, pairs: Iterable[tuple[str, Any]]
     ) -> "DiscoveryOptions":
-        """Rebuild from :meth:`to_pairs` output (or legacy option pairs)."""
+        """Rebuild from :meth:`to_pairs` output."""
         return cls.from_mapping(dict(pairs), where="option pairs")
 
     # -- serialisation ---------------------------------------------------
@@ -216,64 +168,8 @@ class DiscoveryOptions:
         """True when this run should record spans (explain implies trace)."""
         return self.trace or self.explain
 
-    def cache_size_overrides(self) -> dict[str, int]:
-        """The non-default cache bounds of this run, by perf cache name.
-
-        The keys match :data:`repro.perf.config.DEFAULT_CACHE_SIZES`;
-        ``SemanticMapper.discover`` installs them for the run's dynamic
-        extent via :func:`repro.perf.config.cache_size_overrides`.
-        """
-        sizes = {
-            "profile": self.profile_cache_size,
-            "translation": self.translation_cache_size,
-            "stage": self.stage_cache_size,
-        }
-        return {name: size for name, size in sizes.items() if size is not None}
-
 
 _DEFAULTS = DiscoveryOptions()
 
 #: The default options singleton (shared; the class is immutable).
 DEFAULT_OPTIONS = _DEFAULTS
-
-
-def merge_legacy_kwargs(
-    options: DiscoveryOptions | None,
-    kwargs: Mapping[str, Any],
-    caller: str,
-    stacklevel: int = 3,
-) -> DiscoveryOptions:
-    """Fold deprecated per-knob keyword arguments into an options object.
-
-    Accepts exactly the :data:`LEGACY_OPTION_NAMES` (plus ``explain`` /
-    ``trace`` for forward-compatible keyword use); any use emits a
-    :class:`DeprecationWarning` naming the caller and the replacement.
-    Passing both ``options`` and a legacy kwarg that it also sets is an
-    error — the call would be ambiguous.
-    """
-    if not kwargs:
-        return options if options is not None else DEFAULT_OPTIONS
-    known = {field.name for field in dataclasses.fields(DiscoveryOptions)}
-    unknown = sorted(set(kwargs) - known)
-    if unknown:
-        raise TypeError(
-            f"{caller} got unexpected keyword argument(s) {unknown}; "
-            f"known options: {sorted(known)}"
-        )
-    warnings.warn(
-        f"passing {sorted(kwargs)} to {caller} as keyword arguments is "
-        f"deprecated; pass options=DiscoveryOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if options is None:
-        return DiscoveryOptions(**dict(kwargs))
-    conflicting = sorted(
-        name for name in kwargs if kwargs[name] != getattr(options, name)
-    )
-    if conflicting:
-        raise TypeError(
-            f"{caller} got both options= and conflicting legacy "
-            f"keyword(s) {conflicting}"
-        )
-    return options

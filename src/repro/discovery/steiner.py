@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cm.graph import CMEdge, CMGraph
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 from repro.perf.index import GraphIndex
 
@@ -162,9 +161,12 @@ def _functional_shortest_paths(
     depends on heap pop order, and every truncation is counted under
     ``tied_paths_dropped`` instead of happening silently.
 
-    ``adjacency`` is the precomputed functional adjacency of a
-    :class:`~repro.perf.index.GraphIndex`; without it, edges are read
-    (and re-sorted) from the graph on every visit, as the seed did.
+    This is the blind sweep over every reachable node. Discovery runs
+    the A*-pruned :func:`_targeted_shortest_paths` instead; this
+    function stays as the reference the property tests hold its target
+    entries equal to. ``adjacency`` is the precomputed functional
+    adjacency of a :class:`~repro.perf.index.GraphIndex`; without it,
+    edges are read from the graph.
     """
     if adjacency is not None:
         edges_from = lambda node: adjacency.get(node, ())  # noqa: E731
@@ -371,45 +373,48 @@ def functional_trees_from_root(
     ``chairOf`` vs ``deanOf`` — each yield their own tree. Only trees of
     minimal union cost are returned.
 
-    Shortest-path tables are read through the graph's
-    :class:`~repro.perf.index.GraphIndex`, so repeated roots across
-    target-CSG iterations (and across whole ``discover()`` calls on the
-    same graph) reuse one Dijkstra sweep per ``(root, cost_model)``.
-    With the distance oracle enabled, the sweep is A*-pruned against
-    per-target backward tables (:func:`_targeted_shortest_paths`) and
-    cached per ``(root, reachable targets, cost_model)`` instead — the
-    target entries are identical either way.
+    The shortest-path sweep is A*-pruned against per-target backward
+    tables (:func:`_targeted_shortest_paths`) and cached on the graph's
+    :class:`~repro.perf.index.GraphIndex` per ``(root, reachable
+    targets, cost_model)``, so repeated roots across target-CSG
+    iterations (and across whole ``discover()`` calls on the same graph)
+    reuse one sweep. Its target entries are those of the blind sweep
+    :func:`_functional_shortest_paths`.
     """
     cost_model = cost_model or CostModel()
     index = GraphIndex.of(graph)
     target_set = set(targets)
-    if perf_config.distance_oracle_enabled() and target_set:
-        backward = _backward_tables(index, target_set, cost_model)
-        root_bounds = {
-            target: table[root]
-            for target, table in backward.items()
-            if root in table
-        }
-        paths = index.shortest_paths(
-            (root, frozenset(root_bounds)),
-            cost_model,
-            lambda: _targeted_shortest_paths(
-                graph,
-                root,
-                cost_model,
-                index.functional_adjacency,
-                backward,
-                root_bounds,
-            ),
-        )
-    else:
-        paths = index.shortest_paths(
+    backward = _backward_tables(index, target_set, cost_model)
+    root_bounds = {
+        target: table[root]
+        for target, table in backward.items()
+        if root in table
+    }
+    paths = index.shortest_paths(
+        (root, frozenset(root_bounds)),
+        cost_model,
+        lambda: _targeted_shortest_paths(
+            graph,
             root,
             cost_model,
-            lambda: _functional_shortest_paths(
-                graph, root, cost_model, index.functional_adjacency
-            ),
-        )
+            index.functional_adjacency,
+            backward,
+            root_bounds,
+        ),
+    )
+    return _trees_from_paths(
+        root, paths, target_set, cost_model, max_combinations
+    )
+
+
+def _trees_from_paths(
+    root: str,
+    paths: Mapping[str, tuple[int, tuple[tuple[CMEdge, ...], ...]]],
+    target_set: set[str],
+    cost_model: CostModel,
+    max_combinations: int = 64,
+) -> list[tuple[DiscoveredTree, frozenset[str], int]]:
+    """The minimal-cost trees a shortest-path table yields for targets."""
     covered = frozenset(t for t in target_set if t in paths)
     choices = [paths[target][1] for target in sorted(covered)]
     results: list[tuple[int, DiscoveredTree]] = []
@@ -488,35 +493,45 @@ def minimal_functional_trees(
         if candidate_roots is not None
         else graph.class_nodes()
     )
-    if perf_config.distance_oracle_enabled() and target_set:
-        # A root missing from any target's backward table cannot cover
-        # that target, so its whole per-root search would be discarded
-        # by the ``covered != target_set`` check below — skip it.
-        index = GraphIndex.of(graph)
-        tables = list(_backward_tables(index, target_set, cost_model).values())
-        qualified = tuple(
-            root
-            for root in roots
-            if all(root in table for table in tables)
-        )
-        if len(qualified) < len(roots):
-            perf_counters.record("bound_prunes", len(roots) - len(qualified))
-        roots = qualified
-    complete: list[tuple[int, int, int, DiscoveredTree]] = []
-    for root in roots:
-        for tree, covered, cost in functional_trees_from_root(
-            graph, root, target_set, cost_model
-        ):
-            if covered != frozenset(target_set):
-                continue
-            complete.append(
-                (
-                    cost,
-                    -cost_model.preselected_count(tree.edges),
-                    len(tree.nodes()),
-                    tree,
-                )
+    # A root missing from any target's backward table cannot cover
+    # that target, so its whole per-root search would be discarded by
+    # the coverage check in ``_select_minimal_trees`` — skip it.
+    index = GraphIndex.of(graph)
+    tables = list(_backward_tables(index, target_set, cost_model).values())
+    qualified = tuple(
+        root for root in roots if all(root in table for table in tables)
+    )
+    if len(qualified) < len(roots):
+        perf_counters.record("bound_prunes", len(roots) - len(qualified))
+    return _select_minimal_trees(
+        (
+            found
+            for root in qualified
+            for found in functional_trees_from_root(
+                graph, root, target_set, cost_model
             )
+        ),
+        target_set,
+        cost_model,
+    )
+
+
+def _select_minimal_trees(
+    per_root: Iterable[tuple[DiscoveredTree, frozenset[str], int]],
+    target_set: set[str],
+    cost_model: CostModel,
+) -> list[DiscoveredTree]:
+    """The Case A.2 winners among per-root ``(tree, covered, cost)``."""
+    complete: list[tuple[int, int, int, DiscoveredTree]] = [
+        (
+            cost,
+            -cost_model.preselected_count(tree.edges),
+            len(tree.nodes()),
+            tree,
+        )
+        for tree, covered, cost in per_root
+        if covered == frozenset(target_set)
+    ]
     if not complete:
         return []
     # Node-set minimality first (independent of cost ranking).
@@ -788,23 +803,20 @@ def minimally_lossy_paths(
     score of a partial path is a lower bound for every completion, so
     once a complete accepted path scores ``best``, any prefix scoring
     strictly worse is abandoned (counted under ``lossy_paths_pruned``).
-    With the distance oracle enabled the bound is tightened by exact
-    remaining-cost and remaining-reversal tables
-    (:func:`_lossy_bound_tables`), so a prefix is dropped as soon as
-    *no completion* can tie the incumbent — oracle-strengthened prunes
-    are additionally counted under ``bound_prunes``. The surviving set
-    and its order are identical to exhaustively enumerating and
-    filtering, as the seed did.
+    The bound is tightened by exact remaining-cost and remaining-reversal
+    tables (:func:`_lossy_bound_tables`), so a prefix is dropped as soon
+    as *no completion* can tie the incumbent — oracle-strengthened
+    prunes are additionally counted under ``bound_prunes``. The surviving
+    set and its order are identical to exhaustively enumerating
+    :func:`simple_paths` and keeping the best-scoring ones.
     """
     cost_model = cost_model or CostModel()
     index = GraphIndex.of(graph)
     out_edges = _make_out_edges(graph, index)
-    bounds: tuple[dict, dict] | None = None
-    if perf_config.distance_oracle_enabled():
-        bounds = index.oracle_table(
-            ("lossy", end, cost_model),
-            lambda: _lossy_bound_tables(index, end, cost_model),
-        )
+    cost_to_end, reversals_to_end = index.oracle_table(
+        ("lossy", end, cost_model),
+        lambda: _lossy_bound_tables(index, end, cost_model),
+    )
     best: tuple[int, int] | None = None
     found: list[tuple[int, int, tuple[CMEdge, ...]]] = []
     path: list[CMEdge] = []
@@ -829,30 +841,25 @@ def minimally_lossy_paths(
             reversals, last_step, edge
         )
         new_cost = cost + cost_model.cost(edge)
-        if bounds is not None:
-            cost_to_end, reversals_to_end = bounds
-            remaining_cost = cost_to_end.get(edge.target)
-            if remaining_cost is None:
-                # ``end`` is unreachable from here even on non-simple
-                # paths: no completion exists at all.
-                perf_counters.record("lossy_paths_pruned")
-                perf_counters.record("bound_prunes")
-                continue
-            if best is not None:
-                remaining_reversals = _reversal_bound(
-                    reversals_to_end, edge.target, new_last
-                )
-                if (
-                    new_reversals + remaining_reversals,
-                    new_cost + remaining_cost,
-                ) > best:
-                    perf_counters.record("lossy_paths_pruned")
-                    if remaining_reversals or remaining_cost:
-                        perf_counters.record("bound_prunes")
-                    continue
-        elif best is not None and (new_reversals, new_cost) > best:
+        remaining_cost = cost_to_end.get(edge.target)
+        if remaining_cost is None:
+            # ``end`` is unreachable from here even on non-simple
+            # paths: no completion exists at all.
             perf_counters.record("lossy_paths_pruned")
+            perf_counters.record("bound_prunes")
             continue
+        if best is not None:
+            remaining_reversals = _reversal_bound(
+                reversals_to_end, edge.target, new_last
+            )
+            if (
+                new_reversals + remaining_reversals,
+                new_cost + remaining_cost,
+            ) > best:
+                perf_counters.record("lossy_paths_pruned")
+                if remaining_reversals or remaining_cost:
+                    perf_counters.record("bound_prunes")
+                continue
         if prefix_predicate is not None and not prefix_predicate(
             tuple(path) + (edge,)
         ):

@@ -16,7 +16,6 @@ from typing import Sequence
 from repro.correspondences import LiftedCorrespondence
 from repro.discovery.csg import CSG
 from repro.exceptions import DiscoveryError
-from repro.perf import config as perf_config
 from repro.perf import counters as perf_counters
 from repro.queries.conjunctive import ConjunctiveQuery, Term
 from repro.queries.rewrite import rewrite_query
@@ -80,10 +79,8 @@ def csg_to_cm_query(
 #: never reference it, so entries die exactly when the semantics does).
 #: The inner key freezes everything ``csg_to_cm_query`` + rewriting read:
 #: the CSG's tree structure, marked nodes, the covered correspondences,
-#: the side, and the required-tables flag. Unbounded by default;
-#: ``perf.config.cache_size("translation")`` (set per run through
-#: ``DiscoveryOptions.translation_cache_size``) installs a
-#: wholesale-clear bound on each per-semantics store.
+#: the side, and the required-tables flag. Unbounded: each store lives
+#: exactly as long as its semantics.
 _TRANSLATION_CACHE: "weakref.WeakKeyDictionary[SchemaSemantics, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -127,10 +124,6 @@ def translate_csg(
     repeated discovery over the same schema pair (batch runs, warm
     re-runs) skips it entirely.
     """
-    if not perf_config.enabled():
-        return _translate_uncached(
-            csg, covered, side, semantics, require_correspondence_tables
-        )
     store = _TRANSLATION_CACHE.get(semantics)
     if store is None:
         store = {}
@@ -149,9 +142,6 @@ def translate_csg(
     queries = _translate_uncached(
         csg, covered, side, semantics, require_correspondence_tables
     )
-    bound = perf_config.cache_size("translation")
-    if bound is not None and len(store) >= bound:
-        store.clear()
     store[key] = tuple(queries)
     return queries
 

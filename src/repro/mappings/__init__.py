@@ -27,9 +27,7 @@ from repro.mappings.algebra import (
 )
 from repro.mappings.sql import insert_sql, select_sql
 from repro.mappings.serialize import (
-    dump_candidates,
     dump_mapping_set,
-    load_candidates,
     load_mapping_set,
 )
 from repro.mappings.coverage import (
@@ -73,9 +71,7 @@ __all__ = [
     "optional_tables",
     "outer_join_algebra",
     "insert_sql",
-    "dump_candidates",
     "dump_mapping_set",
-    "load_candidates",
     "load_mapping_set",
     "ColumnCoverage",
     "ColumnStatus",

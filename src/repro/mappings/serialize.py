@@ -10,15 +10,11 @@ byte-identically to the original candidate-list format.
 
 Only table-level candidates serialize (variables and constants in the
 queries); Skolem terms never appear in finished candidates.
-
-``dump_candidates``/``load_candidates`` remain as deprecated shims over
-the set-level entry points.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Any, Sequence
 
 from repro.correspondences import Correspondence
@@ -154,27 +150,3 @@ def dump_mapping_set(
 def load_mapping_set(text: str) -> MappingSet:
     """Parse JSON text produced by :func:`dump_mapping_set`."""
     return mapping_set_from_dict(json.loads(text))
-
-
-def dump_candidates(
-    candidates: Sequence[MappingCandidate], indent: int = 2
-) -> str:
-    """Deprecated: use :func:`dump_mapping_set` (same document shape)."""
-    warnings.warn(
-        "dump_candidates is deprecated; use dump_mapping_set (or "
-        "MappingSet.dumps) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return dump_mapping_set(MappingSet.of(candidates), indent=indent)
-
-
-def load_candidates(text: str) -> list[MappingCandidate]:
-    """Deprecated: use :func:`load_mapping_set` (returns a MappingSet)."""
-    warnings.warn(
-        "load_candidates is deprecated; use load_mapping_set (or "
-        "MappingSet.loads) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return list(load_mapping_set(text).candidates)

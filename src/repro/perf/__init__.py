@@ -2,8 +2,6 @@
 
 Cross-cutting caches and instrumentation for the discovery pipeline:
 
-* :mod:`repro.perf.config` — a global on/off switch (``disabled()``
-  restores the uncached seed behaviour for equivalence testing);
 * :mod:`repro.perf.counters` — named counters and per-phase wall time,
   surfaced through ``DiscoveryResult.stats``;
 * :mod:`repro.perf.index` — immutable per-``CMGraph`` indexes with
@@ -11,20 +9,16 @@ Cross-cutting caches and instrumentation for the discovery pipeline:
 * :mod:`repro.perf.bench` — the JSON-emitting benchmark core behind
   ``python -m repro bench`` and ``benchmarks/benchmark_batch.py``.
 
-See ``docs/performance.md`` for the architecture (cache keys, index
-lifetimes, and invalidation by immutability).
+There is no switch that turns the caches off: every run takes the one
+cached code path. Cold, warm and uncached runs are held equal by golden
+outputs and by property tests against the uncached reference functions
+(``ConnectionProfile._compute``, ``CMReasoner._path_is_consistent``,
+``_translate_uncached``, ``_functional_shortest_paths``,
+``simple_paths``). See ``docs/performance.md`` for the architecture
+(cache keys, bounds, index lifetimes, and invalidation by
+immutability).
 """
 
-from repro.perf.config import (
-    DEFAULT_CACHE_SIZES,
-    cache_size,
-    cache_size_overrides,
-    disabled,
-    distance_oracle,
-    distance_oracle_enabled,
-    enabled,
-    set_enabled,
-)
 from repro.perf.counters import (
     PerfCounters,
     global_counters,
@@ -37,14 +31,6 @@ from repro.perf.counters import (
 from repro.perf.index import GraphIndex
 
 __all__ = [
-    "DEFAULT_CACHE_SIZES",
-    "cache_size",
-    "cache_size_overrides",
-    "disabled",
-    "distance_oracle",
-    "distance_oracle_enabled",
-    "enabled",
-    "set_enabled",
     "PerfCounters",
     "global_counters",
     "phase",
@@ -59,9 +45,9 @@ __all__ = [
 def clear_caches() -> None:
     """Drop every process-wide cache of the perf layer.
 
-    Benchmarks call this between cold runs; the per-object caches
-    (reasoner memos, semantics-keyed translation memos) die with their
-    owners and are additionally bypassed under :func:`disabled`. When a
+    Benchmarks and tests call this to start a cold run; the per-object
+    caches (reasoner memos, semantics-keyed translation memos) die with
+    their owners. When a
     persistent cache directory is active
     (:mod:`repro.discovery.engine.persist`), its entries are cleared
     too — "clear the caches" must mean all tiers, or a stale disk

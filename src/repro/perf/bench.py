@@ -9,11 +9,11 @@ Three exhibits, written to ``BENCH_discovery.json``:
   :data:`repro.perf.invariants.EXPECTED_CANDIDATE_COUNTS` and any drift
   fails the run — the perf layer must change speed, never results.
 * **chain-12 warm vs cold** — a 12-hop chain model (the worst case for
-  the Steiner search) is discovered once with the perf layer disabled
-  (the uncached seed path) and twice with it enabled; the second enabled
-  run hits warm caches. The report records both times and the speedup.
+  the Steiner search) is discovered once from fresh objects with every
+  cache emptied, then again on the same objects, where every cache
+  hits. The report records both times and the speedup.
 * **mode equivalence** — the chain scenario's TGD output must be
-  byte-identical across disabled, cold, and warm runs, and the paper
+  byte-identical between the cold and warm runs, and the paper
   scenarios must be byte-identical between ``workers=1`` and
   ``workers=N`` batches.
 * **trace** — the chain scenario runs once more under an explain-mode
@@ -22,10 +22,10 @@ Three exhibits, written to ``BENCH_discovery.json``:
   estimate: the measured cost of one no-op span times the traced run's
   span count, as a fraction of the untraced wall time. The run fails if
   that estimate reaches 5% — the tracing instrumentation must stay free
-  when off. The untraced denominator runs with ``stage_cache_size=0``:
-  a warm stage-cache full hit skips the pipeline entirely, and dividing
-  span cost by that near-zero wall time would report a meaningless
-  overhead figure.
+  when off. The stage cache is emptied before the untraced
+  denominator run: a warm stage-cache full hit skips the pipeline
+  entirely, and dividing span cost by that near-zero wall time would
+  report a meaningless overhead figure.
 * **incremental** — a multi-segment scenario is discovered once, one
   correspondence is edited, and :func:`repro.discovery.rediscover` runs
   the edited scenario against the warm stage cache. The report records
@@ -49,9 +49,9 @@ from repro.cm import ConceptualModel
 from repro.correspondences import CorrespondenceSet
 from repro.datasets.registry import load_all_datasets
 from repro.discovery.batch import Scenario, discover_many
+from repro.discovery.engine.cache import clear_stage_cache
 from repro.discovery.incremental import rediscover
 from repro.discovery.mapper import DiscoveryResult, SemanticMapper
-from repro.discovery.options import DiscoveryOptions
 from repro.perf.invariants import EXPECTED_CANDIDATE_COUNTS
 from repro.semantics import design_schema
 from repro.trace import Tracer, phase_seconds
@@ -148,14 +148,9 @@ def _tgds(result: DiscoveryResult) -> tuple[str, ...]:
     )
 
 
-def _timed_discover(source, target, correspondences, options=None):
+def _timed_discover(source, target, correspondences):
     start = time.perf_counter()
-    mapper = (
-        SemanticMapper(source, target, correspondences, options=options)
-        if options is not None
-        else SemanticMapper(source, target, correspondences)
-    )
-    result = mapper.discover()
+    result = SemanticMapper(source, target, correspondences).discover()
     return time.perf_counter() - start, result
 
 
@@ -315,47 +310,34 @@ def run_paper_scenarios(workers: int) -> tuple[dict, list[str]]:
 
 
 def run_chain_benchmark() -> tuple[dict, list[str]]:
-    """Chain-12 warm vs cold plus disabled/cold/warm equivalence."""
+    """Chain-12 cold vs warm, with byte-identical output."""
     failures: list[str] = []
 
-    # The seed path: perf layer off, nothing cached anywhere.
-    source, target, correspondences = build_chain_scenario()
-    with perf.disabled():
-        perf.clear_caches()
-        disabled_seconds, disabled_result = _timed_discover(
-            source, target, correspondences
-        )
-
-    # Enabled, cold: fresh semantics so no per-object memo survives.
+    # Cold: fresh semantics and empty caches, so nothing is reused.
     source, target, correspondences = build_chain_scenario()
     perf.clear_caches()
     cold_seconds, cold_result = _timed_discover(
         source, target, correspondences
     )
-    # Enabled, warm: same objects again — every cache layer hits.
+    # Warm: same objects again — every cache layer hits.
     warm_seconds, warm_result = _timed_discover(
         source, target, correspondences
     )
 
-    speedup = disabled_seconds / warm_seconds if warm_seconds else float("inf")
+    speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
     if speedup < 2.0:
         failures.append(
             f"chain-{CHAIN_LENGTH}: warm speedup {speedup:.2f}x < 2x "
-            f"(cold {disabled_seconds:.3f}s, warm {warm_seconds:.3f}s)"
+            f"(cold {cold_seconds:.3f}s, warm {warm_seconds:.3f}s)"
         )
-
-    reference = _tgds(disabled_result)
-    for label, result in (("cold", cold_result), ("warm", warm_result)):
-        if _tgds(result) != reference:
-            failures.append(
-                f"chain-{CHAIN_LENGTH}: {label} output differs from the "
-                "uncached seed path"
-            )
+    if _tgds(warm_result) != _tgds(cold_result):
+        failures.append(
+            f"chain-{CHAIN_LENGTH}: warm output differs from the cold run"
+        )
 
     report = {
         "chain_length": CHAIN_LENGTH,
-        "cold_seed_seconds": round(disabled_seconds, 4),
-        "cold_indexed_seconds": round(cold_seconds, 4),
+        "cold_seconds": round(cold_seconds, 4),
         "warm_seconds": round(warm_seconds, 6),
         "warm_speedup": round(speedup, 2),
         "candidates": len(warm_result),
@@ -399,16 +381,12 @@ def run_trace_benchmark() -> tuple[dict, list[str]]:
     perf.clear_caches()
     # Warm the memo caches first so the untraced measurement (the
     # overhead denominator) reflects the steady-state serving path —
-    # but keep the stage cache out of it (stage_cache_size=0): a stage
-    # full hit skips the pipeline the spans instrument, which would
-    # shrink the denominator to microseconds and report nonsense.
-    no_stage_cache = DiscoveryOptions(stage_cache_size=0)
-    SemanticMapper(
-        source, target, correspondences, options=no_stage_cache
-    ).discover()
-    untraced_seconds, _ = _timed_discover(
-        source, target, correspondences, options=no_stage_cache
-    )
+    # but empty the stage cache before it: a stage full hit skips the
+    # pipeline the spans instrument, which would shrink the denominator
+    # to microseconds and report nonsense.
+    SemanticMapper(source, target, correspondences).discover()
+    clear_stage_cache()
+    untraced_seconds, _ = _timed_discover(source, target, correspondences)
 
     tracer = Tracer(explain=True)
     start = time.perf_counter()
@@ -573,7 +551,7 @@ def main(
     chain = report["chain"]
     print(
         f"chain-{chain['chain_length']}: "
-        f"cold {chain['cold_seed_seconds']}s, "
+        f"cold {chain['cold_seconds']}s, "
         f"warm {chain['warm_seconds']}s "
         f"({chain['warm_speedup']}x)"
     )

@@ -10,9 +10,7 @@ Correctness rests on *invalidation by immutability*: a ``CMGraph`` is
 fully built in its constructor and never mutated afterwards, so an index
 taken at any point stays valid for the graph's lifetime. Indexes are
 shared through a weak-keyed registry (the index holds no reference back
-to the graph, so entries die exactly when their graph does). When the
-perf layer is disabled (:mod:`repro.perf.config`) a fresh, unshared
-index is built per request so no state survives between calls.
+to the graph, so entries die exactly when their graph does).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, Callable, Hashable
 
-from repro.perf import config, counters
+from repro.perf import counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cm.graph import CMEdge, CMGraph
@@ -76,9 +74,7 @@ class GraphIndex:
 
     @classmethod
     def of(cls, graph: "CMGraph") -> "GraphIndex":
-        """The shared index of ``graph`` (fresh/unshared when disabled)."""
-        if not config.enabled():
-            return cls(graph)
+        """The shared index of ``graph``."""
         index = cls._REGISTRY.get(graph)
         if index is None:
             index = cls(graph)
@@ -131,11 +127,9 @@ class GraphIndex:
         """A cached distance-oracle table (backward distances, lossy bounds).
 
         ``key`` is namespaced by the caller (e.g. ``("bd", target,
-        cost_model)``); ``compute`` runs on a miss. Tables are only
-        retained while the perf layer is enabled — mirroring
-        :meth:`shortest_paths` — and die with the index, so
-        :meth:`clear_registry` invalidates them together with every
-        other per-graph artifact.
+        cost_model)``); ``compute`` runs on a miss. Tables die with the
+        index, so :meth:`clear_registry` invalidates them together with
+        every other per-graph artifact.
         """
         table = self._oracle.get(key)
         if table is not None:
@@ -144,8 +138,7 @@ class GraphIndex:
         counters.record("oracle_cache_misses")
         counters.record("oracle_sweeps")
         table = compute()
-        if config.enabled():
-            self._oracle[key] = table
+        self._oracle[key] = table
         return table
 
     def shortest_paths(
@@ -157,11 +150,9 @@ class GraphIndex:
         """The cached Dijkstra table for ``(root, cost_model)``.
 
         ``compute`` runs on a miss; the returned table must be treated as
-        read-only by callers (it is shared across hits). ``root`` is a
-        plain node name for full sweeps; the oracle-guided targeted
-        search keys its (target-set-dependent) tables as
-        ``(root, frozenset(targets))`` — the two key shapes never
-        collide.
+        read-only by callers (it is shared across hits). The
+        oracle-guided search keys its target-set-dependent tables as
+        ``(root, frozenset(targets))``.
         """
         key = (root, cost_model)
         table = self._shortest.get(key)
@@ -171,8 +162,7 @@ class GraphIndex:
         counters.record("dijkstra_cache_misses")
         counters.record("dijkstra_sweeps")
         table = compute()
-        if config.enabled():
-            self._shortest[key] = table
+        self._shortest[key] = table
         return table
 
     def __repr__(self) -> str:

@@ -63,9 +63,6 @@ from repro.semantics.lav import SchemaSemantics
 from repro.semantics.stree import SemanticTree
 from repro.validation import ValidationReport
 
-#: Scalar JSON types accepted as mapper-option values.
-_OPTION_SCALARS = (str, int, float, bool, type(None))
-
 #: The wire-format major version this module speaks.
 WIRE_VERSION = 1
 
@@ -204,10 +201,11 @@ def scenario_from_wire(
     """Build a batch :class:`Scenario` from one scenario spec.
 
     Discovery options come from the spec's ``"options"`` object
-    (:meth:`DiscoveryOptions.from_mapping` — unknown keys are a 400),
-    falling back to ``default_options`` (e.g. the request-level
-    ``"options"``). The pre-versioning ``"mapper_options"`` key still
-    works; mixing it with ``"options"`` is refused as ambiguous.
+    (:func:`discovery_options_from_wire` — unknown keys and a
+    ``cache_dir`` are 400s), falling back to ``default_options`` (e.g.
+    the request-level ``"options"``). ``"mapper_options"`` is an alias
+    of ``"options"``, parsed the same way; giving both is refused as
+    ambiguous.
     """
     if not isinstance(spec, Mapping):
         raise WireFormatError(
@@ -230,25 +228,15 @@ def scenario_from_wire(
     scenario_id = str(spec.get("id", default_id))
     if "options" in spec and "mapper_options" in spec:
         raise WireFormatError(
-            "give discovery options as 'options' or the deprecated "
+            "give discovery options as 'options' or its alias "
             "'mapper_options', not both"
         )
-    if "options" in spec:
-        options = discovery_options_from_wire(spec["options"])
-        return Scenario.create(
-            scenario_id, source, target, correspondences, options=options
-        )
-    if "mapper_options" in spec:
-        legacy = _mapper_options(spec["mapper_options"])
-        return Scenario.create(
-            scenario_id, source, target, correspondences, **legacy
-        )
+    options = default_options
+    for key in ("options", "mapper_options"):
+        if key in spec:
+            options = discovery_options_from_wire(spec[key])
     return Scenario.create(
-        scenario_id,
-        source,
-        target,
-        correspondences,
-        options=default_options,
+        scenario_id, source, target, correspondences, options=options
     )
 
 
@@ -318,23 +306,6 @@ def _parse_correspondences(texts: Any) -> CorrespondenceSet:
         return CorrespondenceSet.parse(list(texts))
     except ReproError as error:
         raise WireFormatError(str(error)) from error
-
-
-def _mapper_options(options: Any) -> dict[str, Any]:
-    if not isinstance(options, Mapping):
-        raise WireFormatError(
-            f"'mapper_options' must be an object, got "
-            f"{type(options).__name__}"
-        )
-    for key, value in options.items():
-        if not isinstance(key, str) or not isinstance(
-            value, _OPTION_SCALARS
-        ):
-            raise WireFormatError(
-                f"mapper option {key!r} must map a string to a JSON "
-                f"scalar, got {type(value).__name__}"
-            )
-    return dict(options)
 
 
 # ---------------------------------------------------------------------------

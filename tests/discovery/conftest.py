@@ -1,13 +1,22 @@
-"""Shared fixtures for discovery tests: the paper's worked examples."""
+"""Shared fixtures for discovery tests: the paper's worked examples,
+plus the uncached reference pipeline that cached runs are compared to."""
+
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
 
 import pytest
 
+from repro.cm.reasoner import CMReasoner
 from repro.datasets.paper_examples import (
     bookstore_example,
     employee_example,
     partof_example,
     project_example,
 )
+from repro.discovery.compatibility import ConnectionProfile
+from repro.discovery.engine.stages import SemanticEngine
+from repro.discovery.translate import _translate_uncached
+from repro.perf.index import GraphIndex
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +47,44 @@ def partof_plain():
 @pytest.fixture(scope="module")
 def project():
     return project_example()
+
+
+def _translate_reference(
+    csg, covered, side, semantics, require_correspondence_tables=True
+):
+    return _translate_uncached(
+        csg, covered, side, semantics, require_correspondence_tables
+    )
+
+
+@contextmanager
+def _uncached_pipeline():
+    """Run discovery with every memo replaced by the function it caches.
+
+    Profiles, consistency checks and translations are computed by their
+    uncached reference functions, every ``GraphIndex.of`` call builds a
+    fresh index, and the stage cache is never consulted — the pipeline
+    a cached run must stay byte-identical to.
+    """
+    with ExitStack() as stack:
+        for owner, name, reference in (
+            (ConnectionProfile, "of_path", ConnectionProfile._compute),
+            (CMReasoner, "path_is_consistent", CMReasoner._path_is_consistent),
+            (CMReasoner, "tree_is_consistent", CMReasoner._tree_is_consistent),
+            (GraphIndex, "of", GraphIndex),
+            (SemanticEngine, "_cache", lambda self: None),
+        ):
+            stack.enter_context(patch.object(owner, name, reference))
+        stack.enter_context(
+            patch(
+                "repro.discovery.engine.stages.translate_csg",
+                _translate_reference,
+            )
+        )
+        yield
+
+
+@pytest.fixture(scope="session")
+def uncached():
+    """The :func:`_uncached_pipeline` context manager factory."""
+    return _uncached_pipeline

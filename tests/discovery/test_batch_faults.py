@@ -13,7 +13,6 @@ import multiprocessing
 import os
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -41,17 +40,15 @@ def _good(scenario_id, example):
 
 
 def _crashing(scenario_id, example):
-    """Run raises TypeError: the bogus legacy option survives ``create``
-    (which only warns) and blows up when the worker builds its mapper."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return Scenario.create(
-            scenario_id,
-            example.source,
-            example.target,
-            example.correspondences,
-            explode_on_contact=True,
-        )
+    """Run raises ValueError: the bogus option pair survives construction
+    and blows up when the worker parses the scenario's options."""
+    return Scenario(
+        scenario_id,
+        example.source,
+        example.target,
+        example.correspondences,
+        (("explode_on_contact", True),),
+    )
 
 
 def _unpicklable(scenario_id, example):
@@ -189,7 +186,7 @@ class TestInjectedWorkerException:
         assert [sid for sid, _ in batch.results] == ["ok-1", "ok-2"]
         (failure,) = batch.failures
         assert failure.scenario_id == "boom"
-        assert failure.error_type == "TypeError"
+        assert failure.error_type == "ValueError"
         assert "explode_on_contact" in failure.message
         assert failure.traceback_summary
         assert failure.elapsed_seconds >= 0
@@ -220,7 +217,7 @@ class TestInjectedWorkerException:
 
     def test_result_for_failed_id_raises_with_context(self, bookstore):
         batch = discover_many([_crashing("boom", bookstore)], workers=1)
-        with pytest.raises(KeyError, match="TypeError"):
+        with pytest.raises(KeyError, match="ValueError"):
             batch.result_for("boom")
         with pytest.raises(KeyError):
             batch.result_for("never-submitted")
@@ -353,7 +350,7 @@ class TestTwentyScenarioAcceptance:
         batch, _ = batch_and_reference
         assert len(batch.failures) == 3
         by_id = {failure.scenario_id: failure for failure in batch.failures}
-        assert by_id["crash"].error_type == "TypeError"
+        assert by_id["crash"].error_type == "ValueError"
         assert by_id["timeout"].error_type == ScenarioTimeout.__name__
         assert by_id["unpicklable"].error_type == "TypeError"
         assert "pickle" in by_id["unpicklable"].message

@@ -1,9 +1,10 @@
 """Property test: the perf layer never changes what discovery returns.
 
 Random chain- and star-shaped conceptual models go through discovery
-three ways — perf layer disabled (the uncached seed path), enabled with
-cold caches, and enabled again with warm caches — and the TGD output
-must be byte-identical in content *and* order every time.
+three ways — the uncached reference pipeline (every memo replaced by
+the function it caches, see ``conftest.uncached``), cold caches, and
+warm caches — and the TGD output must be byte-identical in content
+*and* order every time.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ def _tgds(result) -> tuple[str, ...]:
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_cached_discovery_equals_uncached(data):
+def test_cached_discovery_equals_uncached(data, uncached):
     source, target, correspondences = data.draw(scenarios())
 
-    with perf.disabled():
-        perf.clear_caches()
+    perf.clear_caches()
+    with uncached():
         reference = _tgds(
             SemanticMapper(source, target, correspondences).discover()
         )

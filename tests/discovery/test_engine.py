@@ -5,9 +5,9 @@ keys, the trace phase names, and the service phase metrics all derive
 from :data:`repro.discovery.engine.STAGE_NAMES` — the three observability
 surfaces can never drift apart because they are generated from the same
 tuple. The rest pins the cache discipline: byte-identical results across
-disabled / cold / warm runs, fingerprint sensitivity to exactly the
-options each stage depends on, LRU eviction, and the bypass rules
-(tracing, ``stage_cache_size=0``, perf layer disabled).
+the uncached reference pipeline and cold / warm runs, fingerprint
+sensitivity to exactly the options each stage depends on, LRU eviction,
+and the bypass rule (tracing).
 """
 
 import pytest
@@ -86,10 +86,11 @@ class TestStageVocabulary:
         fields = set(DiscoveryOptions.__dataclass_fields__)
         for stage, names in STAGE_OPTION_FIELDS.items():
             assert set(names) <= fields, stage
-            # Observability and cache sizing never invalidate artifacts.
+            # Observability and the cache directory never invalidate
+            # artifacts.
             assert "explain" not in names
             assert "trace" not in names
-            assert not any("cache_size" in n for n in names)
+            assert "cache_dir" not in names
 
     def test_aggregate_counters_not_mistaken_for_per_stage(self):
         # "stage_cache_hits" must not match the "stage_cache_hit_"
@@ -104,34 +105,28 @@ class TestStageVocabulary:
 
 
 class TestCacheEquivalence:
-    def test_disabled_cold_warm_byte_identical(self, mapper_args):
-        with perf.disabled():
-            disabled = SemanticMapper(*mapper_args).discover()
+    def test_disabled_cold_warm_byte_identical(self, mapper_args, uncached):
+        """The uncached reference pipeline, cold and warm runs agree."""
+        with uncached():
+            reference = SemanticMapper(*mapper_args).discover()
+        assert not any(
+            key.startswith(
+                ("stage_cache", "translate_cache", "profile_cache",
+                 "path_consistency", "tree_consistency")
+            )
+            for key in reference.stats
+        ), reference.stats
         cold = SemanticMapper(*mapper_args).discover()
         warm = SemanticMapper(*mapper_args).discover()
-        assert _tgds(cold) == _tgds(disabled)
-        assert _tgds(warm) == _tgds(disabled)
+        assert _tgds(cold) == _tgds(reference)
+        assert _tgds(warm) == _tgds(reference)
+        assert cold.notes == reference.notes
         assert warm.notes == cold.notes
         assert warm.eliminations == cold.eliminations
         assert cold.stats.get("stage_cache_hits", 0) == 0
         assert warm.stats.get("stage_cache_hits", 0) >= 1
         # The warm run was served wholesale from the rank artifact.
         assert warm.stats.get("stage_cache_hit_rank", 0) == 1
-
-    def test_disabled_perf_layer_skips_the_stage_cache(self, mapper_args):
-        with perf.disabled():
-            first = SemanticMapper(*mapper_args).discover()
-            second = SemanticMapper(*mapper_args).discover()
-        for stats in (first.stats, second.stats):
-            assert not any("stage_cache" in key for key in stats)
-
-    def test_stage_cache_size_zero_bypasses(self, mapper_args):
-        options = DiscoveryOptions(stage_cache_size=0)
-        first = SemanticMapper(*mapper_args, options=options).discover()
-        second = SemanticMapper(*mapper_args, options=options).discover()
-        for stats in (first.stats, second.stats):
-            assert not any("stage_cache" in key for key in stats)
-        assert _tgds(second) == _tgds(first)
 
     def test_traced_runs_bypass_but_match(self, mapper_args):
         cold = SemanticMapper(*mapper_args).discover()
@@ -177,8 +172,7 @@ class TestFingerprintSensitivity:
         for options in (
             DiscoveryOptions(explain=True),
             DiscoveryOptions(trace=True),
-            DiscoveryOptions(stage_cache_size=7),
-            DiscoveryOptions(profile_cache_size=16, translation_cache_size=16),
+            DiscoveryOptions(cache_dir="/nonexistent/cache"),
         ):
             tuned = SemanticMapper(
                 *mapper_args, options=options
@@ -225,15 +219,6 @@ class TestStageCacheLRU:
         assert cache.stats()["rank"] == 1
         cache.clear()
         assert len(cache) == 0
-
-    def test_sizing_follows_options_override(self, mapper_args):
-        # stage_cache_size=1 keeps only the most recent artifact: after
-        # a cold run, the rank artifact (the last one written) survives,
-        # so a warm run is still a full hit.
-        options = DiscoveryOptions(stage_cache_size=1)
-        SemanticMapper(*mapper_args, options=options).discover()
-        warm = SemanticMapper(*mapper_args, options=options).discover()
-        assert warm.stats.get("stage_cache_hit_rank", 0) == 1
 
 
 class TestClioEngine:

@@ -1,4 +1,4 @@
-"""Unit tests for ``DiscoveryOptions`` and the legacy-keyword shim."""
+"""Unit tests for ``DiscoveryOptions``, the only way to set a knob."""
 
 import pickle
 
@@ -10,7 +10,6 @@ from repro.discovery import (
     DiscoveryOptions,
     Scenario,
     SemanticMapper,
-    merge_legacy_kwargs,
 )
 from repro.discovery.batch import scenario_fingerprint
 
@@ -79,12 +78,21 @@ class TestSerialisation:
             "explain": False,
             "trace": False,
             "engine": "semantic",
-            "profile_cache_size": None,
-            "translation_cache_size": None,
-            "stage_cache_size": None,
-            "distance_oracle": True,
             "cache_dir": None,
         }
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            "profile_cache_size",
+            "translation_cache_size",
+            "stage_cache_size",
+            "distance_oracle",
+        ],
+    )
+    def test_removed_keys_rejected(self, removed):
+        with pytest.raises(ValueError, match=removed):
+            DiscoveryOptions.from_mapping({removed: 1})
 
     def test_wants_trace(self):
         assert DiscoveryOptions().wants_trace is False
@@ -93,37 +101,36 @@ class TestSerialisation:
 
 
 class TestMergeLegacyKwargs:
-    def test_no_kwargs_passes_options_through(self):
+    """The per-knob keyword spelling is gone: only ``options=`` works."""
+
+    @pytest.fixture(scope="class")
+    def example(self):
+        return partof_example(target_is_partof=True)
+
+    def test_no_kwargs_passes_options_through(self, example):
         options = DiscoveryOptions(explain=True)
-        assert merge_legacy_kwargs(options, {}, "caller()") is options
-        assert merge_legacy_kwargs(None, {}, "caller()") is DEFAULT_OPTIONS
+        args = (example.source, example.target, example.correspondences)
+        assert SemanticMapper(*args, options=options).options is options
+        assert SemanticMapper(*args).options is DEFAULT_OPTIONS
 
-    def test_legacy_kwargs_warn_and_build_options(self):
-        with pytest.warns(DeprecationWarning, match="caller()"):
-            merged = merge_legacy_kwargs(
-                None, {"use_partof_filter": False}, "caller()"
-            )
-        assert merged == DiscoveryOptions(use_partof_filter=False)
-
-    def test_unknown_kwarg_is_type_error(self):
+    def test_unknown_kwarg_is_type_error(self, example):
         with pytest.raises(TypeError, match="explode_on_contact"):
-            merge_legacy_kwargs(None, {"explode_on_contact": True}, "c()")
-
-    def test_conflicting_kwarg_is_type_error(self):
-        options = DiscoveryOptions(max_path_edges=4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="conflicting"):
-                merge_legacy_kwargs(
-                    options, {"max_path_edges": 5}, "caller()"
-                )
-
-    def test_agreeing_kwarg_tolerated(self):
-        options = DiscoveryOptions(max_path_edges=4)
-        with pytest.warns(DeprecationWarning):
-            merged = merge_legacy_kwargs(
-                options, {"max_path_edges": 4}, "caller()"
+            SemanticMapper(
+                example.source,
+                example.target,
+                example.correspondences,
+                explode_on_contact=True,
             )
-        assert merged is options
+
+    def test_conflicting_kwarg_is_type_error(self, example):
+        with pytest.raises(TypeError, match="max_path_edges"):
+            SemanticMapper(
+                example.source,
+                example.target,
+                example.correspondences,
+                options=DiscoveryOptions(max_path_edges=4),
+                max_path_edges=5,
+            )
 
 
 class TestMapperIntegration:
@@ -139,19 +146,7 @@ class TestMapperIntegration:
             options=DiscoveryOptions(use_partof_filter=False),
         )
         assert mapper.options.use_partof_filter is False
-        assert mapper.use_partof_filter is False  # legacy read attribute
-
-    def test_legacy_kwargs_warn_but_work(self, example):
-        with pytest.warns(DeprecationWarning, match="SemanticMapper"):
-            mapper = SemanticMapper(
-                example.source,
-                example.target,
-                example.correspondences,
-                use_partof_filter=False,
-            )
-        assert mapper.options == DiscoveryOptions(use_partof_filter=False)
-        result = mapper.discover()
-        assert len(result.candidates) == 2
+        assert not hasattr(mapper, "use_partof_filter")
 
     def test_unknown_kwarg_rejected(self, example):
         with pytest.raises(TypeError, match="max_candidates"):
@@ -180,31 +175,30 @@ class TestScenarioIntegration:
         result = scenario.run()
         assert result.trace is not None
 
-    def test_create_with_legacy_kwargs_warns(self, example):
-        with pytest.warns(DeprecationWarning):
-            scenario = Scenario.create(
+    def test_malformed_legacy_options_fail_at_run(self, example):
+        # Pairs no options object accepts survive construction and fail
+        # when the scenario runs, so a batch records one failure.
+        scenario = Scenario(
+            "s1",
+            example.source,
+            example.target,
+            example.correspondences,
+            (("explode_on_contact", True),),
+        )
+        with pytest.raises(ValueError, match="explode_on_contact"):
+            scenario.discovery_options()
+        with pytest.raises(ValueError, match="explode_on_contact"):
+            scenario.run()
+
+    def test_create_rejects_keyword_options(self, example):
+        with pytest.raises(TypeError, match="use_partof_filter"):
+            Scenario.create(
                 "s1",
                 example.source,
                 example.target,
                 example.correspondences,
                 use_partof_filter=False,
             )
-        assert scenario.discovery_options() == DiscoveryOptions(
-            use_partof_filter=False
-        )
-
-    def test_malformed_legacy_options_fail_at_run(self, example):
-        with pytest.warns(DeprecationWarning):
-            scenario = Scenario.create(
-                "s1",
-                example.source,
-                example.target,
-                example.correspondences,
-                explode_on_contact=True,
-            )
-        assert scenario.discovery_options() is None
-        with pytest.raises(TypeError):
-            scenario.run()
 
     def test_default_options_keep_fingerprints_stable(self, example):
         bare = Scenario.create(

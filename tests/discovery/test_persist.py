@@ -376,28 +376,11 @@ class TestCrossProcessHashSeeds:
 
 
 class TestShrunkBoundEnforcedOnGet:
-    """Satellite (b): a shrunk per-run bound applies on ``get`` too."""
-
-    def test_get_drops_entries_above_the_current_bound(self):
-        cache = StageCache()
-        for i in range(4):
-            cache.put("lift", f"fp{i}", f"artifact{i}")
-        assert len(cache) == 4
-        with perf.cache_size_overrides(stage=1):
-            # The shrunk run's very first get enforces its bound: only
-            # the most recent entry may survive, readable or not.
-            assert cache.get("lift", "fp0") is None
-            assert len(cache) <= 1
-            assert cache.get("lift", "fp3") == "artifact3"
-        # Outside the override the default bound applies again.
-        cache.put("lift", "fp4", "artifact4")
-        assert cache.get("lift", "fp4") == "artifact4"
+    """A zero-capacity cache reads nothing, not even from disk."""
 
     def test_zero_bound_blocks_reads_and_disk(self, tmp_path):
         store = store_for(tmp_path)
         store.put("lift", FP, "from-disk")
-        cache = StageCache()
         with cache_dir_override(tmp_path):
-            with perf.cache_size_overrides(stage=0):
-                assert cache.get("lift", FP) is None
-            assert cache.get("lift", FP) == "from-disk"
+            assert StageCache(capacity=0).get("lift", FP) is None
+            assert StageCache().get("lift", FP) == "from-disk"

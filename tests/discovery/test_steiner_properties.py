@@ -12,6 +12,11 @@ from repro.discovery import (
     minimally_lossy_paths,
     simple_paths,
 )
+from repro.discovery.steiner import (
+    _functional_shortest_paths,
+    _select_minimal_trees,
+    _trees_from_paths,
+)
 
 NAMES = ["A", "B", "C", "D", "E"]
 CARDS = ["0..1", "1..1", "0..*", "1..*"]
@@ -140,29 +145,33 @@ def test_lossy_paths_share_minimal_score(data):
 
 
 # ----------------------------------------------------------------------
-# Oracle-guided search must be indistinguishable from blind search.
+# Oracle-guided search must be indistinguishable from blind search: the
+# references are the blind Dijkstra sweep and exhaustive enumeration.
 # ----------------------------------------------------------------------
 def _fresh(graph):
-    """Drop shared indexes so each mode starts cold on this graph."""
+    """Drop shared indexes so each search starts cold on this graph."""
     from repro.perf.index import GraphIndex
 
     GraphIndex.clear_registry()
     return graph
 
 
+def _blind_trees_from_root(graph, root, targets):
+    cost_model = CostModel()
+    paths = _functional_shortest_paths(graph, root, cost_model)
+    return _trees_from_paths(root, paths, set(targets), cost_model)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_oracle_matches_blind_functional_trees(data):
-    from repro.perf import config as perf_config
-
     graph, names = data.draw(cm_graphs())
     root = data.draw(st.sampled_from(names))
     targets = set(
         data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
     )
     guided = list(functional_trees_from_root(_fresh(graph), root, targets))
-    with perf_config.distance_oracle(False):
-        blind = list(functional_trees_from_root(_fresh(graph), root, targets))
+    blind = _blind_trees_from_root(graph, root, targets)
     assert [(t.edges, c, s) for t, c, s in guided] == [
         (t.edges, c, s) for t, c, s in blind
     ]
@@ -171,29 +180,41 @@ def test_oracle_matches_blind_functional_trees(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_oracle_matches_blind_minimal_trees(data):
-    from repro.perf import config as perf_config
-
     graph, names = data.draw(cm_graphs())
     targets = set(
         data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
     )
     guided = minimal_functional_trees(_fresh(graph), targets)
-    with perf_config.distance_oracle(False):
-        blind = minimal_functional_trees(_fresh(graph), targets)
+    # Every root, unpruned, each searched by the blind sweep.
+    blind = _select_minimal_trees(
+        (
+            found
+            for root in graph.class_nodes()
+            for found in _blind_trees_from_root(graph, root, targets)
+        ),
+        targets,
+        CostModel(),
+    )
     assert [t.edges for t in guided] == [t.edges for t in blind]
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_oracle_matches_blind_lossy_paths(data):
-    from repro.perf import config as perf_config
-
     graph, names = data.draw(cm_graphs())
     start = data.draw(st.sampled_from(names))
     end = data.draw(st.sampled_from(names))
     if start == end:
         return
     guided = minimally_lossy_paths(_fresh(graph), start, end, max_edges=4)
-    with perf_config.distance_oracle(False):
-        blind = minimally_lossy_paths(_fresh(graph), start, end, max_edges=4)
+    cost_model = CostModel()
+    scored = [
+        ((direction_reversals(path), cost_model.path_cost(path)), path)
+        for path in simple_paths(graph, start, end, max_edges=4)
+    ]
+    best = min((score for score, _ in scored), default=None)
+    blind = sorted(
+        (path for score, path in scored if score == best),
+        key=lambda path: "/".join(edge.label for edge in path),
+    )
     assert guided == blind

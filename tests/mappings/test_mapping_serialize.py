@@ -9,9 +9,7 @@ from repro.mappings.expression import MappingSet
 from repro.mappings.serialize import (
     candidate_from_dict,
     candidate_to_dict,
-    dump_candidates,
     dump_mapping_set,
-    load_candidates,
     load_mapping_set,
 )
 from repro.queries.parser import parse_query
@@ -65,20 +63,8 @@ class TestRoundTrip:
     def test_bare_set_matches_candidate_document_bytes(self, candidates):
         """Fingerprint-less sets keep the pre-MappingSet document bytes."""
         bare = MappingSet.of(candidates)
-        with pytest.warns(DeprecationWarning):
-            legacy = dump_candidates(candidates)
-        assert bare.dumps() == legacy
-
-
-class TestDeprecatedShims:
-    def test_dump_candidates_warns(self):
-        with pytest.warns(DeprecationWarning, match="dump_mapping_set"):
-            dump_candidates([])
-
-    def test_load_candidates_warns(self):
-        with pytest.warns(DeprecationWarning, match="load_mapping_set"):
-            text = dump_mapping_set(())
-            assert load_candidates(text) == []
+        assert bare.dumps() == dump_mapping_set(candidates)
+        assert '"fingerprint"' not in bare.dumps()
 
 
 class TestErrors:

@@ -1,6 +1,8 @@
-"""Distance-oracle caching, invalidation, and option wiring."""
+"""Distance-oracle caching and invalidation."""
 
 from __future__ import annotations
+
+import pytest
 
 import repro.perf as perf
 from repro.cm import CMGraph, ConceptualModel
@@ -73,9 +75,9 @@ def test_mutated_graph_after_clear_caches_gets_fresh_distances():
     perf.clear_caches()
     after = CMGraph(_cm(False))
     oracle_trees = minimal_functional_trees(after, {"A", "D"})
-    with perf.disabled():
-        seed_trees = minimal_functional_trees(after, {"A", "D"})
-    assert [t.edges for t in oracle_trees] == [t.edges for t in seed_trees]
+    perf.clear_caches()
+    fresh_trees = minimal_functional_trees(CMGraph(_cm(False)), {"A", "D"})
+    assert [t.edges for t in oracle_trees] == [t.edges for t in fresh_trees]
     # The flipped branch really changed the answer vs the warm graph.
     assert {e.label for t in oracle_trees for e in t.edges} == {"ac", "cd"}
     assert {e.label for t in warm for e in t.edges} == {"ab", "bd"}
@@ -88,26 +90,15 @@ def _scenario():
     return source.semantics, target.semantics, correspondences
 
 
-def test_distance_oracle_option_disables_guided_search():
+def test_guided_search_runs_by_default():
     source, target, correspondences = _scenario()
     perf.clear_caches()
-    guided = SemanticMapper(
-        source, target, correspondences
-    ).discover()
-    perf.clear_caches()
-    blind = SemanticMapper(
-        source,
-        target,
-        correspondences,
-        options=DiscoveryOptions(distance_oracle=False),
-    ).discover()
-    assert [c.to_tgd("M") for c in guided] == [c.to_tgd("M") for c in blind]
-    assert guided.stats.get("oracle_sweeps", 0) > 0
-    assert blind.stats.get("oracle_sweeps", 0) == 0
+    result = SemanticMapper(source, target, correspondences).discover()
+    assert result.stats.get("oracle_sweeps", 0) > 0
 
 
 def test_new_options_keep_default_fingerprint():
     assert DiscoveryOptions().to_pairs() == ()
-    assert DiscoveryOptions(distance_oracle=False).to_pairs() == (
-        ("distance_oracle", False),
-    )
+    # The oracle has no off switch any more: the key is unknown.
+    with pytest.raises(ValueError, match="distance_oracle"):
+        DiscoveryOptions.from_mapping({"distance_oracle": False})

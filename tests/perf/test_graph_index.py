@@ -1,4 +1,4 @@
-"""Unit tests for GraphIndex sharing, caching, and the disable switch."""
+"""Unit tests for GraphIndex sharing and caching."""
 
 from __future__ import annotations
 
@@ -29,15 +29,6 @@ def test_of_shares_one_index_per_graph():
     graph = _graph()
     assert GraphIndex.of(graph) is GraphIndex.of(graph)
     assert GraphIndex.of(_graph()) is not GraphIndex.of(graph)
-
-
-def test_of_disabled_returns_fresh_unshared():
-    graph = _graph()
-    shared = GraphIndex.of(graph)
-    with perf.disabled():
-        fresh = GraphIndex.of(graph)
-    assert fresh is not shared
-    assert GraphIndex.of(graph) is shared
 
 
 def test_adjacency_matches_graph():

@@ -135,6 +135,19 @@ class TestDiscover:
         assert payload["status"] == "bad-request"
         assert "subtree_cache_size" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("key", ["options", "mapper_options"])
+    def test_client_cache_dir_400_writes_nothing(self, client, tmp_path, key):
+        target = tmp_path / "store"
+        status, payload = client.request(
+            "POST",
+            "/discover",
+            {"scenario": {**DBLP_CASE, key: {"cache_dir": str(target)}}},
+        )
+        assert status == 400
+        assert payload["status"] == "bad-request"
+        assert "server-side" in payload["error"]["message"]
+        assert not target.exists()
+
     def test_client_checked_call_raises(self, client):
         with pytest.raises(ServiceCallError) as excinfo:
             client.job("job-does-not-exist")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.datasets.paper_examples import bookstore_example
+from repro.discovery.options import DiscoveryOptions
 from repro.exceptions import WireFormatError
 from repro.mappings.serialize import FORMAT, candidate_to_dict
 from repro.service.wire import (
@@ -179,7 +180,7 @@ class TestDiscoverRequest:
             discover_request_from_wire(payload)
 
     def test_bad_mapper_options(self):
-        with pytest.raises(WireFormatError, match="mapper option"):
+        with pytest.raises(WireFormatError, match="unknown options key"):
             scenario_from_wire(
                 {
                     "dataset": "DBLP",
@@ -205,6 +206,58 @@ class TestDiscoverRequest:
             payload["scenario"]["options"] = options
         with pytest.raises(WireFormatError, match="server-side"):
             discover_request_from_wire(payload)
+
+    @pytest.mark.parametrize("key", ["options", "mapper_options"])
+    def test_scenario_cache_dir_refused_under_either_key(self, key, tmp_path):
+        # "mapper_options" is an alias of "options": it must not be a
+        # way around the cache_dir refusal.
+        target = tmp_path / "store"
+        with pytest.raises(WireFormatError, match="server-side"):
+            scenario_from_wire(
+                {
+                    "dataset": "DBLP",
+                    "case": "dblp-article-in-journal",
+                    key: {"cache_dir": str(target)},
+                }
+            )
+        assert not target.exists()
+
+    def test_mapper_options_alias_parses_like_options(self):
+        spec = {"dataset": "DBLP", "case": "dblp-article-in-journal"}
+        via_alias = scenario_from_wire(
+            {**spec, "mapper_options": {"max_path_edges": 4}}
+        )
+        via_options = scenario_from_wire(
+            {**spec, "options": {"max_path_edges": 4}}
+        )
+        assert via_alias.mapper_options == via_options.mapper_options
+        assert via_alias.discovery_options() == DiscoveryOptions(
+            max_path_edges=4
+        )
+        with pytest.raises(WireFormatError, match="not both"):
+            scenario_from_wire(
+                {**spec, "options": {}, "mapper_options": {}}
+            )
+
+    @pytest.mark.parametrize("key", ["options", "mapper_options"])
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            "profile_cache_size",
+            "translation_cache_size",
+            "stage_cache_size",
+            "distance_oracle",
+        ],
+    )
+    def test_removed_option_keys_are_unknown(self, key, removed):
+        with pytest.raises(WireFormatError, match=removed):
+            scenario_from_wire(
+                {
+                    "dataset": "DBLP",
+                    "case": "dblp-article-in-journal",
+                    key: {removed: 0},
+                }
+            )
 
     @pytest.mark.parametrize("where", ["request", "scenario"])
     def test_removed_subtree_cache_size_is_unknown(self, where):

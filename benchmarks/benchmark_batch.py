@@ -130,4 +130,6 @@ def test_batch_discovery_timing(benchmark):
 
     batch = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(batch) == len(scenarios)
-    assert batch.stats["translate_cache_hits"] > 0
+    # Warm, the stage cache answers every scenario at the rank stage,
+    # so translation is never reached.
+    assert batch.stats["stage_cache_hit_rank"] == len(scenarios)

@@ -14,8 +14,8 @@ to blind search. The claims under test here:
 
 * **coverage** — every point discovers at least one candidate;
 * **no truncated web** — no ``reified_web`` point reports
-  ``rewrite_limit_hits`` (chain and isa_fan points from 30 classes up
-  do: their rewrites stop at the enumeration limit);
+  ``rewrite_limit_hits`` (isa_fan points from 30 classes up do: their
+  rewrites stop at the enumeration limit with rule choices left);
 * **sub-linear growth** — discovery time grows strictly slower than
   model size: between the second size and the largest, the wall ratio
   must stay under half the class ratio.

@@ -25,8 +25,9 @@ Counter names used across the codebase:
     tied shortest paths truncated by ``MAX_TIED_PATHS`` (satellite:
     truncation is no longer silent);
 ``rewrite_limit_hits``
-    ``rewrite_query`` calls whose enumeration reached its ``limit``
-    (rule combinations past the cap were never tried);
+    ``rewrite_query`` calls whose enumeration stopped at its ``limit``
+    with rule combinations still untried (one that ends exactly at the
+    cap is whole and not counted);
 ``lossy_paths_expanded``, ``lossy_paths_pruned``
     branch-and-bound search effort in ``minimally_lossy_paths``;
 ``path_consistency_cache_*``, ``tree_consistency_cache_*``

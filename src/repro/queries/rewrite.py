@@ -366,12 +366,13 @@ def _candidate_rewritings(
     # The substitution lives in a single dict with a trail (undo log)
     # instead of being copied at every extension.
     produced = 0
+    truncated = False
     chosen: list[InverseRule] = []
     substitution: dict[Variable, Term] = {}
     trail: list[Variable] = []
 
     def walk(depth: int) -> Iterator[ConjunctiveQuery]:
-        nonlocal produced
+        nonlocal produced, truncated
         if depth == count:
             result = finish(chosen, substitution)
             if result is not None:
@@ -386,7 +387,8 @@ def _candidate_rewritings(
                     perf_counters.record("required_subtree_prunes")
                     return
         pattern = body[depth]
-        for rule in per_atom_rules[depth]:
+        rules = per_atom_rules[depth]
+        for index, rule in enumerate(rules):
             mark = len(trail)
             if unify_atoms_inplace(pattern, rule.head, substitution, trail):
                 chosen.append(rule)
@@ -400,10 +402,13 @@ def _candidate_rewritings(
             while len(trail) > mark:
                 del substitution[trail.pop()]
             if produced >= limit:
+                # Only a stop with rule choices left untried truncates;
+                # an enumeration that ends exactly at the cap is whole.
+                truncated = truncated or index + 1 < len(rules)
                 return
 
     yield from walk(0)
-    if produced >= limit:
+    if truncated:
         # Rule combinations past the cap were never tried: count it, so
         # the truncation is not silent.
         perf_counters.record("rewrite_limit_hits")

@@ -10,7 +10,8 @@ schema pairs never pays cold-start costs again.
 
 Admission control happens at submit time, single-flight style:
 
-1. a content-addressed cache hit returns a finished job immediately;
+1. a content-addressed cache hit returns a job born finished, with no
+   wait event of its own;
 2. an identical scenario already queued or running is *coalesced* —
    the caller gets the same :class:`Job` and waits on the same event,
    so N concurrent identical requests cost one discovery run;
@@ -20,6 +21,12 @@ Admission control happens at submit time, single-flight style:
 Failures inside a job reuse the batch layer's fault isolation: a
 failing scenario produces a structured error payload, never a dead
 worker thread.
+
+Submitting does not make a job pollable. Only :meth:`JobQueue.retain`
+puts a job in the ``GET /jobs/<id>`` table, and the server calls it
+exactly when a 202 response hands the id out. A sync request answered
+inline leaves no record behind, and a finished job keeps only what
+:meth:`Job.to_wire` reads.
 """
 
 from __future__ import annotations
@@ -49,6 +56,11 @@ DONE = "done"
 ERROR = "error"
 
 _STOP = object()
+
+#: The one wait event every finished job shares: set once, never
+#: cleared, so a finished job holds no event of its own.
+_FINISHED = threading.Event()
+_FINISHED.set()
 
 #: ``DiscoveryResult.stats`` key prefixes of the per-stage cache
 #: breakdown (see ``repro.perf.counters``). The aggregate keys
@@ -99,7 +111,11 @@ def observe_run_stats(metrics: ServiceMetrics, stats: dict) -> None:
 
 
 class Job:
-    """One discovery request's lifecycle record."""
+    """One discovery request's lifecycle record.
+
+    ``scenario`` and ``fingerprint`` are the worker's inputs; finishing
+    drops them, together with the job's own wait event.
+    """
 
     __slots__ = (
         "job_id",
@@ -121,8 +137,8 @@ class Job:
     ) -> None:
         self.job_id = job_id
         self.scenario_id = scenario.scenario_id
-        self.fingerprint = fingerprint
-        self.scenario = scenario
+        self.fingerprint: str | None = fingerprint
+        self.scenario: Scenario | None = scenario
         self.state = QUEUED
         self.cached = False
         self.result: dict | None = None
@@ -132,23 +148,45 @@ class Job:
         self.finished_at: float | None = None
         self._done = threading.Event()
 
+    @classmethod
+    def cache_hit(cls, job_id: str, scenario_id: str, payload: dict) -> "Job":
+        """A job served from the result cache: born finished."""
+        job = cls.__new__(cls)
+        job.job_id = job_id
+        job.scenario_id = scenario_id
+        job.fingerprint = job.scenario = None
+        job.state = DONE
+        job.cached = True
+        job.result = payload
+        job.error = None
+        job.submitted_at = job.finished_at = time.monotonic()
+        job.started_at = None
+        job._done = _FINISHED
+        return job
+
     # -- transitions (called by the queue/workers only) -----------------
     def mark_running(self) -> None:
         self.state = RUNNING
         self.started_at = time.monotonic()
 
-    def finish(self, payload: dict, cached: bool = False) -> None:
+    def finish(self, payload: dict) -> None:
         self.result = payload
-        self.cached = cached
         self.state = DONE
-        self.finished_at = time.monotonic()
-        self._done.set()
+        self._settle()
 
     def fail(self, error_payload: dict) -> None:
         self.error = error_payload
         self.state = ERROR
+        self._settle()
+
+    def _settle(self) -> None:
+        # Swap in the shared event before setting the old one: a thread
+        # already blocked on the old event still wakes, and later waits
+        # return at once.
         self.finished_at = time.monotonic()
-        self._done.set()
+        self.scenario = self.fingerprint = None
+        waiting, self._done = self._done, _FINISHED
+        waiting.set()
 
     # -- interrogation ---------------------------------------------------
     @property
@@ -203,7 +241,9 @@ class JobQueue:
         :class:`~repro.exceptions.TimeoutUnavailableWarning` on worker
         threads — see ``repro.discovery.batch``).
     history:
-        How many finished/queued jobs stay visible to ``GET /jobs/<id>``.
+        How many retained jobs stay visible to ``GET /jobs/<id>``. Only
+        jobs passed to :meth:`retain` count; the oldest is dropped
+        first.
     """
 
     def __init__(
@@ -231,6 +271,7 @@ class JobQueue:
         self._stopping = threading.Event()
         self._lock = threading.Lock()
         self._inflight: dict[str, Job] = {}
+        self._unfinished: set[Job] = set()
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._counter = itertools.count(1)
         self._threads = [
@@ -254,7 +295,8 @@ class JobQueue:
 
         ``served_from_cache`` is true for both stored-result hits and
         coalesced joins onto an in-flight identical job — either way no
-        new discovery run was started for this request.
+        new discovery run was started for this request. The job is not
+        pollable until it is passed to :meth:`retain`.
 
         Raises
         ------
@@ -269,9 +311,10 @@ class JobQueue:
             if use_cache:
                 payload = self._cache.get(fingerprint)
                 if payload is not None:
-                    job = self._register(Job(self._next_id(), scenario, fingerprint))
-                    job.finish(payload, cached=True)
                     self._metrics.inc("cache_hits_total")
+                    job = Job.cache_hit(
+                        self._next_id(), scenario.scenario_id, payload
+                    )
                     return job, True
                 existing = self._inflight.get(fingerprint)
                 if existing is not None:
@@ -288,18 +331,24 @@ class JobQueue:
                     f"job queue is at capacity ({self.capacity} queued); "
                     f"retry later"
                 ) from None
-            self._register(job)
+            self._unfinished.add(job)
             self._inflight[fingerprint] = job
             return job, False
 
     def _next_id(self) -> str:
         return f"job-{next(self._counter):08d}"
 
-    def _register(self, job: Job) -> Job:
-        self._jobs[job.job_id] = job
-        while len(self._jobs) > self._history:
-            self._jobs.popitem(last=False)
-        return job
+    def retain(self, job: Job) -> None:
+        """Make ``job`` pollable at ``GET /jobs/<id>``.
+
+        The server calls this when a 202 response hands the job's id out
+        (an async accept, or a sync wait that timed out). The table
+        keeps the ``history`` most recently retained jobs.
+        """
+        with self._lock:
+            self._jobs[job.job_id] = job
+            while len(self._jobs) > self._history:
+                self._jobs.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Interrogation
@@ -313,11 +362,19 @@ class JobQueue:
         return self._queue.qsize()
 
     def state_counts(self) -> dict[str, int]:
+        """Queued and running jobs, retained or not, plus the finished
+        jobs still pollable."""
         with self._lock:
-            counts = {QUEUED: 0, RUNNING: 0, DONE: 0, ERROR: 0}
-            for job in self._jobs.values():
-                counts[job.state] = counts.get(job.state, 0) + 1
-            return counts
+            unfinished = list(self._unfinished)
+            retained = list(self._jobs.values())
+        counts = {QUEUED: 0, RUNNING: 0, DONE: 0, ERROR: 0}
+        for job in unfinished:
+            if job.state in (QUEUED, RUNNING):
+                counts[job.state] += 1
+        for job in retained:
+            if job.state in (DONE, ERROR):
+                counts[job.state] += 1
+        return counts
 
     # ------------------------------------------------------------------
     # Worker loop
@@ -329,50 +386,52 @@ class JobQueue:
                 self._queue.task_done()
                 return
             job: Job = item
-            if self._stopping.is_set():
-                # Drain the backlog fast so stop() can enqueue its
-                # sentinels even when the queue was full at shutdown.
-                job.fail(
-                    {
-                        "type": "ServiceStopped",
-                        "message": "service shut down before this job ran",
-                    }
-                )
-                self._metrics.inc("jobs_failed_total")
-                with self._lock:
-                    if self._inflight.get(job.fingerprint) is job:
-                        del self._inflight[job.fingerprint]
-                self._queue.task_done()
-                continue
-            job.mark_running()
-            self._metrics.inc("discovery_invocations_total")
+            # Finishing clears the job's fingerprint; the in-flight
+            # cleanup below still needs it.
+            fingerprint = job.fingerprint
             try:
-                batch = discover_many(
-                    [job.scenario], workers=1, policy=self._policy
-                )
-                if batch.failures:
-                    job.fail(failure_to_wire(batch.failures[0]))
+                if self._stopping.is_set():
+                    # Drain the backlog fast so stop() can enqueue its
+                    # sentinels even when the queue was full at shutdown.
+                    job.fail(
+                        {
+                            "type": "ServiceStopped",
+                            "message": "service shut down before this job ran",
+                        }
+                    )
                     self._metrics.inc("jobs_failed_total")
                 else:
-                    result = batch.results[0][1]
-                    observe_run_stats(self._metrics, result.stats)
-                    payload = result_to_wire(result)
-                    # Store before dropping the in-flight marker so a
-                    # concurrent submit always finds the result in one
-                    # of the two places (no recompute window).
-                    self._cache.put(job.fingerprint, payload)
-                    job.finish(payload)
-                    self._metrics.inc("jobs_completed_total")
-            except Exception as error:  # defensive: batch isolates faults
-                job.fail(
-                    {"type": type(error).__name__, "message": str(error)}
-                )
-                self._metrics.inc("jobs_failed_total")
+                    self._run(job, fingerprint)
             finally:
                 with self._lock:
-                    if self._inflight.get(job.fingerprint) is job:
-                        del self._inflight[job.fingerprint]
+                    self._unfinished.discard(job)
+                    if self._inflight.get(fingerprint) is job:
+                        del self._inflight[fingerprint]
                 self._queue.task_done()
+
+    def _run(self, job: Job, fingerprint: str) -> None:
+        job.mark_running()
+        self._metrics.inc("discovery_invocations_total")
+        try:
+            batch = discover_many(
+                [job.scenario], workers=1, policy=self._policy
+            )
+            if batch.failures:
+                job.fail(failure_to_wire(batch.failures[0]))
+                self._metrics.inc("jobs_failed_total")
+            else:
+                result = batch.results[0][1]
+                observe_run_stats(self._metrics, result.stats)
+                payload = result_to_wire(result)
+                # Store before dropping the in-flight marker so a
+                # concurrent submit always finds the result in one
+                # of the two places (no recompute window).
+                self._cache.put(fingerprint, payload)
+                job.finish(payload)
+                self._metrics.inc("jobs_completed_total")
+        except Exception as error:  # defensive: batch isolates faults
+            job.fail({"type": type(error).__name__, "message": str(error)})
+            self._metrics.inc("jobs_failed_total")
 
     # ------------------------------------------------------------------
     # Shutdown

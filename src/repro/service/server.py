@@ -24,7 +24,8 @@ Endpoints
     running it; always 200 with the diagnostic list (400 only for
     requests the wire layer cannot even parse).
 ``GET /jobs/<id>``
-    Poll an async (or still-running sync) job.
+    Poll a job whose id a 202 handed out: an async accept, or a sync
+    request whose wait timed out. A 200's ``job_id`` is not pollable.
 ``GET /health``
     Liveness plus queue/worker/cache occupancy.
 ``GET /metrics``
@@ -272,6 +273,7 @@ class MappingService:
             # A coalesced submit returns the *first* submitter's Job, so
             # echo the caller's own scenario_id over the job's — clients
             # correlate by the id they supplied.
+            self.jobs.retain(job)
             return 202, {
                 "status": "accepted",
                 **job.to_wire(),
@@ -283,6 +285,7 @@ class MappingService:
             else self.config.request_timeout_seconds
         )
         if not job.wait(timeout):
+            self.jobs.retain(job)
             return 202, {
                 "status": "pending",
                 "detail": (
@@ -389,6 +392,7 @@ class MappingService:
                 "error": _error_payload("QueueFullError", str(error)),
             }
         if request.options.mode == "async":
+            self.jobs.retain(job)
             return 202, {
                 "status": "accepted",
                 **job.to_wire(),
@@ -401,6 +405,7 @@ class MappingService:
             else self.config.request_timeout_seconds
         )
         if not job.wait(timeout):
+            self.jobs.retain(job)
             return 202, {
                 "status": "pending",
                 "detail": (

@@ -122,11 +122,26 @@ def test_dataset_rewrite_limit_hits(dataset_runs):
 
 @pytest.mark.parametrize(
     "point, hits",
-    [(("chain", 30), 2), (("isa_fan", 30), 2), (("reified_web", 60), 0)],
+    [(("chain", 30), 0), (("isa_fan", 30), 2), (("reified_web", 60), 0)],
 )
 def test_rewrite_limit_hits_are_counted(synthetic_runs, point, hits):
     _, stats = synthetic_runs
     assert stats[point].get("rewrite_limit_hits", 0) == hits
+
+
+@pytest.mark.parametrize(
+    "family, classes, hits",
+    [("chain", 150, 0), ("chain", 510, 0), ("isa_fan", 150, 2)],
+)
+def test_rewrite_limit_hits_count_only_truncations(family, classes, hits):
+    """A chain's enumerations end exactly at the limit with no rule
+    choice left untried, so they are whole; isa_fan's are cut short."""
+    _, (source, target, correspondences) = synthetic.scale_point(
+        family, classes
+    )
+    perf.clear_caches()
+    result = SemanticMapper(source, target, correspondences).discover()
+    assert result.stats.get("rewrite_limit_hits", 0) == hits
 
 
 def test_discovery_builds_only_the_views_it_needs(monkeypatch):

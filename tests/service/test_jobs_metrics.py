@@ -120,6 +120,8 @@ class TestJobQueue:
         )
         try:
             job, _ = queue.submit(scenario)
+            assert queue.job(job.job_id) is None  # not handed out yet
+            queue.retain(job)
             assert queue.job(job.job_id) is job
             assert queue.job("job-unknown") is None
             assert job.wait(60)

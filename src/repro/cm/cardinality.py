@@ -22,7 +22,7 @@ from repro.exceptions import CardinalityError
 MANY = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cardinality:
     """A ``min..max`` participation bound. ``upper=None`` means ``*``.
 

@@ -21,11 +21,23 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.exceptions import ConceptualModelError
-from repro.cm.cardinality import Cardinality, ConnectionCategory
+from repro.cm.cardinality import (
+    Cardinality,
+    ConnectionCategory,
+    ONE_ONE,
+    ZERO_MANY,
+    ZERO_ONE,
+)
 from repro.cm.model import ConceptualModel, ISA_LABEL, SemanticType
 
 #: Suffix marking inverse-direction edge labels, e.g. ``writes⁻``.
 INVERSE_MARK = "⁻"
+
+#: Node kinds, the first element of a ``CMGraph._nodes`` entry.
+_CLASS = "class"
+_ATTRIBUTE = "attribute"
+#: The entry read for a node the graph does not have.
+_NO_NODE = (None, None)
 
 
 def attribute_node_id(class_name: str, attribute: str) -> str:
@@ -33,7 +45,7 @@ def attribute_node_id(class_name: str, attribute: str) -> str:
     return f"{class_name}.{attribute}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CMEdge:
     """One directed edge of a CM graph.
 
@@ -102,35 +114,41 @@ class CMGraph:
     Construction materializes both directions of every relationship and
     ISA link, so traversal code never needs to special-case inverses.
 
-    The graph is two insertion-ordered dicts: ``_nodes`` maps each node
-    to its attributes (``kind``, plus ``reified`` or ``owner``) and
-    ``_out`` maps ``source -> target -> label -> CMEdge``. A source's
-    edges therefore iterate grouped by target, targets in the order
-    they were first linked from it.
+    The graph is two insertion-ordered dicts. ``_nodes`` maps each node
+    to a ``(kind, extra)`` pair: ``("class", reified)`` for a class node,
+    ``("attribute", owner)`` for an attribute node; the pairs are shared
+    (one per reified flag, one per owning class). ``_out`` maps
+    ``source -> target -> (CMEdge, ...)``, the edges of one pair in the
+    order they were added. Attribute nodes have no out-edges and no
+    ``_out`` entry. A source's edges therefore iterate grouped by target,
+    targets in the order they were first linked from it.
     """
 
     def __init__(self, model: ConceptualModel) -> None:
         self.model = model
-        self._nodes: dict[str, dict] = {}
-        self._out: dict[str, dict[str, dict[str, CMEdge]]] = {}
+        self._nodes: dict[str, tuple[str, bool | str]] = {}
+        self._out: dict[str, dict[str, tuple[CMEdge, ...]]] = {}
         self._build()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
+        class_entries = {False: (_CLASS, False), True: (_CLASS, True)}
         for cls in self.model.classes.values():
-            self._add_node(cls.name, kind="class", reified=cls.reified)
+            self._nodes[cls.name] = class_entries[bool(cls.reified)]
+            self._out[cls.name] = {}
+            owner_entry = (_ATTRIBUTE, cls.name)
             for attr in cls.attributes:
                 node = attribute_node_id(cls.name, attr)
-                self._add_node(node, kind="attribute", owner=cls.name)
+                self._nodes[node] = owner_entry
                 edge = CMEdge(
                     label=attr,
                     source=cls.name,
                     target=node,
                     kind=CMEdge.KIND_ATTRIBUTE,
-                    forward_card=Cardinality(1, 1),
-                    backward_card=Cardinality(0, None),
+                    forward_card=ONE_ONE,
+                    backward_card=ZERO_MANY,
                     base_name=attr,
                 )
                 self._add_edge(edge)
@@ -154,20 +172,26 @@ class CMGraph:
                 source=sub,
                 target=sup,
                 kind=CMEdge.KIND_ISA,
-                forward_card=Cardinality(1, 1),
-                backward_card=Cardinality(0, 1),
+                forward_card=ONE_ONE,
+                backward_card=ZERO_ONE,
                 base_name=ISA_LABEL,
             )
             self._add_edge(forward)
             self._add_edge(forward.reversed())
 
-    def _add_node(self, node: str, **attributes) -> None:
-        self._nodes.setdefault(node, {}).update(attributes)
-        self._out.setdefault(node, {})
-
     def _add_edge(self, edge: CMEdge) -> None:
-        # The model checks both endpoints exist, so both are nodes here.
-        self._out[edge.source].setdefault(edge.target, {})[edge.label] = edge
+        # The model checks both endpoints exist, so the source is a class
+        # node here. A later edge with the same (source, label, target)
+        # replaces the earlier one in place.
+        targets = self._out[edge.source]
+        bucket = targets.get(edge.target, ())
+        for index, old in enumerate(bucket):
+            if old.label == edge.label:
+                bucket = bucket[:index] + (edge,) + bucket[index + 1 :]
+                break
+        else:
+            bucket += (edge,)
+        targets[edge.target] = bucket
 
     # ------------------------------------------------------------------
     # Nodes
@@ -182,27 +206,26 @@ class CMGraph:
     def attribute_nodes(self) -> tuple[str, ...]:
         return tuple(
             sorted(
-                n
-                for n, data in self._nodes.items()
-                if data["kind"] == "attribute"
+                n for n, (kind, _) in self._nodes.items() if kind == _ATTRIBUTE
             )
         )
 
     def is_class_node(self, node: str) -> bool:
-        return self._nodes.get(node, {}).get("kind") == "class"
+        return self._nodes.get(node, _NO_NODE)[0] == _CLASS
 
     def is_attribute_node(self, node: str) -> bool:
-        return self._nodes.get(node, {}).get("kind") == "attribute"
+        return self._nodes.get(node, _NO_NODE)[0] == _ATTRIBUTE
 
     def is_reified(self, node: str) -> bool:
         """True for class nodes standing for reified relationships."""
-        return bool(self._nodes.get(node, {}).get("reified", False))
+        kind, reified = self._nodes.get(node, _NO_NODE)
+        return kind == _CLASS and reified
 
     def attribute_owner(self, attr_node: str) -> str:
         """The class node owning an attribute node."""
         if not self.is_attribute_node(attr_node):
             raise ConceptualModelError(f"{attr_node!r} is not an attribute node")
-        return self._nodes[attr_node]["owner"]
+        return self._nodes[attr_node][1]
 
     # ------------------------------------------------------------------
     # Edges
@@ -210,8 +233,8 @@ class CMGraph:
     def edges(self) -> Iterator[CMEdge]:
         """All directed edges (both directions of every relationship)."""
         for targets in self._out.values():
-            for by_label in targets.values():
-                yield from by_label.values()
+            for bucket in targets.values():
+                yield from bucket
 
     def edges_from(
         self,
@@ -224,11 +247,14 @@ class CMGraph:
         Attribute edges are excluded by default because connection
         discovery runs over class nodes only.
         """
-        if node not in self._out:
+        targets = self._out.get(node)
+        if targets is None:
+            if node in self._nodes:
+                return ()
             raise ConceptualModelError(f"CM graph has no node {node!r}")
         result = []
-        for by_label in self._out[node].values():
-            for edge in by_label.values():
+        for bucket in targets.values():
+            for edge in bucket:
                 if edge.is_attribute and not include_attributes:
                     continue
                 if functional_only and not edge.is_functional:
@@ -245,11 +271,11 @@ class CMGraph:
         """
         targets = self._out.get(source, {})
         if target is None:
-            candidates = targets.values()
+            buckets = targets.values()
         else:
-            candidates = (targets.get(target, {}),)
+            buckets = (targets.get(target, ()),)
         matches = [
-            by_label[label] for by_label in candidates if label in by_label
+            edge for bucket in buckets for edge in bucket if edge.label == label
         ]
         if not matches:
             raise ConceptualModelError(
@@ -265,8 +291,8 @@ class CMGraph:
 
     def edges_between(self, source: str, target: str) -> tuple[CMEdge, ...]:
         """All directed edges from ``source`` to ``target``."""
-        by_label = self._out.get(source, {}).get(target, {})
-        return tuple(sorted(by_label.values(), key=lambda e: e.label))
+        bucket = self._out.get(source, {}).get(target, ())
+        return tuple(sorted(bucket, key=lambda e: e.label))
 
     def attribute_edge(self, class_name: str, attribute: str) -> CMEdge:
         """The edge from a class node to one of its attribute nodes."""
@@ -285,7 +311,7 @@ class CMGraph:
 
     def size(self) -> tuple[int, int]:
         """(number of class nodes, number of attribute nodes)."""
-        classes = sum(1 for d in self._nodes.values() if d["kind"] == "class")
+        classes = sum(1 for kind, _ in self._nodes.values() if kind == _CLASS)
         attributes = len(self._nodes) - classes
         return classes, attributes
 

@@ -34,7 +34,7 @@ class SemanticType(enum.Enum):
     PART_OF = "partOf"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CMClass:
     """A class (entity set) with attributes and an optional key.
 
@@ -66,7 +66,7 @@ class CMClass:
         return f"{self.name}{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relationship:
     """A directed binary relationship ``domain --name--> range``.
 

@@ -54,8 +54,12 @@ STORE_FORMAT = "repro-stage-store"
 
 #: Bump on any change that invalidates previously written artifacts
 #: (artifact dataclass shape, fingerprint conventions, pickling layout).
-#: Entries carrying a different version read as misses.
-STORE_VERSION = 2
+#: Entries carrying a different version read as misses. Version 3: the
+#: input value objects (``CMEdge``, ``Cardinality``, ``Column``,
+#: ``STreeNode``, ``STreeEdge``, ...) became slotted dataclasses, whose
+#: generated ``__setstate__`` zips field names against a version-2 dict
+#: state and so would load a wrong object without raising.
+STORE_VERSION = 3
 
 #: Environment variable naming a default cache directory (lowest
 #: precedence; see :func:`active_cache_dir`).

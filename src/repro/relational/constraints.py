@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.exceptions import SchemaError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ReferentialConstraint:
     """An inclusion dependency ``child(cols) ⊆ parent(cols)``.
 

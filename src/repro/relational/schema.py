@@ -24,7 +24,7 @@ def _check_identifier(name: str, kind: str) -> None:
         raise SchemaError(f"{kind} name {name!r} must not contain '.'")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Column:
     """A fully qualified column reference ``table.name``."""
 
@@ -53,7 +53,7 @@ class Column:
         return cls(parts[0], parts[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Table:
     """A relational table with named columns and a primary key.
 

@@ -107,7 +107,8 @@ class SchemaSemantics:
         node, a relationship atom per non-ISA edge and an attribute atom
         per column. Key-merging only drops atoms, so the result is a
         superset of the tables whose view mentions ``predicate``, in
-        :meth:`tables_with_semantics` order.
+        :meth:`tables_with_semantics` order. The index is keyed by bare
+        CM names; ``predicate`` loses its :data:`CM_PREFIX` on lookup.
         """
         if self._tables_by_predicate is None:
             index: dict[str, list[str]] = {}
@@ -123,11 +124,13 @@ class SchemaSemantics:
                     attribute for _, attribute in tree.columns.values()
                 )
                 for bare in names:
-                    index.setdefault(CM_PREFIX + bare, []).append(name)
+                    index.setdefault(bare, []).append(name)
             self._tables_by_predicate = {
                 key: tuple(tables) for key, tables in index.items()
             }
-        return self._tables_by_predicate.get(predicate, ())
+        if not predicate.startswith(CM_PREFIX):
+            return ()
+        return self._tables_by_predicate.get(predicate[len(CM_PREFIX) :], ())
 
     def key_positions(self) -> Mapping[str, tuple[int, ...]]:
         """``table name → primary-key column positions`` (do not mutate)."""

@@ -20,7 +20,7 @@ from repro.cm.graph import CMEdge, CMGraph
 COPY_MARK = "~"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class STreeNode:
     """A (possibly copied) class node inside an s-tree.
 
@@ -56,7 +56,7 @@ class STreeNode:
         return self.node_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class STreeEdge:
     """A directed tree edge: ``parent --cm_edge--> child``."""
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.perf as perf
+from repro.cm.cardinality import Cardinality
 from repro.discovery import DiscoveryOptions, SemanticMapper
 from repro.discovery.engine import StageCache, clear_stage_cache
 from repro.discovery.engine.persist import (
@@ -37,6 +38,14 @@ from repro.discovery.engine.persist import (
 )
 
 FP = "a" * 64
+
+
+class _DictStateCardinality:
+    """Pickles the way a ``Cardinality(0, None)`` did before it had slots:
+    the class, then its instance dict as the state."""
+
+    def __reduce__(self):
+        return (object.__new__, (Cardinality,), {"lower": 0, "upper": None})
 
 
 @pytest.fixture(autouse=True)
@@ -116,6 +125,24 @@ class TestCorruptionDegradesToMiss:
                 (STORE_FORMAT, STORE_VERSION + 1, "rank", FP, "artifact")
             ),
         )
+        assert store.get("rank", FP) is None
+
+    def test_version_2_entry_with_dict_state_cardinality_is_a_miss(
+        self, store
+    ):
+        # Version 2 wrote the input value objects with an instance-dict
+        # state. A slotted class's generated ``__setstate__`` zips its
+        # field names against that dict, so the bytes load without error
+        # into a wrong object; only the version check keeps it out.
+        assert STORE_VERSION > 2
+        payload = pickle.dumps(
+            (STORE_FORMAT, 2, "rank", FP, {"card": _DictStateCardinality()}),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        loaded = pickle.loads(payload)[4]["card"]
+        assert type(loaded) is Cardinality
+        assert (loaded.lower, loaded.upper) == ("lower", "upper")
+        self._seed(store, payload)
         assert store.get("rank", FP) is None
 
     def test_wrong_format_magic(self, store):

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.cm.model import ISA_LABEL
+from repro.datasets.registry import load_all_datasets
 from repro.exceptions import SemanticsError
+from repro.queries.conjunctive import CM_PREFIX
 from repro.relational import Column, RelationalSchema, Table
 from repro.semantics import SchemaSemantics, SemanticTree
 
@@ -102,3 +105,50 @@ class TestColumnLookups:
 
     def test_describe(self, semantics):
         assert "writes" in semantics.describe()
+
+
+def _prefixed_index(semantics):
+    """The predicate index keyed by ``CM_PREFIX + name``: the reference
+    that ``tables_mentioning``'s bare-keyed index must answer exactly
+    like."""
+    index = {}
+    for name in semantics.tables_with_semantics():
+        tree = semantics.tree(name)
+        names = {node.cm_node for node in tree.nodes()}
+        names.update(
+            edge.cm_edge.base_name
+            for edge in tree.edges
+            if not edge.cm_edge.is_isa
+        )
+        names.update(attribute for _, attribute in tree.columns.values())
+        for bare in names:
+            index.setdefault(CM_PREFIX + bare, []).append(name)
+    return {key: tuple(tables) for key, tables in index.items()}
+
+
+class TestTablesMentioning:
+    def test_bare_keyed_index_answers_like_the_prefixed_one(self):
+        checked = 0
+        for pair in load_all_datasets():
+            for semantics in (pair.source, pair.target):
+                reference = _prefixed_index(semantics)
+                model = semantics.model
+                bare = set(model.class_names()) | set(model.relationships)
+                bare.add(ISA_LABEL)
+                for cls in model.classes.values():
+                    bare.update(cls.attributes)
+                predicates = {CM_PREFIX + name for name in bare}
+                predicates.update(bare)
+                predicates.update(semantics.schema.table_names())
+                predicates.update(
+                    atom.predicate
+                    for view in semantics.views()
+                    for atom in view.body
+                )
+                predicates.update(("", CM_PREFIX, CM_PREFIX + CM_PREFIX))
+                for predicate in sorted(predicates):
+                    assert semantics.tables_mentioning(
+                        predicate
+                    ) == reference.get(predicate, ()), predicate
+                    checked += 1
+        assert checked > 1000

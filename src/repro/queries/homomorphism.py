@@ -29,7 +29,7 @@ staying *extensionally identical* to the naive formulation:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.queries.conjunctive import (
     Atom,
@@ -374,27 +374,51 @@ def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
 
 
 def keep_maximal(
-    queries: list[ConjunctiveQuery],
+    queries: Iterable[ConjunctiveQuery],
+    kept: list[ConjunctiveQuery] | None = None,
+    key: Callable[[ConjunctiveQuery], Any] | None = None,
 ) -> list[ConjunctiveQuery]:
     """Drop queries strictly contained in another of the list.
 
     This is the pruning step of Example 3.4: ``q'₂ ⊆ q'₃`` eliminates
     ``q'₂``. Among equivalent queries, the first (in list order) is kept.
 
-    One sweep keeps an antichain of the queries seen so far: a query some
-    kept query contains is dropped (it comes later, so among equivalent
-    queries the earliest survives); otherwise it evicts every kept query
-    it contains and joins the antichain. Containment is a preorder, so
-    this keeps exactly the earliest query of each maximal class, in list
-    order, without any pairwise state.
+    The queries are admitted one at a time into an antichain: one query
+    per maximal class, in the order the survivors arrived. A query some
+    kept query contains is dropped; otherwise it evicts every kept query
+    it contains and joins them. The members of an antichain are pairwise
+    incomparable, so they are never checked against each other: an
+    admission costs O(k) containment checks against an antichain of k,
+    and the antichain is all the state there is. A caller that produces
+    queries one by one can therefore prune as it goes.
+
+    ``kept`` is an antichain from earlier calls to merge into; it is
+    updated in place and returned (by default the fold starts empty).
+    ``key`` orders equivalent queries: a query takes the place of an
+    equivalent kept one whose key is larger, and joins the antichain as
+    its newest arrival (equal keys keep the one that came first). A
+    query equivalent to one member is below no other and above none, so
+    nothing else changes. Sorting the result stably by ``key`` then
+    gives exactly ``keep_maximal(sorted(queries, key=key))``, whatever
+    order the queries arrived in. ``key`` is only called for a query
+    some kept query contains.
     """
-    kept: list[ConjunctiveQuery] = []
+    if kept is None:
+        kept = []
     for query in queries:
-        # Newest first: callers sort related queries next to each other
-        # (an exact duplicate follows its original), so the last kept
-        # query is the likeliest container.
-        if any(is_contained_in(query, other) for other in reversed(kept)):
-            continue
-        kept = [other for other in kept if not is_contained_in(other, query)]
-        kept.append(query)
+        for index, other in enumerate(kept):
+            if is_contained_in(query, other):
+                if (
+                    key is not None
+                    and key(query) < key(other)
+                    and is_contained_in(other, query)
+                ):
+                    del kept[index]
+                    kept.append(query)
+                break
+        else:
+            kept[:] = [
+                other for other in kept if not is_contained_in(other, query)
+            ]
+            kept.append(query)
     return kept

@@ -437,12 +437,24 @@ def rewrite_query(
         the paper requires rewritings to "mention tables that have
         columns linked by the correspondences".
     limit:
-        Safety cap on the number of candidate combinations expanded.
+        Cap on the number of Skolem-free candidates the enumeration
+        produces, counting those dropped for missing a required table;
+        the walk stops once it is reached. Must be at least 1.
 
     Returns the surviving rewritings, deterministically ordered with the
     most specific (largest-body) queries first — matching the paper's
     preference for the most faithful expression (``q'₃`` over ``q'₁``).
+
+    Each candidate is chased, minimized, checked for the required
+    tables and merged into the antichain of maximal rewritings as soon
+    as it is produced (:func:`keep_maximal`), so a call holds its
+    survivors, not its candidates. The result is the same as pruning
+    the sorted list of all candidates: among equivalent rewritings the
+    one earliest in that order survives, and among equal keys the one
+    generated first.
     """
+    if limit < 1:
+        raise RewritingError(f"rewrite limit must be at least 1, got {limit}")
     for atom in query.body:
         if not atom.is_cm_atom:
             raise RewritingError(
@@ -454,7 +466,7 @@ def rewrite_query(
         plan = _RewritePlan()
         _PLANS[source] = plan
     required = frozenset(required_tables)
-    candidates = []
+    kept: list[ConjunctiveQuery] = []
     for candidate in _candidate_rewritings(
         query, source, plan, limit, required
     ):
@@ -465,14 +477,41 @@ def rewrite_query(
             if chased is None:
                 continue
             candidate = chased
-        candidates.append(minimize(candidate))
-    if required:
-        candidates = [
-            candidate
-            for candidate in candidates
-            if required
-            <= {atom.bare_predicate for atom in candidate.body}
-        ]
-    # Deterministic order: larger bodies (more faithful) first, then text.
-    candidates.sort(key=lambda cq: (-len(cq.body), str(cq)))
-    return keep_maximal(candidates)
+        candidate = minimize(candidate)
+        if required and not required <= {
+            atom.bare_predicate for atom in candidate.body
+        }:
+            continue
+        keep_maximal([candidate], kept, key=_RewritingOrder)
+    kept.sort(key=_RewritingOrder)
+    return kept
+
+
+class _RewritingOrder:
+    """Sort key of a rewriting: larger bodies (more faithful) first, then
+    text, as ``(-len(query.body), str(query))`` orders them.
+
+    The text is built only to break a tie in body size, which for two
+    minimized rewritings one contains means, nearly always, two
+    equivalent ones; it is built once per query and kept on the query
+    for the final sort.
+    """
+
+    __slots__ = ("query", "size")
+
+    def __init__(self, query: ConjunctiveQuery) -> None:
+        self.query = query
+        self.size = -len(query.body)
+
+    def __lt__(self, other: "_RewritingOrder") -> bool:
+        if self.size != other.size:
+            return self.size < other.size
+        return _text(self.query) < _text(other.query)
+
+
+def _text(query: ConjunctiveQuery) -> str:
+    text = query.__dict__.get("_rewriting_text")
+    if text is None:
+        text = str(query)
+        query._rewriting_text = text
+    return text

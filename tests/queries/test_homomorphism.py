@@ -246,3 +246,77 @@ def test_keep_maximal_matches_pairwise_reference(queries):
     assert [id(query) for query in survivors] == [
         id(query) for query in reference
     ]
+
+
+def order_key(query):
+    """``rewrite_query``'s order: larger bodies first, then text."""
+    return (-len(query.body), str(query))
+
+
+def size_key(query):
+    """A coarse order: many queries tie, equivalent ones need not."""
+    return -len(query.body)
+
+
+def streamed_keep_maximal(arrivals, key=order_key):
+    """Admit each query on its own, as ``rewrite_query`` does, then sort."""
+    kept = []
+    for query in arrivals:
+        keep_maximal([query], kept, key=key)
+    kept.sort(key=key)
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), queries=query_lists_with_variants())
+def test_streamed_keep_maximal_matches_sorted_batch(data, queries):
+    arrivals = data.draw(st.permutations(queries), label="arrivals")
+    key = data.draw(st.sampled_from([order_key, size_key]), label="key")
+    survivors = streamed_keep_maximal(arrivals, key)
+    # Among equal keys the first to arrive wins, so the reference sorts
+    # the arrival order (``sorted`` is stable).
+    ordered = sorted(arrivals, key=key)
+    for reference in (keep_maximal(ordered), pairwise_keep_maximal(ordered)):
+        assert [id(query) for query in survivors] == [
+            id(query) for query in reference
+        ]
+
+
+class TestStreamedKeepMaximal:
+    def test_equivalent_query_with_smaller_key_replaces_its_twin(self):
+        twin = q([x], db_atom("r", x, y))
+        smaller = q([u], db_atom("r", u, v))
+        other = q([x], db_atom("s", x, y))
+        assert order_key(smaller) < order_key(twin)
+        survivors = streamed_keep_maximal([twin, other, smaller])
+        assert [id(query) for query in survivors] == [id(smaller), id(other)]
+        assert survivors == keep_maximal(
+            sorted([twin, other, smaller], key=order_key)
+        )
+
+    def test_equal_keys_keep_the_first_arrival(self):
+        first = q([x], db_atom("r", x, y))
+        copy = q([x], db_atom("r", x, y))
+        survivors = streamed_keep_maximal([first, copy])
+        assert [id(query) for query in survivors] == [id(first)]
+
+    def test_a_replacement_counts_as_the_newest_arrival(self):
+        """Equal keys sort in arrival order, and a query that takes an
+        equivalent twin's place arrived after everything kept."""
+        general = q([x], db_atom("r", x, y))
+        other = q([x], db_atom("s", x, y), db_atom("s", x, z))
+        redundant = q([x], db_atom("r", x, y), db_atom("r", x, z))
+        arrivals = [general, other, redundant]
+        survivors = streamed_keep_maximal(arrivals, size_key)
+        assert [id(query) for query in survivors] == [id(other), id(redundant)]
+        reference = keep_maximal(sorted(arrivals, key=size_key))
+        assert [id(query) for query in reference] == [
+            id(query) for query in survivors
+        ]
+
+    def test_kept_antichain_is_updated_in_place(self):
+        general = q([x], db_atom("r", x, y))
+        specific = q([x], db_atom("r", x, y), db_atom("s", y))
+        kept = keep_maximal([specific])
+        assert keep_maximal([general], kept) is kept
+        assert kept == [general]

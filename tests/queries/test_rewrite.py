@@ -194,3 +194,12 @@ class TestRewriteEdgeCases:
         query = ConjunctiveQuery([v1], [cm_atom("Person", v1)])
         results = rewrite_query(query, bookstore_views(), limit=1)
         assert len(results) == 1
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        """The walk checks the limit only after its first candidate, so a
+        limit below 1 would silently act as 1."""
+        with pytest.raises(RewritingError, match="at least 1"):
+            rewrite_query(
+                TestRewriteExample34().query(), bookstore_views(), limit=limit
+            )

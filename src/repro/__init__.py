@@ -34,67 +34,69 @@ Tuning and observability live on one frozen options object::
     for event in result.trace["prunes"]:
         print(event["rule"], event["detail"])
 
+Every public name resolves on first use: ``import repro`` loads no
+other ``repro`` module, and ``repro.X`` (or ``from repro import X``)
+imports only the module that defines ``X``. The subpackages re-export
+their names the same way, through :func:`_lazy_package`.
+
 See ``docs/api.md`` for the public-API map and ``docs/observability.md``
 for tracing/explain.
 """
 
-from repro.cm import (
-    Cardinality,
-    CMGraph,
-    CMReasoner,
-    ConceptualModel,
-    ConnectionCategory,
-    SemanticType,
-    model_from_dict,
-    model_to_dict,
-)
-from repro.correspondences import Correspondence, CorrespondenceSet
-from repro.matching import as_correspondence_set, suggest_correspondences
-from repro.baseline import RICBasedMapper, discover_ric_mappings
-from repro.discovery import (
-    STAGE_NAMES,
-    BatchPolicy,
-    BatchResult,
-    DiscoveryOptions,
-    DiscoveryResult,
-    Rediscovery,
-    Scenario,
-    SemanticMapper,
-    discover_many,
-    discover_mappings,
-    rediscover,
-    rediscover_many,
-)
-from repro.trace import Tracer
-from repro.exceptions import ReproError
-from repro.mappings import (
-    InversionResult,
-    MappingCandidate,
-    MappingSet,
-    SourceToTargetTGD,
-    compose,
-    contains,
-    equivalent,
-    exchange,
-    implies,
-    invert,
-    query_to_algebra,
-)
-from repro.relational import (
-    Column,
-    Instance,
-    ReferentialConstraint,
-    RelationalSchema,
-    Table,
-)
-from repro.semantics import (
-    SchemaSemantics,
-    SemanticTree,
-    design_schema,
-    recover_semantics,
-)
+from __future__ import annotations
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
+
+
+class _LazyPackage(types.ModuleType):
+    """A package whose re-exported names import their module on first use."""
+
+    def __getattr__(self, name):
+        try:
+            module, attr = self._exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {self.__name__!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), attr)
+        self.__dict__[name] = value
+        return value
+
+    def __dir__(self):
+        return sorted({*self.__dict__, *self._exports})
+
+    def __setattr__(self, name, value):
+        # Importing a submodule binds it on its package. A submodule
+        # named like an export must not shadow it: ``repro.mappings.
+        # exchange`` stays the function in every import order.
+        if name in self._exports and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+def _lazy_package(name: str, table: dict[str, tuple[str, ...]]) -> list[str]:
+    """Make package ``name`` resolve its re-exported names on first use.
+
+    ``table`` maps each defining module to the names the package
+    re-exports from it, ``"attr as alias"`` for a renamed one. Returns
+    the exported names, in table order, for ``__all__``. An unknown
+    name raises the usual :class:`AttributeError`, so ``hasattr`` and
+    ``from package import nope`` behave as for any module.
+    """
+    exports: dict[str, tuple[str, str]] = {}
+    for module, names in table.items():
+        for entry in names:
+            attr, _, alias = entry.partition(" as ")
+            assert (alias or attr) not in exports, entry
+            exports[alias or attr] = (module, attr)
+    package = sys.modules[name]
+    package._exports = exports
+    package.__class__ = _LazyPackage
+    return list(exports)
 
 
 def discover(
@@ -111,6 +113,8 @@ def discover(
     no fault isolation — errors propagate to the caller.
     """
     if options is not None:
+        from repro.discovery.batch import Scenario
+
         scenario = Scenario.create(
             scenario.scenario_id,
             scenario.source,
@@ -120,63 +124,74 @@ def discover(
         )
     return scenario.run(tracer=trace)
 
+
 __all__ = [
     "__version__",
-    "ReproError",
-    # Conceptual models
-    "Cardinality",
-    "CMGraph",
-    "CMReasoner",
-    "ConceptualModel",
-    "ConnectionCategory",
-    "SemanticType",
-    "model_from_dict",
-    "model_to_dict",
-    # Relational
-    "Column",
-    "Instance",
-    "ReferentialConstraint",
-    "RelationalSchema",
-    "Table",
-    # Semantics
-    "SchemaSemantics",
-    "SemanticTree",
-    "design_schema",
-    "recover_semantics",
-    # Correspondences
-    "Correspondence",
-    "CorrespondenceSet",
-    "suggest_correspondences",
-    "as_correspondence_set",
-    # Discovery
-    "BatchPolicy",
-    "BatchResult",
-    "DiscoveryOptions",
-    "DiscoveryResult",
-    "Rediscovery",
-    "STAGE_NAMES",
-    "Scenario",
-    "SemanticMapper",
-    "Tracer",
     "discover",
-    "discover_many",
-    "discover_mappings",
-    "rediscover",
-    "rediscover_many",
-    # Baseline
-    "RICBasedMapper",
-    "discover_ric_mappings",
-    # Mappings
-    "MappingCandidate",
-    "MappingSet",
-    "SourceToTargetTGD",
-    "exchange",
-    "query_to_algebra",
-    # Lifecycle algebra
-    "InversionResult",
-    "compose",
-    "contains",
-    "equivalent",
-    "implies",
-    "invert",
+    *_lazy_package(
+        __name__,
+        {
+            "repro.exceptions": ("ReproError",),
+            # Conceptual models
+            "repro.cm.cardinality": ("Cardinality", "ConnectionCategory"),
+            "repro.cm.graph": ("CMGraph",),
+            "repro.cm.reasoner": ("CMReasoner",),
+            "repro.cm.model": ("ConceptualModel", "SemanticType"),
+            "repro.cm.serialize": ("model_from_dict", "model_to_dict"),
+            # Relational
+            "repro.relational.schema": ("Column", "RelationalSchema", "Table"),
+            "repro.relational.instance": ("Instance",),
+            "repro.relational.constraints": ("ReferentialConstraint",),
+            # Semantics
+            "repro.semantics.lav": ("SchemaSemantics",),
+            "repro.semantics.stree": ("SemanticTree",),
+            "repro.semantics.er2rel": ("design_schema",),
+            "repro.semantics.recover": ("recover_semantics",),
+            # Correspondences
+            "repro.correspondences": ("Correspondence", "CorrespondenceSet"),
+            "repro.matching": (
+                "suggest_correspondences",
+                "as_correspondence_set",
+            ),
+            # Discovery
+            "repro.discovery.batch": (
+                "BatchPolicy",
+                "BatchResult",
+                "Scenario",
+                "discover_many",
+            ),
+            "repro.discovery.options": ("DiscoveryOptions",),
+            "repro.discovery.mapper": (
+                "DiscoveryResult",
+                "SemanticMapper",
+                "discover_mappings",
+            ),
+            "repro.discovery.incremental": (
+                "Rediscovery",
+                "rediscover",
+                "rediscover_many",
+            ),
+            "repro.discovery.engine.stages": ("STAGE_NAMES",),
+            "repro.trace.tracer": ("Tracer",),
+            # Baseline
+            "repro.baseline.clio": ("RICBasedMapper", "discover_ric_mappings"),
+            # Mappings
+            "repro.mappings.expression": (
+                "MappingCandidate",
+                "MappingSet",
+                "query_to_algebra",
+            ),
+            "repro.mappings.tgd": ("SourceToTargetTGD",),
+            "repro.mappings.exchange": ("exchange",),
+            # Lifecycle algebra
+            "repro.mappings.algebra": (
+                "InversionResult",
+                "compose",
+                "contains",
+                "equivalent",
+                "implies",
+                "invert",
+            ),
+        },
+    ),
 ]

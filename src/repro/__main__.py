@@ -29,13 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.baseline.clio import RICBasedMapper
-from repro.cm.dot import cm_graph_to_dot
-from repro.datasets.registry import dataset_names, load_dataset
-from repro.discovery.mapper import SemanticMapper
-from repro.discovery.options import DiscoveryOptions
-from repro.relational.ddl import emit_ddl
-
 
 def _add_option_flags(parser: argparse.ArgumentParser) -> None:
     """The shared :class:`DiscoveryOptions` flags (``map``/``explain``)."""
@@ -71,6 +64,8 @@ def _options_from_args(
     explain: bool = False,
     trace: bool = False,
 ) -> DiscoveryOptions:
+    from repro.discovery.options import DiscoveryOptions
+
     return DiscoveryOptions(
         max_path_edges=args.max_path_edges,
         use_partof_filter=args.use_partof_filter,
@@ -108,6 +103,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import dataset_names, load_dataset
     from repro.validation import (
         validate_correspondences,
         validate_semantics,
@@ -157,6 +153,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasets(_: argparse.Namespace) -> int:
+    from repro.datasets.registry import dataset_names, load_dataset
+
     header = f"{'name':<10} {'source':<10} {'target':<10} {'tables':<9} {'CM nodes':<10} cases"
     print(header)
     print("-" * len(header))
@@ -172,6 +170,8 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import load_dataset
+
     pair = load_dataset(args.name)
     print(pair.source.schema.describe())
     print()
@@ -185,6 +185,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import load_dataset
+
     pair = load_dataset(args.name)
     mapping_case = _find_case(pair, args.case)
     if mapping_case is None:
@@ -219,6 +221,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
             )
             result = rediscovery.result
         else:
+            from repro.discovery.mapper import SemanticMapper
+
             result = SemanticMapper(
                 pair.source,
                 pair.target,
@@ -226,6 +230,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 options=options,
             ).discover()
     else:
+        from repro.baseline.clio import RICBasedMapper
+
         result = RICBasedMapper(
             pair.source.schema,
             pair.target.schema,
@@ -258,6 +264,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     import json
 
+    from repro.datasets.registry import load_dataset
+    from repro.discovery.mapper import SemanticMapper
     from repro.trace.render import render_trace
 
     pair = load_dataset(args.name)
@@ -337,6 +345,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_ddl(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import load_dataset
+    from repro.relational.ddl import emit_ddl
+
     pair = load_dataset(args.name)
     semantics = pair.source if args.side == "source" else pair.target
     print(emit_ddl(semantics.schema), end="")
@@ -344,6 +355,9 @@ def _cmd_ddl(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from repro.cm.dot import cm_graph_to_dot
+    from repro.datasets.registry import load_dataset
+
     pair = load_dataset(args.name)
     semantics = pair.source if args.side == "source" else pair.target
     print(cm_graph_to_dot(semantics.graph, semantics.model.name))
@@ -351,6 +365,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import load_dataset
     from repro.matching import suggest_correspondences
 
     pair = load_dataset(args.name)
@@ -364,6 +379,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import load_dataset
     from repro.semantics.recover import recover_semantics
 
     pair = load_dataset(args.name)

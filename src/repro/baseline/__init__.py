@@ -1,19 +1,18 @@
 """The RIC-based baseline technique (Clio-style)."""
 
-from repro.baseline.logical_relations import (
-    LogicalRelation,
-    compute_logical_relations,
-)
-from repro.baseline.clio import (
-    RICBasedMapper,
-    discover_ric_mappings,
-    trim_unnecessary_joins,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "LogicalRelation",
-    "compute_logical_relations",
-    "RICBasedMapper",
-    "discover_ric_mappings",
-    "trim_unnecessary_joins",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.baseline.logical_relations": (
+            "LogicalRelation",
+            "compute_logical_relations",
+        ),
+        "repro.baseline.clio": (
+            "RICBasedMapper",
+            "discover_ric_mappings",
+            "trim_unnecessary_joins",
+        ),
+    },
+)

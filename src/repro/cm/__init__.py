@@ -1,50 +1,37 @@
 """Conceptual-model substrate: CML, CM graphs, reification, reasoning."""
 
-from repro.cm.cardinality import (
-    MANY,
-    Cardinality,
-    ConnectionCategory,
-    categories_compatible,
-)
-from repro.cm.model import (
-    CMClass,
-    ConceptualModel,
-    ISA_LABEL,
-    Relationship,
-    SemanticType,
-)
-from repro.cm.graph import CMEdge, CMGraph, INVERSE_MARK, attribute_node_id
-from repro.cm.reasoner import CMReasoner
-from repro.cm.reify import (
-    ReificationMap,
-    ReifiedBinary,
-    auto_reify_many_many,
-    reify_relationship,
-)
-from repro.cm.dot import cm_graph_to_dot, stree_to_dot
-from repro.cm.serialize import model_from_dict, model_to_dict
+from repro import _lazy_package
 
-__all__ = [
-    "MANY",
-    "Cardinality",
-    "ConnectionCategory",
-    "categories_compatible",
-    "CMClass",
-    "ConceptualModel",
-    "ISA_LABEL",
-    "Relationship",
-    "SemanticType",
-    "CMEdge",
-    "CMGraph",
-    "INVERSE_MARK",
-    "attribute_node_id",
-    "CMReasoner",
-    "ReificationMap",
-    "ReifiedBinary",
-    "auto_reify_many_many",
-    "reify_relationship",
-    "cm_graph_to_dot",
-    "stree_to_dot",
-    "model_from_dict",
-    "model_to_dict",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.cm.cardinality": (
+            "MANY",
+            "Cardinality",
+            "ConnectionCategory",
+            "categories_compatible",
+        ),
+        "repro.cm.model": (
+            "CMClass",
+            "ConceptualModel",
+            "ISA_LABEL",
+            "Relationship",
+            "SemanticType",
+        ),
+        "repro.cm.graph": (
+            "CMEdge",
+            "CMGraph",
+            "INVERSE_MARK",
+            "attribute_node_id",
+        ),
+        "repro.cm.reasoner": ("CMReasoner",),
+        "repro.cm.reify": (
+            "ReificationMap",
+            "ReifiedBinary",
+            "auto_reify_many_many",
+            "reify_relationship",
+        ),
+        "repro.cm.dot": ("cm_graph_to_dot", "stree_to_dot"),
+        "repro.cm.serialize": ("model_from_dict", "model_to_dict"),
+    },
+)

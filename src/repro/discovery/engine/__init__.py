@@ -12,62 +12,42 @@ the bounded LRU :class:`StageCache`, and the per-target
 See ``docs/architecture.md`` for the stage graph and caching rules.
 """
 
-from repro.discovery.engine.artifacts import (
-    CompatiblePairs,
-    LiftedCorrespondences,
-    PairRecord,
-    RankedResult,
-    SourceCSGSet,
-    SourceSearchUnit,
-    TargetCSGSet,
-    TranslatedCandidates,
-)
-from repro.discovery.engine.cache import (
-    StageCache,
-    clear_stage_cache,
-    stage_cache,
-)
-from repro.discovery.engine.persist import (
-    STORE_VERSION,
-    PersistentStageStore,
-    active_store,
-    cache_dir_override,
-    clear_active_store,
-    configure as configure_persistence,
-    store_for,
-)
-from repro.discovery.engine.stages import (
-    CLIO_STAGE_NAMES,
-    STAGE_NAMES,
-    STAGE_OPTION_FIELDS,
-    EngineOutcome,
-    SemanticEngine,
-    time_stat_key,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "CLIO_STAGE_NAMES",
-    "STAGE_NAMES",
-    "STAGE_OPTION_FIELDS",
-    "STORE_VERSION",
-    "CompatiblePairs",
-    "EngineOutcome",
-    "LiftedCorrespondences",
-    "PairRecord",
-    "PersistentStageStore",
-    "RankedResult",
-    "SemanticEngine",
-    "SourceCSGSet",
-    "SourceSearchUnit",
-    "StageCache",
-    "TargetCSGSet",
-    "TranslatedCandidates",
-    "active_store",
-    "cache_dir_override",
-    "clear_active_store",
-    "clear_stage_cache",
-    "configure_persistence",
-    "stage_cache",
-    "store_for",
-    "time_stat_key",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.discovery.engine.artifacts": (
+            "CompatiblePairs",
+            "LiftedCorrespondences",
+            "PairRecord",
+            "RankedResult",
+            "SourceCSGSet",
+            "SourceSearchUnit",
+            "TargetCSGSet",
+            "TranslatedCandidates",
+        ),
+        "repro.discovery.engine.cache": (
+            "StageCache",
+            "clear_stage_cache",
+            "stage_cache",
+        ),
+        "repro.discovery.engine.persist": (
+            "STORE_VERSION",
+            "PersistentStageStore",
+            "active_store",
+            "cache_dir_override",
+            "clear_active_store",
+            "configure as configure_persistence",
+            "store_for",
+        ),
+        "repro.discovery.engine.stages": (
+            "CLIO_STAGE_NAMES",
+            "STAGE_NAMES",
+            "STAGE_OPTION_FIELDS",
+            "EngineOutcome",
+            "SemanticEngine",
+            "time_stat_key",
+        ),
+    },
+)

@@ -40,75 +40,58 @@ Front doors: ``python -m repro introspect SOURCE TARGET --cm NAME
 (see ``docs/ingestion.md``).
 """
 
-from repro.ingest.backends import (
-    BACKEND_CHOICES,
-    CatalogBackend,
-    ColumnDef,
-    DumpBackend,
-    ForeignKeyDef,
-    SQLiteBackend,
-    TYPE_CATEGORIES,
-    backend_for,
-    detect_backend,
-)
-from repro.ingest.correspond import (
-    parse_correspondence_lines,
-    seed_correspondences,
-    type_affinity,
-    value_jaccard,
-)
-from repro.ingest.fixture import materialize_sqlite, pgdump_ddl, sqlite_ddl
-from repro.ingest.introspect import (
-    CatalogIntrospector,
-    IngestDiagnostic,
-    IntrospectionResult,
-    connect_memory_from_sql,
-    introspect_backend,
-    introspect_sqlite,
-)
-from repro.ingest.recover import RecoveredSide, recover_introspected
-from repro.ingest.reingest import ReingestReport, TableDrift, reingest_pair
-from repro.ingest.scenario import (
-    IngestedScenario,
-    ingest_pair,
-    instance_values,
-    resolve_cm_argument,
-    sample_instance,
-    sample_instance_from_backend,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "CatalogBackend",
-    "CatalogIntrospector",
-    "ColumnDef",
-    "DumpBackend",
-    "ForeignKeyDef",
-    "IngestDiagnostic",
-    "IntrospectionResult",
-    "IngestedScenario",
-    "RecoveredSide",
-    "ReingestReport",
-    "SQLiteBackend",
-    "TYPE_CATEGORIES",
-    "TableDrift",
-    "backend_for",
-    "connect_memory_from_sql",
-    "detect_backend",
-    "ingest_pair",
-    "instance_values",
-    "introspect_backend",
-    "introspect_sqlite",
-    "materialize_sqlite",
-    "parse_correspondence_lines",
-    "pgdump_ddl",
-    "recover_introspected",
-    "reingest_pair",
-    "resolve_cm_argument",
-    "sample_instance",
-    "sample_instance_from_backend",
-    "seed_correspondences",
-    "sqlite_ddl",
-    "type_affinity",
-    "value_jaccard",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.ingest.backends": (
+            "BACKEND_CHOICES",
+            "backend_for",
+            "detect_backend",
+        ),
+        "repro.ingest.backends.base": (
+            "CatalogBackend",
+            "ColumnDef",
+            "ForeignKeyDef",
+            "TYPE_CATEGORIES",
+        ),
+        "repro.ingest.backends.pgdump": ("DumpBackend",),
+        "repro.ingest.backends.sqlite": (
+            "SQLiteBackend",
+            "type_affinity",
+            "connect_memory_from_sql",
+        ),
+        "repro.ingest.correspond": (
+            "parse_correspondence_lines",
+            "seed_correspondences",
+            "value_jaccard",
+        ),
+        "repro.ingest.fixture": (
+            "materialize_sqlite",
+            "pgdump_ddl",
+            "sqlite_ddl",
+        ),
+        "repro.ingest.introspect": (
+            "CatalogIntrospector",
+            "IngestDiagnostic",
+            "IntrospectionResult",
+            "introspect_backend",
+            "introspect_sqlite",
+        ),
+        "repro.ingest.recover": ("RecoveredSide", "recover_introspected"),
+        "repro.ingest.reingest": (
+            "ReingestReport",
+            "TableDrift",
+            "reingest_pair",
+        ),
+        "repro.ingest.scenario": (
+            "IngestedScenario",
+            "ingest_pair",
+            "instance_values",
+            "resolve_cm_argument",
+            "sample_instance",
+            "sample_instance_from_backend",
+        ),
+    },
+)

@@ -11,31 +11,16 @@ from __future__ import annotations
 import os
 import sqlite3
 
+from repro import _lazy_package
 from repro.exceptions import IngestError
-from repro.ingest.backends.base import (
-    TYPE_CATEGORIES,
-    CatalogBackend,
-    ColumnDef,
-    ForeignKeyDef,
-)
-from repro.ingest.backends.pgdump import (
-    SQLITE_MAGIC,
-    DumpBackend,
-    dump_type_category,
-    looks_like_dump,
-)
-from repro.ingest.backends.sqlite import (
-    SQLiteBackend,
-    connect_memory_from_sql,
-    open_database,
-    type_affinity,
-)
 
 #: Backend selectors accepted by the CLI, wire, and ``ingest_pair``.
 BACKEND_CHOICES = ("sqlite", "pgdump", "auto")
 
 
 def _is_sqlite_file(path: str) -> bool:
+    from repro.ingest.backends.pgdump import SQLITE_MAGIC
+
     try:
         with open(path, "rb") as handle:
             return handle.read(16) == SQLITE_MAGIC.encode("latin-1")
@@ -58,6 +43,8 @@ def detect_backend(database: object) -> str:
     otherwise — plain portable SQL executes fine in memory under the
     SQLite authorizer.
     """
+    from repro.ingest.backends.pgdump import looks_like_dump
+
     if isinstance(database, sqlite3.Connection):
         return "sqlite"
     if isinstance(database, str):
@@ -77,6 +64,13 @@ def backend_for(
     connection the caller must eventually close when one was opened
     here, else ``None``.
     """
+    from repro.ingest.backends.pgdump import DumpBackend
+    from repro.ingest.backends.sqlite import (
+        SQLiteBackend,
+        connect_memory_from_sql,
+        open_database,
+    )
+
     if backend == "auto":
         backend = detect_backend(database)
     if backend == "sqlite":
@@ -116,18 +110,29 @@ def backend_for(
 
 __all__ = [
     "BACKEND_CHOICES",
-    "CatalogBackend",
-    "ColumnDef",
-    "DumpBackend",
-    "ForeignKeyDef",
-    "SQLITE_MAGIC",
-    "SQLiteBackend",
-    "TYPE_CATEGORIES",
     "backend_for",
-    "connect_memory_from_sql",
     "detect_backend",
-    "dump_type_category",
-    "looks_like_dump",
-    "open_database",
-    "type_affinity",
+    *_lazy_package(
+        __name__,
+        {
+            "repro.ingest.backends.base": (
+                "TYPE_CATEGORIES",
+                "CatalogBackend",
+                "ColumnDef",
+                "ForeignKeyDef",
+            ),
+            "repro.ingest.backends.pgdump": (
+                "SQLITE_MAGIC",
+                "DumpBackend",
+                "dump_type_category",
+                "looks_like_dump",
+            ),
+            "repro.ingest.backends.sqlite": (
+                "SQLiteBackend",
+                "connect_memory_from_sql",
+                "open_database",
+                "type_affinity",
+            ),
+        },
+    ),
 ]

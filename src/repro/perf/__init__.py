@@ -19,27 +19,23 @@ outputs and by property tests against the uncached reference functions
 immutability).
 """
 
-from repro.perf.counters import (
-    PerfCounters,
-    global_counters,
-    phase,
-    record,
-    record_time,
-    reset,
-    scope,
-)
-from repro.perf.index import GraphIndex
+from repro import _lazy_package
 
-__all__ = [
-    "PerfCounters",
-    "global_counters",
-    "phase",
-    "record",
-    "record_time",
-    "reset",
-    "scope",
-    "GraphIndex",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.perf.counters": (
+            "PerfCounters",
+            "global_counters",
+            "phase",
+            "record",
+            "record_time",
+            "reset",
+            "scope",
+        ),
+        "repro.perf.index": ("GraphIndex",),
+    },
+)
 
 
 def clear_caches() -> None:
@@ -53,12 +49,13 @@ def clear_caches() -> None:
     too — "clear the caches" must mean all tiers, or a stale disk
     artifact would silently resurrect what the caller just invalidated.
     """
-    GraphIndex.clear_registry()
     from repro.discovery import compatibility, translate
     from repro.discovery.engine.cache import clear_stage_cache
     from repro.discovery.engine.persist import clear_active_store
+    from repro.perf.index import GraphIndex
     from repro.queries.rewrite import clear_rewrite_caches
 
+    GraphIndex.clear_registry()
     compatibility.clear_profile_cache()
     translate.clear_translation_cache()
     clear_stage_cache()

@@ -1,72 +1,46 @@
 """Query machinery: conjunctive queries, containment, chase, rewriting."""
 
-from repro.queries.conjunctive import (
-    Atom,
-    CM_PREFIX,
-    ConjunctiveQuery,
-    Constant,
-    DB_PREFIX,
-    SkolemTerm,
-    Term,
-    Variable,
-    VariableFactory,
-    cm_atom,
-    db_atom,
-    substitute_atom,
-    substitute_term,
-    unify_atoms,
-    unify_terms,
-)
-from repro.queries.homomorphism import (
-    are_equivalent,
-    containment_mapping,
-    is_contained_in,
-    keep_maximal,
-    minimize,
-)
-from repro.queries.chase import (
-    ChaseEngine,
-    InclusionDependency,
-    table_seed_atom,
-)
-from repro.queries.datalog import evaluate_bindings, evaluate_query
-from repro.queries.rewrite import (
-    InverseRule,
-    LAVView,
-    inverse_rules,
-    rewrite_query,
-    skolem_function_name,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "Atom",
-    "CM_PREFIX",
-    "ConjunctiveQuery",
-    "Constant",
-    "DB_PREFIX",
-    "SkolemTerm",
-    "Term",
-    "Variable",
-    "VariableFactory",
-    "cm_atom",
-    "db_atom",
-    "substitute_atom",
-    "substitute_term",
-    "unify_atoms",
-    "unify_terms",
-    "are_equivalent",
-    "containment_mapping",
-    "is_contained_in",
-    "keep_maximal",
-    "minimize",
-    "ChaseEngine",
-    "InclusionDependency",
-    "table_seed_atom",
-    "evaluate_bindings",
-    "evaluate_query",
-    "InverseRule",
-    "LAVView",
-    "inverse_rules",
-    "rewrite_query",
-    "skolem_function_name",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.queries.conjunctive": (
+            "Atom",
+            "CM_PREFIX",
+            "ConjunctiveQuery",
+            "Constant",
+            "DB_PREFIX",
+            "SkolemTerm",
+            "Term",
+            "Variable",
+            "_VariableFactory as VariableFactory",
+            "cm_atom",
+            "db_atom",
+            "substitute_atom",
+            "substitute_term",
+            "unify_atoms",
+            "unify_terms",
+        ),
+        "repro.queries.homomorphism": (
+            "are_equivalent",
+            "containment_mapping",
+            "is_contained_in",
+            "keep_maximal",
+            "minimize",
+        ),
+        "repro.queries.chase": (
+            "ChaseEngine",
+            "InclusionDependency",
+            "table_seed_atom",
+        ),
+        "repro.queries.datalog": ("evaluate_bindings", "evaluate_query"),
+        "repro.queries.rewrite": (
+            "InverseRule",
+            "LAVView",
+            "inverse_rules",
+            "rewrite_query",
+            "skolem_function_name",
+        ),
+    },
+)

@@ -6,43 +6,27 @@ an in-memory instance store and a relational algebra evaluator used to
 execute discovered mapping expressions.
 """
 
-from repro.relational.constraints import ReferentialConstraint
-from repro.relational.schema import Column, RelationalSchema, Table
-from repro.relational.instance import Instance, LabeledNull
-from repro.relational.ddl import emit_ddl, emit_table_ddl, parse_ddl
-from repro.relational.algebra import (
-    AlgebraExpression,
-    BaseRelation,
-    Distinct,
-    NaturalJoin,
-    LeftOuterJoin,
-    FullOuterJoin,
-    Projection,
-    Rename,
-    Selection,
-    ThetaJoin,
-    Union,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "Column",
-    "Table",
-    "RelationalSchema",
-    "ReferentialConstraint",
-    "Instance",
-    "LabeledNull",
-    "emit_ddl",
-    "emit_table_ddl",
-    "parse_ddl",
-    "AlgebraExpression",
-    "BaseRelation",
-    "Selection",
-    "Projection",
-    "Rename",
-    "NaturalJoin",
-    "ThetaJoin",
-    "LeftOuterJoin",
-    "FullOuterJoin",
-    "Union",
-    "Distinct",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.relational.constraints": ("ReferentialConstraint",),
+        "repro.relational.schema": ("Column", "RelationalSchema", "Table"),
+        "repro.relational.instance": ("Instance", "LabeledNull"),
+        "repro.relational.ddl": ("emit_ddl", "emit_table_ddl", "parse_ddl"),
+        "repro.relational.algebra": (
+            "AlgebraExpression",
+            "BaseRelation",
+            "Distinct",
+            "NaturalJoin",
+            "LeftOuterJoin",
+            "FullOuterJoin",
+            "Projection",
+            "Rename",
+            "Selection",
+            "ThetaJoin",
+            "Union",
+        ),
+    },
+)

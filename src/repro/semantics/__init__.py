@@ -1,53 +1,37 @@
 """Table semantics: s-trees, the encoding algorithm, LAV views, er2rel."""
 
-from repro.semantics.stree import (
-    COPY_MARK,
-    STreeEdge,
-    STreeNode,
-    SemanticTree,
-)
-from repro.semantics.encoder import (
-    EncodedTree,
-    apply_key_merge,
-    column_variable,
-    effective_key,
-    encode_and_merge,
-    encode_tree,
-    identity_skolem,
-    object_variable,
-)
-from repro.semantics.lav import SchemaSemantics
-from repro.semantics.recover import (
-    RecoveryReport,
-    SemanticsRecoverer,
-    recover_semantics,
-)
-from repro.semantics.er2rel import (
-    Er2RelDesigner,
-    Er2RelResult,
-    design_schema,
-    table_name_for,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "COPY_MARK",
-    "STreeEdge",
-    "STreeNode",
-    "SemanticTree",
-    "EncodedTree",
-    "apply_key_merge",
-    "column_variable",
-    "effective_key",
-    "encode_and_merge",
-    "encode_tree",
-    "identity_skolem",
-    "object_variable",
-    "SchemaSemantics",
-    "RecoveryReport",
-    "SemanticsRecoverer",
-    "recover_semantics",
-    "Er2RelDesigner",
-    "Er2RelResult",
-    "design_schema",
-    "table_name_for",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.semantics.stree": (
+            "COPY_MARK",
+            "STreeEdge",
+            "STreeNode",
+            "SemanticTree",
+        ),
+        "repro.semantics.encoder": (
+            "EncodedTree",
+            "apply_key_merge",
+            "column_variable",
+            "effective_key",
+            "encode_and_merge",
+            "encode_tree",
+            "identity_skolem",
+            "object_variable",
+        ),
+        "repro.semantics.lav": ("SchemaSemantics",),
+        "repro.semantics.recover": (
+            "RecoveryReport",
+            "SemanticsRecoverer",
+            "recover_semantics",
+        ),
+        "repro.semantics.er2rel": (
+            "Er2RelDesigner",
+            "Er2RelResult",
+            "design_schema",
+            "table_name_for",
+        ),
+    },
+)

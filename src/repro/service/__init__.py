@@ -23,44 +23,32 @@ See ``docs/service.md`` for the API reference, capacity/backpressure
 semantics, and the cache-consistency discussion.
 """
 
-from repro.service.cache import ResultCache
-from repro.service.client import ServiceClient
-from repro.service.jobs import Job, JobQueue
-from repro.service.metrics import ServiceMetrics, parse_exposition
-from repro.service.server import MappingService, ReproServer, ServiceConfig
-from repro.service.wire import (
-    DiscoverOptions,
-    IngestRequest,
-    diagnostics_to_wire,
-    discover_request_from_wire,
-    failure_to_wire,
-    introspect_request_from_wire,
-    resolve_dataset,
-    result_to_wire,
-    scenario_from_wire,
-    semantics_from_wire,
-    semantics_to_wire,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "IngestRequest",
-    "introspect_request_from_wire",
-    "ResultCache",
-    "ServiceClient",
-    "Job",
-    "JobQueue",
-    "ServiceMetrics",
-    "parse_exposition",
-    "MappingService",
-    "ReproServer",
-    "ServiceConfig",
-    "DiscoverOptions",
-    "diagnostics_to_wire",
-    "discover_request_from_wire",
-    "failure_to_wire",
-    "resolve_dataset",
-    "result_to_wire",
-    "scenario_from_wire",
-    "semantics_from_wire",
-    "semantics_to_wire",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.service.cache": ("ResultCache",),
+        "repro.service.client": ("ServiceClient",),
+        "repro.service.jobs": ("Job", "JobQueue"),
+        "repro.service.metrics": ("ServiceMetrics", "parse_exposition"),
+        "repro.service.server": (
+            "MappingService",
+            "ReproServer",
+            "ServiceConfig",
+        ),
+        "repro.service.wire": (
+            "DiscoverOptions",
+            "IngestRequest",
+            "diagnostics_to_wire",
+            "discover_request_from_wire",
+            "failure_to_wire",
+            "introspect_request_from_wire",
+            "resolve_dataset",
+            "result_to_wire",
+            "scenario_from_wire",
+            "semantics_from_wire",
+            "semantics_to_wire",
+        ),
+    },
+)

@@ -19,34 +19,24 @@ or let the options object manage the tracer::
         print(event["rule"], event["detail"])
 """
 
-from repro.trace.render import phase_seconds, render_span, render_trace
-from repro.trace.tracer import (
-    NOOP,
-    TRACE_FORMAT,
-    NoopTracer,
-    PruneEvent,
-    Span,
-    Tracer,
-    activate,
-    active,
-    current,
-    prune,
-    span,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "NOOP",
-    "TRACE_FORMAT",
-    "NoopTracer",
-    "PruneEvent",
-    "Span",
-    "Tracer",
-    "activate",
-    "active",
-    "current",
-    "prune",
-    "span",
-    "phase_seconds",
-    "render_span",
-    "render_trace",
-]
+__all__ = _lazy_package(
+    __name__,
+    {
+        "repro.trace.render": ("phase_seconds", "render_span", "render_trace"),
+        "repro.trace.tracer": (
+            "NOOP",
+            "TRACE_FORMAT",
+            "NoopTracer",
+            "PruneEvent",
+            "Span",
+            "Tracer",
+            "activate",
+            "active",
+            "current",
+            "prune",
+            "span",
+        ),
+    },
+)

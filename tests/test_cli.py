@@ -414,3 +414,27 @@ class TestIntrospectBackends:
         err = capsys.readouterr().err
         assert "dump." in err
         assert "Traceback" not in err
+
+
+class TestEvolveAndCompose:
+    @pytest.fixture(scope="class")
+    def evolved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("evolve") / "composed.json"
+        argv = ["evolve", "--family", "chain", "--length", "3"]
+        argv += ["--hops", "2", "--output", str(path)]
+        assert main(argv) == 0
+        return str(path)
+
+    def test_evolve_writes_a_loadable_set(self, evolved):
+        from repro.mappings.serialize import load_mapping_set
+
+        with open(evolved, encoding="utf-8") as handle:
+            assert len(load_mapping_set(handle.read())) == 1
+
+    def test_compose_a_set_with_itself(self, capsys, evolved):
+        assert main(["compose", evolved, evolved]) == 0
+        assert "composed 1 ∘ 1 candidate(s) → 1" in capsys.readouterr().out
+
+    def test_compose_missing_file_fails(self, capsys, evolved, tmp_path):
+        assert main(["compose", str(tmp_path / "ghost.json"), evolved]) == 2
+        assert "cannot load" in capsys.readouterr().err

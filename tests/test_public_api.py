@@ -1,14 +1,31 @@
-"""Snapshot of the top-level public API.
+"""Snapshot of the top-level public API, and the lazy-export contract.
 
 ``repro.__all__`` is a compatibility contract: names may be added, but a
 missing or broken name is an API break this test catches before users
 do. The snapshot below is the intended surface — update it deliberately,
 in the same change that updates ``docs/api.md``.
+
+Every package resolves its re-exported names on first use; the contract
+tests below hold each package to what an eager ``from … import`` gave:
+the same objects, ``dir`` and ``import *``, and the usual error for an
+unknown name.
 """
+
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+SRC = pathlib.Path(repro.__file__).resolve().parent.parent
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in (SRC / "repro").rglob("__init__.py")
+)
 
 EXPECTED_ALL = {
     "__version__",
@@ -118,3 +135,76 @@ class TestDiscoverFacade:
         result = repro.discover(scenario, trace=tracer)
         assert tracer.span_count > 0
         assert result.trace is not None
+
+
+@pytest.fixture(params=PACKAGES)
+def package(request):
+    return importlib.import_module(request.param)
+
+
+class TestLazyExports:
+    def test_every_package_declares_all(self, package):
+        assert package.__all__
+        assert len(package.__all__) == len(set(package.__all__))
+
+    def test_names_are_the_defining_modules_objects(self, package):
+        for name in package.__all__:
+            value = getattr(package, name)
+            if name in package._exports:
+                module, attr = package._exports[name]
+                owner = importlib.import_module(module)
+                assert value is getattr(owner, attr), name
+            else:
+                assert value is vars(package)[name], name
+
+    def test_dir_lists_every_name(self, package):
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_star_import_binds_every_name(self, package):
+        namespace = {}
+        exec(f"from {package.__name__} import *", namespace)
+        assert set(package.__all__) <= set(namespace)
+
+    def test_unknown_name_is_an_attribute_error(self, package):
+        message = f"module '{package.__name__}' has no attribute 'nope'"
+        with pytest.raises(AttributeError, match=message):
+            package.nope
+        assert not hasattr(package, "nope")
+        with pytest.raises(ImportError):
+            exec(f"from {package.__name__} import nope", {})
+
+
+EXCHANGE_PROBE = """
+import types
+{first}
+import repro, repro.mappings, repro.mappings.exchange
+for value in (repro.exchange, repro.mappings.exchange):
+    assert callable(value), value
+    assert not isinstance(value, types.ModuleType), value
+"""
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import repro.mappings.exchange",
+        "from repro.mappings.exchange import certain_rows",
+        "from repro.mappings import exchange",
+        "from repro import exchange",
+    ],
+)
+def test_exchange_stays_the_function_in_every_import_order(first):
+    """``exchange`` names both a function and the submodule defining it.
+
+    Importing a submodule binds it on its package; the package must
+    still answer with the function, whichever import came first.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-c", EXCHANGE_PROBE.format(first=first)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -58,8 +58,10 @@ STORE_FORMAT = "repro-stage-store"
 #: input value objects (``CMEdge``, ``Cardinality``, ``Column``,
 #: ``STreeNode``, ``STreeEdge``, ...) became slotted dataclasses, whose
 #: generated ``__setstate__`` zips field names against a version-2 dict
-#: state and so would load a wrong object without raising.
-STORE_VERSION = 3
+#: state and so would load a wrong object without raising. Version 4:
+#: ``ConjunctiveQuery``, ``InverseRule`` and ``LAVView`` became slotted
+#: and pickle a tuple state where version 3 pickled an instance dict.
+STORE_VERSION = 4
 
 #: Environment variable naming a default cache directory (lowest
 #: precedence; see :func:`active_cache_dir`).

@@ -49,7 +49,6 @@ from repro import trace as tracing
 from repro.cm.reasoner import CMReasoner
 from repro.correspondences import Correspondence, CorrespondenceSet
 from repro.discovery.engine import persist
-from repro.discovery.engine.clio import run_clio
 from repro.discovery.engine.stages import EngineOutcome, SemanticEngine
 from repro.discovery.options import DEFAULT_OPTIONS, DiscoveryOptions
 from repro.mappings.expression import MappingCandidate, MappingSet
@@ -240,6 +239,8 @@ class SemanticMapper:
     def _run_engine(self, notes: list[str]) -> EngineOutcome:
         """Dispatch to the engine ``self.options.engine`` selects."""
         if self.options.engine == "clio":
+            from repro.discovery.engine.clio import run_clio
+
             return run_clio(
                 self.source_semantics,
                 self.target_semantics,

@@ -32,11 +32,17 @@ DB_PREFIX = "T:"
 # salted per process (``PYTHONHASHSEED``), so each class pickles as a call
 # to its constructor: a copy loaded by another process (the disk tier, a
 # sibling worker) recomputes the hash instead of carrying a stale one.
+#
+# Terms, atoms and queries are slotted, so none carries an instance dict
+# (one made an atom with its variables cached about twice as large).
+# Lazily cached values are declared slots, left unset until first use.
 
 
 @dataclass(frozen=True, order=True)
 class Variable:
     """A query variable."""
+
+    __slots__ = ("name", "_hash")
 
     name: str
 
@@ -59,6 +65,8 @@ class Variable:
 class Constant:
     """A constant value embedded in a query."""
 
+    __slots__ = ("value", "_hash")
+
     value: object
 
     def __post_init__(self) -> None:
@@ -77,6 +85,8 @@ class Constant:
 @dataclass(frozen=True, order=True)
 class SkolemTerm:
     """An uninterpreted function application ``f(t1, ..., tn)``."""
+
+    __slots__ = ("function", "arguments", "_hash")
 
     function: str
     arguments: tuple["Term", ...]
@@ -122,6 +132,8 @@ def contains_skolem(term: Term) -> bool:
 class Atom:
     """A predicate applied to terms."""
 
+    __slots__ = ("predicate", "terms", "_hash", "_bare", "_variables")
+
     predicate: str
     terms: tuple[Term, ...]
 
@@ -154,7 +166,7 @@ class Atom:
     @property
     def bare_predicate(self) -> str:
         """Predicate name without the namespace prefix (cached)."""
-        cached = self.__dict__.get("_bare")
+        cached = getattr(self, "_bare", None)
         if cached is None:
             cached = self.predicate
             for prefix in (CM_PREFIX, DB_PREFIX):
@@ -170,7 +182,7 @@ class Atom:
         The tuple is computed once and cached on the (frozen) atom —
         variable scans are pervasive on the rewriting hot path.
         """
-        cached = self.__dict__.get("_variables")
+        cached = getattr(self, "_variables", None)
         if cached is None:
             cached = tuple(
                 var for term in self.terms for var in variables_of(term)
@@ -332,7 +344,20 @@ class ConjunctiveQuery:
     Head terms are usually variables but constants are permitted (useful
     when rendering partially instantiated queries). Safety is enforced:
     every head variable must occur in the body.
+
+    ``_hom_profile`` (the containment-search profile,
+    :mod:`repro.queries.homomorphism`) and ``_rewriting_text`` (the sort
+    text of :mod:`repro.queries.rewrite`) are per-process caches, unset
+    until first use and never pickled.
     """
+
+    __slots__ = (
+        "name",
+        "head_terms",
+        "body",
+        "_hom_profile",
+        "_rewriting_text",
+    )
 
     def __init__(
         self,
@@ -437,11 +462,12 @@ class ConjunctiveQuery:
     def __hash__(self) -> int:
         return hash((self.head_terms, frozenset(self.body)))
 
-    def __getstate__(self) -> dict:
-        # The containment-search profile is a per-process cache.
-        state = dict(self.__dict__)
-        state.pop("_hom_profile", None)
-        return state
+    def __getstate__(self) -> tuple:
+        # The cache slots stay behind: only the query itself travels.
+        return self.name, self.head_terms, self.body
+
+    def __setstate__(self, state: tuple) -> None:
+        self.name, self.head_terms, self.body = state
 
     def __str__(self) -> str:
         head = ", ".join(str(t) for t in self.head_terms)

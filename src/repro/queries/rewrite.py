@@ -53,7 +53,7 @@ from repro.queries.homomorphism import keep_maximal, minimize
 from repro.queries.normalize import chase_with_keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LAVView:
     """One table's semantics: ``name(head) → ∃(body vars ∖ head). body``."""
 
@@ -90,7 +90,7 @@ class LAVView:
         return f"{DB_PREFIX}{self.name}({head}) → {body}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InverseRule:
     """``head :- body`` with ``head`` a CM atom and ``body`` a table atom."""
 
@@ -178,25 +178,28 @@ def _rename_rule(rule: InverseRule, suffix: str) -> InverseRule:
 class _RewritePlan:
     """Unfolding state for one view source, filled on demand.
 
-    Building inverse rules and renaming them apart per atom occurrence is
-    pure string/tuple churn that repeats identically for every query over
-    the same schema, so the plan caches it. ``rule_index[p]`` is filled
-    the first time a query mentions predicate ``p``: the rules with head
+    Building inverse rules repeats identically for every query over the
+    same schema, so the plan caches it. ``rule_index[p]`` is filled the
+    first time a query mentions predicate ``p``: the rules with head
     predicate ``p`` of every view the source reports as mentioning
     ``p``, in view order and then body order. That is exactly the list
     one pass over all views would build, so the enumeration order and
     its ``limit`` window never depend on which views were built. Each
-    view's inverse rules are derived once (``_view_rules``); renamed
-    candidates are cached per (predicate, occurrence). The plan never
-    holds its source (plans are weakly keyed by it): callers pass it in.
+    view's inverse rules are derived once (``_view_rules``).
+
+    The copies renamed apart for one atom occurrence are built per call
+    and not kept: their suffix is deterministic, so a rebuilt copy is
+    the same rule, and holding one copy per (predicate, occurrence)
+    made the renamed rules most of a plan's memory for little time.
+    The plan never holds its source (plans are weakly keyed by it):
+    callers pass it in.
     """
 
-    __slots__ = ("rule_index", "_view_rules", "_renamed")
+    __slots__ = ("rule_index", "_view_rules")
 
     def __init__(self) -> None:
         self.rule_index: dict[str, tuple[InverseRule, ...]] = {}
         self._view_rules: dict[Hashable, tuple[InverseRule, ...]] = {}
-        self._renamed: dict[tuple[str, int], tuple[InverseRule, ...]] = {}
 
     def rules(
         self, source: ViewSource, predicate: str
@@ -221,15 +224,11 @@ class _RewritePlan:
     def renamed_candidates(
         self, source: ViewSource, predicate: str, occurrence: int
     ) -> tuple[InverseRule, ...]:
-        key = (predicate, occurrence)
-        cached = self._renamed.get(key)
-        if cached is None:
-            cached = tuple(
-                _rename_rule(rule, f"_{occurrence}")
-                for rule in self.rules(source, predicate)
-            )
-            self._renamed[key] = cached
-        return cached
+        suffix = f"_{occurrence}"
+        return tuple(
+            _rename_rule(rule, suffix)
+            for rule in self.rules(source, predicate)
+        )
 
 
 #: Rewrite plans, weakly keyed by their view source: a semantics' plan
@@ -510,7 +509,7 @@ class _RewritingOrder:
 
 
 def _text(query: ConjunctiveQuery) -> str:
-    text = query.__dict__.get("_rewriting_text")
+    text = getattr(query, "_rewriting_text", None)
     if text is None:
         text = str(query)
         query._rewriting_text = text

@@ -36,6 +36,7 @@ from repro.discovery.engine.persist import (
     configured_dir,
     store_for,
 )
+from repro.queries.conjunctive import ConjunctiveQuery, Variable, cm_atom
 
 FP = "a" * 64
 
@@ -46,6 +47,20 @@ class _DictStateCardinality:
 
     def __reduce__(self):
         return (object.__new__, (Cardinality,), {"lower": 0, "upper": None})
+
+
+class _DictStateQuery:
+    """Pickles the way ``ans(x) :- O:Person(x)`` did before queries had
+    slots: the class, then its instance dict as the state."""
+
+    def __reduce__(self):
+        x = Variable("x")
+        state = {
+            "name": "ans",
+            "head_terms": (x,),
+            "body": (cm_atom("Person", x),),
+        }
+        return (object.__new__, (ConjunctiveQuery,), state)
 
 
 @pytest.fixture(autouse=True)
@@ -142,6 +157,25 @@ class TestCorruptionDegradesToMiss:
         loaded = pickle.loads(payload)[4]["card"]
         assert type(loaded) is Cardinality
         assert (loaded.lower, loaded.upper) == ("lower", "upper")
+        self._seed(store, payload)
+        assert store.get("rank", FP) is None
+
+    def test_version_3_entry_with_dict_state_query_is_a_miss(self, store):
+        # Version 3 wrote queries with an instance-dict state. The
+        # slotted query's ``__setstate__`` unpacks a three-key dict into
+        # its three fields, keys for values, without error.
+        assert STORE_VERSION > 3
+        payload = pickle.dumps(
+            (STORE_FORMAT, 3, "rank", FP, {"query": _DictStateQuery()}),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        loaded = pickle.loads(payload)[4]["query"]
+        assert type(loaded) is ConjunctiveQuery
+        assert (loaded.name, loaded.head_terms, loaded.body) == (
+            "name",
+            "head_terms",
+            "body",
+        )
         self._seed(store, payload)
         assert store.get("rank", FP) is None
 

@@ -204,9 +204,9 @@ class TestPickling:
     def test_query_drops_containment_profile(self):
         query = ConjunctiveQuery([x], [cm_atom("Person", x)])
         assert is_contained_in(query, query)
-        assert "_hom_profile" in vars(query)
+        assert getattr(query, "_hom_profile", None) is not None
         loaded = pickle.loads(pickle.dumps(query))
-        assert "_hom_profile" not in vars(loaded)
+        assert not hasattr(loaded, "_hom_profile")
         assert loaded == query
 
 

@@ -62,6 +62,7 @@ def test_discovery_skips_what_it_never_calls():
     assert "repro.discovery.engine.stages" in loaded
     unused = (
         "repro.baseline",
+        "repro.discovery.engine.clio",
         "repro.matching",
         "repro.evaluation",
         "repro.ingest",

@@ -1,12 +1,13 @@
 """The slotted value objects survive every way the package copies them.
 
-The per-class, per-edge, per-table and per-column value objects are
-frozen dataclasses with ``__slots__``. Their state then pickles as a
-tuple of field values instead of an instance dict, so each one is
-round-tripped here through ``pickle``, ``copy.deepcopy`` and
-``dataclasses.replace``; and whole scenarios, which is how
-``discover_many`` hands work to its worker processes, must discover the
-same mappings after a pickle round trip.
+The per-class, per-edge, per-table and per-column value objects, and
+the query layer's terms, atoms, queries, LAV views and inverse rules,
+have ``__slots__``. Their state then pickles as a tuple of field values
+(or, for terms and atoms, as a constructor call) instead of an instance
+dict, so each one is round-tripped here through ``pickle``,
+``copy.deepcopy`` and ``dataclasses.replace``; and whole scenarios,
+which is how ``discover_many`` hands work to its worker processes, must
+discover the same mappings after a pickle round trip.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ from repro.cm.model import CMClass, Relationship, SemanticType
 from repro.datasets import synthetic
 from repro.datasets.registry import load_dataset
 from repro.discovery.batch import Scenario
+from repro.queries.conjunctive import (
+    Atom,
+    ConjunctiveQuery,
+    Constant,
+    SkolemTerm,
+    Variable,
+    cm_atom,
+    db_atom,
+)
+from repro.queries.rewrite import InverseRule, LAVView, inverse_rules
 from repro.relational.constraints import ReferentialConstraint
 from repro.relational.schema import Column, Table
 from repro.semantics.stree import STreeEdge, STreeNode
@@ -39,7 +50,30 @@ SLOTTED = (
     Column,
     Table,
     ReferentialConstraint,
+    Variable,
+    Constant,
+    SkolemTerm,
+    Atom,
+    ConjunctiveQuery,
+    InverseRule,
+    LAVView,
 )
+
+#: Slots a class declares after its fields: per-process caches, left
+#: unset until first use.
+CACHE_SLOTS = {
+    Variable: ("_hash",),
+    Constant: ("_hash",),
+    SkolemTerm: ("_hash",),
+    Atom: ("_hash", "_bare", "_variables"),
+    ConjunctiveQuery: ("_hom_profile", "_rewriting_text"),
+}
+
+
+def _fields(cls) -> tuple[str, ...]:
+    if cls is ConjunctiveQuery:  # a plain class; these are its state
+        return ("name", "head_terms", "body")
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def _graph() -> CMGraph:
@@ -58,6 +92,10 @@ def _graph() -> CMGraph:
 def _instances():
     graph = _graph()
     writes = graph.edge("Person", "writes")
+    x, pname = Variable("x"), Variable("pname")
+    view = LAVView(
+        "person", [pname], [cm_atom("Person", x), cm_atom("hasName", x, pname)]
+    )
     return [
         Cardinality(0, None),
         Cardinality(1, 1),
@@ -82,6 +120,18 @@ def _instances():
         Column("person", "pname"),
         Table("person", ["pname", "age"], ["pname"]),
         ReferentialConstraint("writes", ["pname"], "person", ["pname"]),
+        x,
+        Constant("ann"),
+        Constant(1),
+        SkolemTerm("f_person_x", (pname,)),
+        cm_atom("hasName", SkolemTerm("f_person_x", (pname,)), pname),
+        db_atom("person", pname),
+        ConjunctiveQuery([pname], view.body),
+        ConjunctiveQuery(
+            [x], [cm_atom("Person", x), cm_atom("Book", Constant(1))], "q"
+        ),
+        view,
+        *inverse_rules(view),
     ]
 
 
@@ -95,8 +145,7 @@ def test_every_slotted_class_is_covered():
 
 @pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__name__)
 def test_slots_are_the_fields(cls):
-    names = tuple(field.name for field in dataclasses.fields(cls))
-    assert cls.__slots__ == names
+    assert cls.__slots__ == _fields(cls) + CACHE_SLOTS.get(cls, ())
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=IDS)
@@ -118,7 +167,10 @@ class TestRoundTrip:
         assert hash(back) == hash(obj)
 
     def test_replace(self, obj):
-        back = dataclasses.replace(obj)
+        if isinstance(obj, ConjunctiveQuery):  # rebuilt from its state
+            back = obj.with_name(obj.name)
+        else:
+            back = dataclasses.replace(obj)
         assert back == obj
         assert hash(back) == hash(obj)
 

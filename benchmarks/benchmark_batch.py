@@ -9,7 +9,7 @@ Not a paper exhibit — this measures the shared-computation layer itself:
   ``workers=1`` / ``workers=2`` batches;
 * candidate counts on the paper scenarios pinned to
   ``repro.perf.invariants`` — caching must never change results;
-* per-phase wall times from the trace exhibit plus the disabled-tracer
+* per-phase wall times from the trace exhibit plus the untraced span
   overhead estimate (must stay under ``TRACE_OVERHEAD_LIMIT``);
 * the ``BENCH_discovery.json`` report, written to the repo root.
 """

@@ -254,11 +254,27 @@ def _cmd_map(args: argparse.Namespace) -> int:
             f"{', '.join(report['invalidated_stages']) or 'none'}"
         )
     if args.stats:
-        stats = getattr(result, "stats", None) or {}
-        print("stats:")
-        for name, value in sorted(stats.items()):
-            print(f"  {name}: {value}")
+        _print_stats(getattr(result, "stats", None) or {})
     return 0
+
+
+def _print_stats(stats: dict) -> None:
+    """The run's counters, then its spans by self time, largest first."""
+    print("stats:")
+    spans = []
+    for name, value in sorted(stats.items()):
+        if name.startswith("time_") and name.endswith("_s"):
+            spans.append(name[len("time_") : -len("_s")])
+        elif not name.startswith("self_"):
+            print(f"  {name}: {value}")
+    spans.sort(key=lambda span: -stats[f"self_{span}_s"])
+    if spans:
+        print(f"  {'span':<16} {'total ms':>10} {'self ms':>10}")
+    for span in spans:
+        print(
+            f"  {span:<16} {stats[f'time_{span}_s'] * 1000:10.3f} "
+            f"{stats[f'self_{span}_s'] * 1000:10.3f}"
+        )
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -696,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_map.add_argument(
         "--stats",
         action="store_true",
-        help="also print perf counters and per-phase wall time",
+        help="also print perf counters and, per span, total and self "
+        "wall time",
     )
     run_map.add_argument(
         "--cache-dir",
@@ -744,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="also run the paper scenarios traced and report per-phase "
-        "wall times plus the disabled-tracer overhead estimate",
+        "wall times plus the untraced span overhead estimate",
     )
     bench.set_defaults(handler=_cmd_bench)
 

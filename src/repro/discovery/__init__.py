@@ -30,7 +30,6 @@ __all__ = _lazy_package(
             "csg_from_table",
             "discovered_to_semantic_tree",
             "find_source_functional_csgs",
-            "find_source_lossy_csgs",
             "find_target_csgs",
         ),
         "repro.discovery.translate": (

@@ -419,14 +419,17 @@ def _aggregate_stats(
     failures: Sequence[ScenarioFailure],
     retried: int = 0,
 ) -> dict[str, int | float]:
-    totals = perf_counters.PerfCounters()
+    """Sum the per-scenario stats: counters as ints, the ``time_`` and
+    ``self_`` span seconds as floats."""
+    totals: dict[str, int | float] = {}
     wall = 0.0
     succeeded = 0
     for _, result in results:
-        totals.merge(result.stats)
+        for name, value in result.stats.items():
+            totals[name] = totals.get(name, 0) + value
         wall += result.elapsed_seconds
         succeeded += 1
-    stats = totals.snapshot()
+    stats = dict(sorted(totals.items()))
     stats["scenarios"] = total
     stats["succeeded"] = succeeded
     stats["failed"] = len(failures)

@@ -145,35 +145,6 @@ def connections_compatible(
     )
 
 
-def tree_pair_compatible(
-    source_reasoner: CMReasoner,
-    target_reasoner: CMReasoner,
-    source_paths: Sequence[Sequence[CMEdge]],
-    target_paths: Sequence[Sequence[CMEdge]],
-) -> bool:
-    """Pairwise compatibility of corresponding connections in two CSGs.
-
-    ``source_paths[i]`` and ``target_paths[i]`` connect corresponding
-    pairs of marked nodes. Both sides must also be internally consistent
-    (no disjoint-sibling ISA hops).
-    """
-    if len(source_paths) != len(target_paths):
-        raise ValueError("path lists must pair up positionally")
-    for path in source_paths:
-        if not source_reasoner.path_is_consistent(list(path)):
-            return False
-    for path in target_paths:
-        if not target_reasoner.path_is_consistent(list(path)):
-            return False
-    for source_path, target_path in zip(source_paths, target_paths):
-        if not connections_compatible(
-            ConnectionProfile.of_path(source_path),
-            ConnectionProfile.of_path(target_path),
-        ):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class AnchorProfile:
     """Section 3.3's preferences for reified-relationship anchors."""

@@ -269,38 +269,6 @@ def extend_partial_trees(
     return results
 
 
-def _lossy_csgs(
-    semantics: SchemaSemantics,
-    endpoints: list[str],
-    cost_model: CostModel,
-    max_edges: int = 6,
-) -> list[CSG]:
-    from repro.cm.reasoner import CMReasoner
-
-    reasoner = CMReasoner.shared(semantics.model)
-    start, end = endpoints
-
-    def acceptable(path: tuple[CMEdge, ...]) -> bool:
-        return reasoner.path_is_consistent(list(path))
-
-    paths = minimally_lossy_paths(
-        semantics.graph,
-        start,
-        end,
-        cost_model,
-        max_edges=max_edges,
-        predicate=acceptable,
-        # The consistency rule only inspects consecutive edge pairs, so
-        # it is monotone: an inconsistent prefix can never extend into a
-        # consistent path — prune the subtree before enumerating it.
-        prefix_predicate=acceptable,
-    )
-    return [
-        csg_from_discovered(DiscoveredTree(start, tuple(path)), endpoints, "lossy")
-        for path in paths
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Source-side CSG discovery
 # ---------------------------------------------------------------------------
@@ -469,48 +437,3 @@ def single_node_csgs(marked_classes: Iterable[str]) -> list[CSG]:
         node = STreeNode(name)
         result.append(CSG(SemanticTree(node), ((name, node),), "seed"))
     return result
-
-
-def find_source_lossy_csgs(
-    semantics: SchemaSemantics,
-    lifted: Sequence[LiftedCorrespondence],
-    target_csg: CSG,
-    max_edges: int = 6,
-) -> list[CSG]:
-    """Source CSGs via minimally lossy paths (Section 3.3).
-
-    Applies when the target connection between two marked classes is
-    non-functional: source paths between the two corresponding classes are
-    enumerated and the minimally lossy, consistent ones kept.
-    """
-    marked_classes = sorted({item.source_class for item in lifted})
-    if len(marked_classes) != 2:
-        return []
-    start, end = marked_classes
-    cost_model = CostModel.from_edges(
-        semantics.preselected_cm_edges(
-            [item.correspondence.source for item in lifted]
-        )
-    )
-    from repro.cm.reasoner import CMReasoner
-
-    reasoner = CMReasoner.shared(semantics.model)
-
-    def acceptable(path: tuple[CMEdge, ...]) -> bool:
-        return reasoner.path_is_consistent(list(path))
-
-    paths = minimally_lossy_paths(
-        semantics.graph,
-        start,
-        end,
-        cost_model,
-        max_edges=max_edges,
-        predicate=acceptable,
-        # Pairwise check → monotone → safe on prefixes.
-        prefix_predicate=acceptable,
-    )
-    results = []
-    for path in paths:
-        tree = DiscoveredTree(start, tuple(path))
-        results.append(csg_from_discovered(tree, marked_classes, "lossy"))
-    return results

@@ -7,7 +7,7 @@ behind the *same* unified entry points as the semantic engine — library
 format (``{"options": {"engine": "clio"}}``). The baseline itself is
 reused unchanged; this module only adapts it to the engine protocol: one
 ``clio`` stage (:data:`~repro.discovery.engine.stages.CLIO_STAGE_NAMES`)
-with a perf phase, a trace span, a content-addressed fingerprint, and a
+with one span, a content-addressed fingerprint, and a
 cacheable :class:`~repro.discovery.engine.artifacts.RankedResult`.
 """
 
@@ -20,7 +20,6 @@ from repro.discovery.fingerprint import (
     semantics_content_key,
     stage_fingerprint,
 )
-from repro.perf import counters as perf_counters
 
 
 def clio_fingerprint(source_semantics, target_semantics, correspondences) -> str:
@@ -52,8 +51,8 @@ def run_clio(
         source_semantics, target_semantics, correspondences
     )
     fingerprints = {"clio": fingerprint}
-    cache = None if tracer.enabled else stage_cache()
-    with perf_counters.phase("clio"), tracer.span("clio") as span:
+    cache = None if tracer.records_tree else stage_cache()
+    with tracer.span("clio") as span:
         if cache is not None:
             ranked = cache.get("clio", fingerprint)
             if ranked is not None:

@@ -4,15 +4,17 @@
 :data:`STAGE_NAMES` — each producing one typed artifact
 (:mod:`repro.discovery.engine.artifacts`) stamped with a
 content-addressed fingerprint. ``SemanticMapper`` is a thin orchestrator
-over this engine; the engine owns the stage graph, the perf phases, the
-trace spans, and the :class:`~repro.discovery.engine.cache.StageCache`
-interaction.
+over this engine; the engine owns the stage graph, the spans, and the
+:class:`~repro.discovery.engine.cache.StageCache` interaction.
 
-Stage vocabulary discipline: every per-stage perf phase
-(``time_<stage>_s`` in ``DiscoveryResult.stats``), every top-level trace
-span, and every service phase metric derives from the *same*
-:data:`STAGE_NAMES` constant — the three vocabularies cannot drift (a
-test pins them identical).
+One clock: each instrumented site opens exactly one span on the run's
+:class:`~repro.trace.Recorder` — a stage span per name in
+:data:`STAGE_NAMES` (``source_search`` once per target CSG) plus the
+finer ``functional_csgs``, ``lossy_extension`` and ``csg_pair`` spans.
+The recorder's per-name totals and self times are the
+``time_<name>_s`` / ``self_<name>_s`` keys of ``DiscoveryResult.stats``,
+the trace's span names, and the service's phase labels, so the three
+vocabularies cannot drift (a test pins them identical).
 
 Fused execution
 ---------------
@@ -29,11 +31,11 @@ target CSG's content plus the correspondences relevant to it — this is
 what makes a one-correspondence edit cheap: every unaffected target's
 unit replays from cache.
 
-Caching discipline: the stage cache is consulted only when the run is
-untraced (a tracer wants the real spans and prune events, so cached
-fast paths are bypassed). Cold runs are byte-identical to the
-pre-engine pipeline; warm runs replay recorded notes/eliminations in
-order, so they are byte-identical too.
+Caching discipline: the stage cache is consulted only when the run
+records no span tree (a :class:`~repro.trace.Tracer` wants the real
+spans and prune events, so cached fast paths are bypassed). Cold runs
+are byte-identical to the pre-engine pipeline; warm runs replay
+recorded notes/eliminations in order, so they are byte-identical too.
 """
 
 from __future__ import annotations
@@ -79,12 +81,11 @@ from repro.mappings.expression import (
     trim_redundant_joins,
 )
 from repro.mappings.refinement import optional_tables
-from repro.perf import counters as perf_counters
+from repro.trace.tracer import Recorder
 
-#: The semantic pipeline's stages, in execution order. This tuple is the
-#: single source of the stage vocabulary: perf phases (and therefore the
-#: ``time_<stage>_s`` stats keys), top-level trace span names, and the
-#: service's phase metrics all derive from it.
+#: The semantic pipeline's stages, in execution order: the names of the
+#: stage spans (and therefore of the ``time_<stage>_s`` stats keys and
+#: the service's phase metrics) and of the stage fingerprints.
 STAGE_NAMES = (
     "lift",
     "target_csgs",
@@ -151,7 +152,7 @@ class SemanticEngine:
         options: DiscoveryOptions,
         source_reasoner,
         target_reasoner,
-        tracer,
+        tracer: Recorder,
     ) -> None:
         self.source_semantics = source_semantics
         self.target_semantics = target_semantics
@@ -217,9 +218,9 @@ class SemanticEngine:
     # Entry point
     # ------------------------------------------------------------------
     def _cache(self) -> StageCache | None:
-        """The stage cache, or ``None`` when a tracer is recording (spans
-        and prune events must come from real execution)."""
-        return None if self._tracer.enabled else stage_cache()
+        """The stage cache, or ``None`` when a span tree is recorded
+        (spans and prune events must come from real execution)."""
+        return None if self._tracer.records_tree else stage_cache()
 
     def run(
         self, notes: list[str], eliminations: list[str]
@@ -252,7 +253,7 @@ class SemanticEngine:
     def _lift(
         self, fingerprints: dict[str, str], cache: StageCache | None
     ) -> LiftedCorrespondences:
-        with perf_counters.phase("lift"), self._tracer.span("lift") as span:
+        with self._tracer.span("lift") as span:
             artifact = (
                 cache.get("lift", fingerprints["lift"])
                 if cache is not None
@@ -279,9 +280,7 @@ class SemanticEngine:
         cache: StageCache | None,
         lifted: LiftedCorrespondences,
     ) -> TargetCSGSet:
-        with perf_counters.phase("target_csgs"), self._tracer.span(
-            "target_csgs"
-        ) as span:
+        with self._tracer.span("target_csgs") as span:
             artifact = (
                 cache.get("target_csgs", fingerprints["target_csgs"])
                 if cache is not None
@@ -313,35 +312,34 @@ class SemanticEngine:
     ) -> list[tuple[CandidateScore, MappingCandidate]]:
         scored: list[tuple[CandidateScore, MappingCandidate]] = []
         units: list[SourceSearchUnit] = []
-        with perf_counters.phase("source_search"):
-            for target_csg in targets.csgs:
-                relevant = tuple(
-                    item
-                    for item in lifted.items
-                    if item.target_class in target_csg.marked_classes()
+        for target_csg in targets.csgs:
+            relevant = tuple(
+                item
+                for item in lifted.items
+                if item.target_class in target_csg.marked_classes()
+            )
+            if not relevant:
+                continue
+            with self._tracer.span(
+                "source_search",
+                target=str(target_csg.anchor),
+                origin=target_csg.origin,
+            ) as span:
+                unit_key = self._unit_fingerprint(target_csg, relevant)
+                unit = (
+                    cache.get(UNIT_STAGE, unit_key)
+                    if cache is not None
+                    else None
                 )
-                if not relevant:
-                    continue
-                with self._tracer.span(
-                    "source_search",
-                    target=str(target_csg.anchor),
-                    origin=target_csg.origin,
-                ) as span:
-                    unit_key = self._unit_fingerprint(target_csg, relevant)
-                    unit = (
-                        cache.get(UNIT_STAGE, unit_key)
-                        if cache is not None
-                        else None
-                    )
-                    if unit is None:
-                        unit = self._run_unit(unit_key, target_csg, relevant)
-                        if cache is not None:
-                            cache.put(UNIT_STAGE, unit_key, unit)
-                    span.set("candidates", len(unit.scored))
-                notes.extend(unit.notes)
-                eliminations.extend(unit.eliminations)
-                scored.extend(unit.scored)
-                units.append(unit)
+                if unit is None:
+                    unit = self._run_unit(unit_key, target_csg, relevant)
+                    if cache is not None:
+                        cache.put(UNIT_STAGE, unit_key, unit)
+                span.set("candidates", len(unit.scored))
+            notes.extend(unit.notes)
+            eliminations.extend(unit.eliminations)
+            scored.extend(unit.scored)
+            units.append(unit)
         if cache is not None:
             cache.put(
                 "source_search",
@@ -494,12 +492,10 @@ class SemanticEngine:
         if not covered:
             return []
         with self._tracer.span("csg_pair") as span:
-            if self._tracer.enabled:
+            if self._tracer.records_tree:
                 span.set("source", str(source_csg))
                 span.set("target", str(target_csg))
-            with perf_counters.phase("pair_filter"), self._tracer.span(
-                "pair_filter"
-            ):
+            with self._tracer.span("pair_filter"):
                 if not self._trees_consistent(source_csg, target_csg):
                     detail = (
                         f"{source_csg} ⇄ {target_csg}: inconsistent tree "
@@ -519,9 +515,7 @@ class SemanticEngine:
                 )
             if reversals is None:
                 return []
-            with perf_counters.phase("translate"), self._tracer.span(
-                "translate"
-            ):
+            with self._tracer.span("translate"):
                 source_queries = translate_csg(
                     source_csg, covered, "source", self.source_semantics
                 )
@@ -726,9 +720,7 @@ class SemanticEngine:
         notes: list[str],
         eliminations: list[str],
     ) -> list[MappingCandidate]:
-        with perf_counters.phase("rank"), self._tracer.span(
-            "rank"
-        ) as span:
+        with self._tracer.span("rank") as span:
             scored.sort(key=lambda pair: pair[0].sort_key())
             candidates = trim_redundant_joins(
                 deduplicate_candidates(

@@ -31,21 +31,21 @@ Tuning knobs live on one frozen
 every entry point (library, batch, CLI, service).
 ``DiscoveryOptions(engine="clio")`` routes the run through the
 schema-only RIC baseline behind the same API. With
-``DiscoveryOptions(explain=True)`` (or an externally activated
+``DiscoveryOptions(explain=True)`` (or a caller-owned
 :class:`repro.trace.Tracer`) the run records a span tree of per-phase
 wall times, a structured prune event for every candidate a semantic
 filter rejected, and per-candidate rank provenance — all exposed on
-:attr:`DiscoveryResult.trace`.
+:attr:`DiscoveryResult.trace`. Every run, traced or not, times its
+spans through one :class:`repro.trace.Recorder`, whose per-name totals
+and self times land in :attr:`DiscoveryResult.stats`.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import trace as tracing
 from repro.cm.reasoner import CMReasoner
 from repro.correspondences import Correspondence, CorrespondenceSet
 from repro.discovery.engine import persist
@@ -54,7 +54,7 @@ from repro.discovery.options import DEFAULT_OPTIONS, DiscoveryOptions
 from repro.mappings.expression import MappingCandidate, MappingSet
 from repro.perf import counters as perf_counters
 from repro.semantics.lav import SchemaSemantics
-from repro.trace.tracer import NOOP, NoopTracer, Tracer
+from repro.trace.tracer import Recorder, Tracer
 
 
 @dataclass
@@ -75,9 +75,12 @@ class DiscoveryResult:
     notes: list[str] = field(default_factory=list)
     eliminations: list[str] = field(default_factory=list)
     correspondences: CorrespondenceSet | None = None
-    #: Perf-layer instrumentation for this run: cache hit/miss counters,
-    #: Dijkstra sweeps, paths pruned, and ``time_<phase>_s`` wall times
-    #: (see ``repro.perf.counters`` for the counter vocabulary).
+    #: Instrumentation for this run: cache hit/miss counters, Dijkstra
+    #: sweeps and paths pruned (see ``repro.perf.counters`` for the
+    #: counter vocabulary), plus, per span name, the total
+    #: (``time_<name>_s``) and self (``self_<name>_s``) seconds of the
+    #: run's :class:`repro.trace.Recorder`. Self times exclude nested
+    #: spans, so they add up to ``time_discover_s``.
     stats: dict[str, int | float] = field(default_factory=dict)
     #: The trace document of this run (``Tracer.to_dict()``), or ``None``
     #: when the run was untraced.
@@ -163,70 +166,47 @@ class SemanticMapper:
         self.correspondences = correspondences
         self._source_reasoner = CMReasoner.shared(source_semantics.model)
         self._target_reasoner = CMReasoner.shared(target_semantics.model)
-        self._tracer: Tracer | NoopTracer = NOOP
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def _resolve_tracer(
-        self, tracer: Tracer | None
-    ) -> tuple[Tracer | NoopTracer, bool]:
-        """Pick this run's tracer: explicit > ambient > options-created.
+    def discover(self, tracer: Tracer | None = None) -> DiscoveryResult:
+        """Run the pipeline; ``tracer`` overrides the options' tracer.
 
-        Returns ``(tracer, owned)`` — ``owned`` means this run created
-        the tracer (and must activate it for the module-level helpers in
-        steiner/csg/translate to see it).
+        A caller-owned ``tracer`` accumulates across runs; the stats of
+        this result count only the spans this run closed.
         """
         if tracer is not None:
-            return tracer, True
-        ambient = tracing.current()
-        if ambient is not None:
-            return ambient, False
-        if self.options.wants_trace:
-            return Tracer(explain=self.options.explain), True
-        return NOOP, False
-
-    def discover(self, tracer: Tracer | None = None) -> DiscoveryResult:
-        """Run the pipeline; ``tracer`` overrides the ambient/option tracer."""
-        start = time.perf_counter()
+            recorder: Recorder = tracer
+        elif self.options.wants_trace:
+            recorder = Tracer(explain=self.options.explain)
+        else:
+            recorder = Recorder()
+        before = recorder.timings()
         notes: list[str] = []
         self._eliminations: list[str] = []
-        self._tracer, owned = self._resolve_tracer(tracer)
-        recording = self._tracer.enabled
-        activation = (
-            tracing.activate(self._tracer)
-            if recording and tracing.current() is not self._tracer
-            else nullcontext()
-        )
         persistence = (
             persist.cache_dir_override(self.options.cache_dir)
             if self.options.cache_dir is not None
             else nullcontext()
         )
-        try:
-            with activation, persistence, perf_counters.scope() as frame:
-                with self._tracer.span("discover"):
-                    outcome = self._run_engine(notes)
-        finally:
-            run_tracer = self._tracer
-            self._tracer = NOOP
-        elapsed = time.perf_counter() - start
-        stats = frame.snapshot()
-        stats["time_discover_s"] = round(elapsed, 6)
-        provenance = (
-            list(run_tracer.provenance) if run_tracer.enabled else []
-        )
+        with recorder.span("discover") as span, persistence:
+            with perf_counters.scope() as frame:
+                outcome = self._run_engine(recorder, notes)
+        stats: dict[str, int | float] = frame.snapshot()
+        stats.update(recorder.stats(since=before))
+        traced = recorder.records_tree
         from repro.discovery.fingerprint import discovery_fingerprint
 
         return DiscoveryResult(
             outcome.candidates,
-            elapsed,
+            span.elapsed_seconds,
             notes,
             eliminations=self._eliminations,
             correspondences=self.correspondences,
             stats=stats,
-            trace=run_tracer.to_dict() if run_tracer.enabled else None,
-            rank_provenance=provenance,
+            trace=recorder.to_dict() if traced else None,
+            rank_provenance=list(recorder.provenance) if traced else [],
             stage_fingerprints=outcome.stage_fingerprints,
             fingerprint=discovery_fingerprint(
                 self.source_semantics,
@@ -236,7 +216,9 @@ class SemanticMapper:
             ),
         )
 
-    def _run_engine(self, notes: list[str]) -> EngineOutcome:
+    def _run_engine(
+        self, recorder: Recorder, notes: list[str]
+    ) -> EngineOutcome:
         """Dispatch to the engine ``self.options.engine`` selects."""
         if self.options.engine == "clio":
             from repro.discovery.engine.clio import run_clio
@@ -245,7 +227,7 @@ class SemanticMapper:
                 self.source_semantics,
                 self.target_semantics,
                 self.correspondences,
-                self._tracer,
+                recorder,
                 notes,
                 self._eliminations,
             )
@@ -256,7 +238,7 @@ class SemanticMapper:
             self.options,
             self._source_reasoner,
             self._target_reasoner,
-            self._tracer,
+            recorder,
         )
         return engine.run(notes, self._eliminations)
 
@@ -283,7 +265,7 @@ class SemanticMapper:
             self.options,
             self._source_reasoner,
             self._target_reasoner,
-            NOOP,
+            Recorder(),
         ).stage_fingerprints()
 
 

@@ -2,8 +2,9 @@
 
 Cross-cutting caches and instrumentation for the discovery pipeline:
 
-* :mod:`repro.perf.counters` — named counters and per-phase wall time,
-  surfaced through ``DiscoveryResult.stats``;
+* :mod:`repro.perf.counters` — named event counters, surfaced through
+  ``DiscoveryResult.stats`` next to the per-span wall times of the
+  run's :class:`repro.trace.Recorder`;
 * :mod:`repro.perf.index` — immutable per-``CMGraph`` indexes with
   lazily cached per-root shortest-path tables;
 * :mod:`repro.perf.bench` — the JSON-emitting benchmark core behind
@@ -27,9 +28,7 @@ __all__ = _lazy_package(
         "repro.perf.counters": (
             "PerfCounters",
             "global_counters",
-            "phase",
             "record",
-            "record_time",
             "reset",
             "scope",
         ),

@@ -17,15 +17,17 @@ Three exhibits, written to ``BENCH_discovery.json``:
   scenarios must be byte-identical between ``workers=1`` and
   ``workers=N`` batches.
 * **trace** — the chain scenario runs once more under an explain-mode
-  :class:`repro.trace.Tracer`; the report gains accumulated per-phase
-  wall times (``trace.phase_seconds``) plus a disabled-tracer overhead
-  estimate: the measured cost of one no-op span times the traced run's
-  span count, as a fraction of the untraced wall time. The run fails if
-  that estimate reaches 5% — the tracing instrumentation must stay free
-  when off. The stage cache is emptied before the untraced
-  denominator run: a warm stage-cache full hit skips the pipeline
-  entirely, and dividing span cost by that near-zero wall time would
-  report a meaningless overhead figure.
+  :class:`repro.trace.Tracer`; the report gains its per-span total and
+  self wall times (``trace.phase_seconds`` and ``trace.self_seconds``,
+  read from ``DiscoveryResult.stats``) plus an untraced overhead
+  estimate: the measured cost of one span on the always-on
+  :class:`repro.trace.Recorder` times the traced run's span count, as a
+  fraction of the untraced wall time. The run fails if that estimate
+  reaches 5% — the clock every untraced run carries must stay cheap.
+  The stage cache is emptied before the untraced denominator run: a
+  warm stage-cache full hit skips the pipeline entirely, and dividing
+  span cost by that near-zero wall time would report a meaningless
+  overhead figure.
 * **incremental** — a multi-segment scenario is discovered once, one
   correspondence is edited, and :func:`repro.discovery.rediscover` runs
   the edited scenario against the warm stage cache. The report records
@@ -54,10 +56,10 @@ from repro.discovery.incremental import rediscover
 from repro.discovery.mapper import DiscoveryResult, SemanticMapper
 from repro.perf.invariants import EXPECTED_CANDIDATE_COUNTS
 from repro.semantics import design_schema
-from repro.trace import Tracer, phase_seconds
+from repro.trace import Recorder, Tracer
 
-#: The trace-overhead smoke check's ceiling: with tracing disabled, the
-#: estimated per-span cost must stay below this fraction of wall time.
+#: The trace-overhead smoke check's ceiling: in an untraced run, the
+#: estimated cost of its spans must stay below this fraction of wall time.
 TRACE_OVERHEAD_LIMIT = 0.05
 
 #: Chain length of the warm-vs-cold exhibit (matches the largest point
@@ -357,24 +359,34 @@ def run_chain_benchmark() -> tuple[dict, list[str]]:
     return report, failures
 
 
-def _noop_span_cost_seconds(iterations: int = 100_000) -> float:
-    """The measured per-call cost of a disabled tracer's span."""
-    from repro.trace.tracer import NOOP
-
+def _span_cost_seconds(iterations: int = 100_000) -> float:
+    """The measured per-span cost of the always-on recorder."""
+    recorder = Recorder()
     start = time.perf_counter()
-    for _ in range(iterations):
-        with NOOP.span("bench"):
-            pass
+    with recorder.span("outer"):
+        for _ in range(iterations):
+            with recorder.span("bench"):
+                pass
     return (time.perf_counter() - start) / iterations
 
 
+def _span_seconds(stats: dict, prefix: str) -> dict[str, float]:
+    """The ``<prefix><name>_s`` stats keys as ``{name: seconds}``."""
+    return {
+        key[len(prefix) : -len("_s")]: value
+        for key, value in sorted(stats.items())
+        if key.startswith(prefix) and key.endswith("_s")
+    }
+
+
 def run_trace_benchmark() -> tuple[dict, list[str]]:
-    """Per-phase wall times from a traced run + the overhead estimate.
+    """Per-span wall times from a traced run + the overhead estimate.
 
     The overhead check is an *estimate* on purpose: the span count of a
-    traced run times the measured cost of one no-op span, divided by the
-    untraced wall time, is stable under machine noise in a way that two
-    raw wall-clock measurements of the same few-millisecond run are not.
+    traced run times the measured cost of one recorder span, divided by
+    the untraced wall time, is stable under machine noise in a way that
+    two raw wall-clock measurements of the same few-millisecond run are
+    not.
     """
     failures: list[str] = []
     source, target, correspondences = build_chain_scenario()
@@ -395,30 +407,28 @@ def run_trace_benchmark() -> tuple[dict, list[str]]:
     ).discover(tracer=tracer)
     traced_seconds = time.perf_counter() - start
 
-    noop_cost = _noop_span_cost_seconds()
+    span_cost = _span_cost_seconds()
     estimated = (
-        tracer.span_count * noop_cost / untraced_seconds
+        tracer.span_count * span_cost / untraced_seconds
         if untraced_seconds
         else 0.0
     )
     if estimated >= TRACE_OVERHEAD_LIMIT:
         failures.append(
-            f"trace: estimated disabled-tracer overhead "
+            f"trace: estimated untraced span overhead "
             f"{estimated:.2%} >= {TRACE_OVERHEAD_LIMIT:.0%} "
-            f"({tracer.span_count} span sites x {noop_cost * 1e9:.0f} ns "
+            f"({tracer.span_count} spans x {span_cost * 1e9:.0f} ns "
             f"over {untraced_seconds:.4f}s)"
         )
     report = {
-        "phase_seconds": {
-            name: round(value, 6)
-            for name, value in phase_seconds(result.trace).items()
-        },
+        "phase_seconds": _span_seconds(result.stats, "time_"),
+        "self_seconds": _span_seconds(result.stats, "self_"),
         "span_count": tracer.span_count,
         "prune_events": len(tracer.prunes),
         "prune_rules": tracer.prune_rules(),
         "untraced_seconds": round(untraced_seconds, 6),
         "traced_seconds": round(traced_seconds, 6),
-        "noop_span_cost_seconds": round(noop_cost, 9),
+        "span_cost_seconds": round(span_cost, 9),
         "estimated_overhead_fraction": round(estimated, 6),
         "overhead_limit": TRACE_OVERHEAD_LIMIT,
     }
@@ -568,15 +578,18 @@ def main(
     )
     trace_report = report["trace"]
     print(
-        f"trace overhead (disabled): "
+        f"span overhead (untraced): "
         f"~{trace_report['estimated_overhead_fraction']:.2%} "
         f"of {trace_report['untraced_seconds']}s "
         f"({trace_report['span_count']} spans)"
     )
     if trace:
-        print("per-phase wall time (traced chain run):")
+        print("per-span wall time, total and self (traced chain run):")
         for name, value in trace_report["phase_seconds"].items():
-            print(f"  {name:<16} {value * 1000:9.2f} ms")
+            own = trace_report["self_seconds"][name]
+            print(
+                f"  {name:<16} {value * 1000:9.2f} ms {own * 1000:9.2f} ms"
+            )
         print(
             f"prune events: {trace_report['prune_events']} "
             f"{trace_report['prune_rules']}"

@@ -1,4 +1,9 @@
-"""Lightweight instrumentation: named counters and per-phase wall time.
+"""Named event counters for the discovery pipeline.
+
+This module counts; it does not time. Wall time has one clock, the
+run's span recorder (:class:`repro.trace.Recorder`), which supplies the
+``time_<name>_s`` and ``self_<name>_s`` keys of
+``DiscoveryResult.stats``; the counters below supply the rest.
 
 Counters are recorded into a stack of *frames*. The root frame lives for
 the whole process and is shared by every thread; :func:`scope` pushes a
@@ -61,29 +66,27 @@ Counter names used across the codebase:
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator
 
 
 class PerfCounters:
-    """One frame of counters plus per-phase wall-time accumulators.
+    """One frame of named counters.
 
     Instances are cheap thread-confined scratchpads by default; the
     module's shared root frame is the one instance that multiple
     threads hit concurrently, so every cross-thread touch point
     (increment, merge, snapshot, clear) takes the per-instance lock.
-    Reading ``counts``/``timings`` directly is fine for thread-confined
-    frames (scoped frames, test fixtures) but unsynchronised for the
-    root — use :meth:`snapshot` for a consistent view of it.
+    Reading ``counts`` directly is fine for thread-confined frames
+    (scoped frames, test fixtures) but unsynchronised for the root —
+    use :meth:`snapshot` for a consistent view of it.
     """
 
-    __slots__ = ("counts", "timings", "_lock")
+    __slots__ = ("counts", "_lock")
 
     def __init__(self) -> None:
         self.counts: Counter[str] = Counter()
-        self.timings: Counter[str] = Counter()
         self._lock = threading.Lock()
 
     def add(self, name: str, amount: int = 1) -> None:
@@ -91,50 +94,29 @@ class PerfCounters:
         with self._lock:
             self.counts[name] += amount
 
-    def add_time(self, name: str, seconds: float) -> None:
-        """Locked wall-time accumulation (see :meth:`add`)."""
-        with self._lock:
-            self.timings[name] += seconds
-
-    def snapshot(self) -> dict[str, int | float]:
-        """A JSON-friendly view: counters plus ``time_<phase>_s`` keys."""
+    def snapshot(self) -> dict[str, int]:
+        """A JSON-friendly view of the counters, sorted by name."""
         with self._lock:
             counts = dict(self.counts)
-            timings = dict(self.timings)
-        data: dict[str, int | float] = {
-            name: int(value) for name, value in sorted(counts.items())
-        }
-        for name, seconds in sorted(timings.items()):
-            data[f"time_{name}_s"] = round(seconds, 6)
-        return data
+        return {name: int(value) for name, value in sorted(counts.items())}
 
-    def merge(self, other: "PerfCounters | dict[str, int | float]") -> None:
+    def merge(self, other: "PerfCounters | dict[str, int]") -> None:
         """Fold another frame (or a snapshot dict) into this one."""
         if isinstance(other, PerfCounters):
             with other._lock:
                 counts = dict(other.counts)
-                timings = dict(other.timings)
-            with self._lock:
-                self.counts.update(counts)
-                self.timings.update(timings)
-            return
+        else:
+            counts = {name: int(value) for name, value in other.items()}
         with self._lock:
-            for name, value in other.items():
-                if name.startswith("time_") and name.endswith("_s"):
-                    self.timings[name[len("time_") : -len("_s")]] += float(
-                        value
-                    )
-                else:
-                    self.counts[name] += int(value)
+            self.counts.update(counts)
 
     def clear(self) -> None:
-        """Drop every counter and timing (locked)."""
+        """Drop every counter (locked)."""
         with self._lock:
             self.counts.clear()
-            self.timings.clear()
 
     def __repr__(self) -> str:
-        return f"PerfCounters({dict(self.counts)}, {dict(self.timings)})"
+        return f"PerfCounters({dict(self.counts)})"
 
 
 #: Process-lifetime aggregate, shared by every thread.
@@ -157,22 +139,6 @@ def record(name: str, amount: int = 1) -> None:
     _ROOT.add(name, amount)
     for frame in _scope_stack():
         frame.counts[name] += amount
-
-
-def record_time(name: str, seconds: float) -> None:
-    _ROOT.add_time(name, seconds)
-    for frame in _scope_stack():
-        frame.timings[name] += seconds
-
-
-@contextmanager
-def phase(name: str) -> Iterator[None]:
-    """Accumulate the block's wall time under ``time_<name>_s``."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        record_time(name, time.perf_counter() - start)
 
 
 @contextmanager

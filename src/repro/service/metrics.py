@@ -151,16 +151,6 @@ class ServiceMetrics:
             index = min(len(ordered) - 1, int(q * len(ordered)))
             return ordered[index]
 
-    def phase_quantile(self, phase: str, q: float) -> float | None:
-        """The ``q``-quantile of recent phase times, or ``None`` if unseen."""
-        with self._lock:
-            reservoir = self._phase_samples.get(phase)
-            if not reservoir:
-                return None
-            ordered = sorted(reservoir)
-            index = min(len(ordered) - 1, int(q * len(ordered)))
-            return ordered[index]
-
     def phase_names(self) -> tuple[str, ...]:
         """Phases observed so far, sorted."""
         with self._lock:

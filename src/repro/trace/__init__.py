@@ -24,19 +24,13 @@ from repro import _lazy_package
 __all__ = _lazy_package(
     __name__,
     {
-        "repro.trace.render": ("phase_seconds", "render_span", "render_trace"),
+        "repro.trace.render": ("render_span", "render_trace"),
         "repro.trace.tracer": (
-            "NOOP",
             "TRACE_FORMAT",
-            "NoopTracer",
             "PruneEvent",
+            "Recorder",
             "Span",
             "Tracer",
-            "activate",
-            "active",
-            "current",
-            "prune",
-            "span",
         ),
     },
 )

@@ -63,25 +63,3 @@ def render_trace(trace: Mapping[str, Any]) -> str:
                 f"  ({facts})"
             )
     return "\n".join(lines)
-
-
-def phase_seconds(trace: Mapping[str, Any]) -> dict[str, float]:
-    """Flatten a trace into accumulated per-phase wall times.
-
-    Span names repeat across the tree (one ``source_search`` per target
-    CSG, many ``translate`` spans); times accumulate per name. Used by
-    the bench report to expose per-phase timings from a traced run.
-    """
-    totals: dict[str, float] = {}
-
-    def visit(span: Mapping[str, Any]) -> None:
-        name = span["name"]
-        totals[name] = totals.get(name, 0.0) + float(
-            span.get("elapsed_s", 0.0)
-        )
-        for child in span.get("children", ()):
-            visit(child)
-
-    for span in trace.get("spans", ()):
-        visit(span)
-    return dict(sorted(totals.items()))

@@ -1,26 +1,29 @@
-"""Span-based tracing and explain provenance for the discovery pipeline.
+"""Span timing and explain provenance for the discovery pipeline.
 
-A :class:`Tracer` records a tree of :class:`Span` records — one per
-pipeline phase (correspondence lifting, per-anchor Steiner search, CSG
-pair enumeration, compatibility checking, translation, ranking) — and,
-in *explain* mode, structured :class:`PruneEvent` records for every
-candidate a semantic filter rejected, plus per-candidate rank
-provenance.
+Every discovery run times its stages through one span recorder, and
+that recorder is the run's only clock:
 
-Activation is contextvar-scoped: :func:`activate` installs a tracer for
-the current context (thread or task), and the module-level helpers
-:func:`span` / :func:`prune` / :func:`event` find it there. When no
-tracer is active they cost one ``ContextVar.get`` plus a ``None`` check
-and reuse a shared no-op context manager, so instrumented hot paths stay
-within noise of uninstrumented code (the bench suite pins this at < 5%,
-see ``repro.perf.bench.run_trace_benchmark``).
+* :class:`Recorder` is the always-on base. Per span name it keeps the
+  call count, the total time and the *self* time (total minus the time
+  of the spans directly nested in it), using a per-thread stack of open
+  spans. It keeps no span tree, so an untraced run pays two clock reads
+  and one table update per span. ``DiscoveryResult.stats`` carries its
+  totals as ``time_<name>_s`` and its self times as ``self_<name>_s``;
+  since self times never double-count, the ``self_`` values of one run
+  add up to ``time_discover_s``.
+* :class:`Tracer` extends it with a tree of :class:`Span` records — one
+  per pipeline phase (correspondence lifting, per-target source
+  search, CSG pair enumeration, compatibility checking, translation,
+  ranking) — and, in *explain* mode, structured :class:`PruneEvent`
+  records for every candidate a semantic filter rejected, plus
+  per-candidate rank provenance.
 
-Thread-safety: a tracer's span *stack* is thread-local (spans opened on
-one thread nest under that thread's enclosing span only), while the
-shared structures — the root span list, prune log, provenance list, and
-call counters — are guarded by a per-tracer lock. One tracer may
-therefore observe several worker threads at once without interleaving
-their span trees.
+Thread-safety: a recorder's span *stack* is thread-local (spans opened
+on one thread nest under that thread's enclosing span only), while the
+shared structures — the per-name table, the root span list, prune log,
+provenance list, and span count — are guarded by a per-recorder lock.
+One tracer may therefore observe several worker threads at once without
+interleaving their span trees.
 
 Determinism: everything except wall times is a pure function of the
 discovery inputs. :meth:`Tracer.to_dict` emits spans in creation order
@@ -32,11 +35,9 @@ from __future__ import annotations
 
 import json
 import threading
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass
+from time import perf_counter
+from typing import Any, Mapping
 
 #: Trace-document format version (bumped on breaking shape changes).
 TRACE_FORMAT = "repro-trace/1"
@@ -69,33 +70,63 @@ class PruneEvent:
         }
 
 
-class Span:
-    """One timed, attributed region of the pipeline.
+class _TimedSpan:
+    """One open span of a :class:`Recorder`: its name and its clock.
+
+    Use it as a context manager; closing it records its total and self
+    time under its name in the recorder's table.
+    """
+
+    __slots__ = (
+        "name",
+        "started_at",
+        "elapsed_seconds",
+        "_inner_seconds",
+        "_recorder",
+    )
+
+    def __init__(self, name: str, recorder: Recorder | None = None) -> None:
+        self.name = name
+        self._recorder = recorder
+        self._inner_seconds = 0.0
+        self.elapsed_seconds = 0.0
+        self.started_at = perf_counter()
+
+    def close(self) -> None:
+        self.elapsed_seconds = perf_counter() - self.started_at
+
+    def set(self, name: str, value: Any) -> None:
+        """Attach one deterministic attribute (kept only by tree spans)."""
+
+    def __enter__(self) -> Any:
+        self._recorder._open(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> bool:
+        self._recorder._close(self)
+        return False
+
+
+class Span(_TimedSpan):
+    """One timed, attributed region of the pipeline in a :class:`Tracer`.
 
     Spans form a tree; ``attributes`` carry small deterministic facts
     (anchor names, candidate counts), never timings — wall time lives in
     ``elapsed_seconds`` so deterministic and timing data stay separable.
     """
 
-    __slots__ = (
-        "name",
-        "attributes",
-        "children",
-        "events",
-        "started_at",
-        "elapsed_seconds",
-    )
+    __slots__ = ("attributes", "children", "events")
 
-    def __init__(self, name: str, attributes: dict[str, Any] | None = None):
-        self.name = name
+    def __init__(
+        self,
+        name: str,
+        attributes: dict[str, Any] | None = None,
+        recorder: Recorder | None = None,
+    ) -> None:
+        super().__init__(name, recorder)
         self.attributes: dict[str, Any] = attributes or {}
         self.children: list[Span] = []
         self.events: list[PruneEvent] = []
-        self.started_at = time.perf_counter()
-        self.elapsed_seconds = 0.0
-
-    def close(self) -> None:
-        self.elapsed_seconds = time.perf_counter() - self.started_at
 
     def set(self, name: str, value: Any) -> None:
         """Attach one deterministic attribute to the span."""
@@ -117,8 +148,115 @@ class Span:
         return data
 
 
-class Tracer:
-    """Collects a span tree plus, in explain mode, prune provenance.
+class _OpenSpans(threading.local):
+    """The calling thread's stack of open spans."""
+
+    def __init__(self) -> None:
+        self.stack: list[_TimedSpan] = []
+
+
+#: One span name's row in a recorder's table.
+Timing = tuple[int, float, float]
+
+
+class Recorder:
+    """The always-on span clock of one discovery run.
+
+    Per span name it keeps ``(calls, total seconds, self seconds)``;
+    it records no tree, prune events or rank provenance (see
+    :class:`Tracer`), so ``prune`` and ``rank`` do nothing here.
+    """
+
+    #: Whether spans are kept as a tree. The engine bypasses its stage
+    #: cache while one is, so the tree shows real execution.
+    records_tree = False
+    explain = False
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._open_spans = _OpenSpans()
+        self._table: dict[str, list] = {}
+
+    # -- recording -------------------------------------------------------
+    def span(self, name: str, **attributes: Any) -> _TimedSpan:
+        """A span nested in this thread's innermost open span.
+
+        Use as ``with recorder.span(name) as span:``. ``attributes`` are
+        kept only by a :class:`Tracer`.
+        """
+        return _TimedSpan(name, self)
+
+    def _open(self, span: _TimedSpan) -> None:
+        self._open_spans.stack.append(span)
+
+    def _close(self, span: _TimedSpan) -> None:
+        span.close()
+        stack = self._open_spans.stack
+        stack.pop()
+        elapsed = span.elapsed_seconds
+        if stack:
+            stack[-1]._inner_seconds += elapsed
+        own = elapsed - span._inner_seconds
+        with self._lock:
+            row = self._table.get(span.name)
+            if row is None:
+                self._table[span.name] = [1, elapsed, own]
+            else:
+                row[0] += 1
+                row[1] += elapsed
+                row[2] += own
+
+    def prune(
+        self,
+        phase: str,
+        rule: str,
+        source_csg: str = "",
+        target_csg: str = "",
+        detail: str = "",
+    ) -> None:
+        """Record one filter rejection (explain mode only)."""
+
+    def rank(self, entry: Mapping[str, Any]) -> None:
+        """Record one candidate's rank provenance (explain mode only)."""
+
+    # -- export ----------------------------------------------------------
+    @property
+    def span_count(self) -> int:
+        """Spans closed so far."""
+        with self._lock:
+            return sum(row[0] for row in self._table.values())
+
+    def timings(self) -> dict[str, Timing]:
+        """``(calls, total seconds, self seconds)`` per span name, sorted."""
+        with self._lock:
+            return {
+                name: (row[0], row[1], row[2])
+                for name, row in sorted(self._table.items())
+            }
+
+    def stats(
+        self, since: Mapping[str, Timing] | None = None
+    ) -> dict[str, float]:
+        """The ``time_<name>_s`` and ``self_<name>_s`` stats keys.
+
+        ``since`` is an earlier :meth:`timings` snapshot of this
+        recorder; only the spans closed after it count.
+        """
+        since = since or {}
+        data: dict[str, float] = {}
+        for name, (calls, total, own) in self.timings().items():
+            before_calls, before_total, before_own = since.get(
+                name, (0, 0.0, 0.0)
+            )
+            if calls == before_calls:
+                continue
+            data[f"time_{name}_s"] = round(total - before_total, 6)
+            data[f"self_{name}_s"] = round(own - before_own, 6)
+        return data
+
+
+class Tracer(Recorder):
+    """A :class:`Recorder` that also keeps the span tree and provenance.
 
     Parameters
     ----------
@@ -128,43 +266,28 @@ class Tracer:
         records only the span tree — enough for latency analysis.
     """
 
-    enabled = True
+    records_tree = True
 
     def __init__(self, explain: bool = False) -> None:
+        super().__init__()
         self.explain = explain
         self.roots: list[Span] = []
         self.prunes: list[PruneEvent] = []
         self.provenance: list[dict[str, Any]] = []
-        self.span_count = 0
-        self._lock = threading.Lock()
-        self._stacks = threading.local()
 
     # -- recording -------------------------------------------------------
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = []
-            self._stacks.stack = stack
-        return stack
+    def span(self, name: str, **attributes: Any) -> Span:
+        """A child span of this thread's innermost open span."""
+        return Span(name, attributes or None, self)
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a child span of this thread's innermost open span."""
-        record = Span(name, attributes or None)
-        stack = self._stack()
+    def _open(self, span: _TimedSpan) -> None:
+        stack = self._open_spans.stack
         if stack:
-            stack[-1].children.append(record)
+            stack[-1].children.append(span)
         else:
             with self._lock:
-                self.roots.append(record)
-        with self._lock:
-            self.span_count += 1
-        stack.append(record)
-        try:
-            yield record
-        finally:
-            record.close()
-            stack.pop()
+                self.roots.append(span)
+        stack.append(span)
 
     def prune(
         self,
@@ -178,7 +301,7 @@ class Tracer:
         if not self.explain:
             return
         event = PruneEvent(phase, rule, source_csg, target_csg, detail)
-        stack = self._stack()
+        stack = self._open_spans.stack
         if stack:
             stack[-1].events.append(event)
         with self._lock:
@@ -212,96 +335,3 @@ class Tracer:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# Contextvar activation and no-op fast paths
-# ---------------------------------------------------------------------------
-_ACTIVE: ContextVar[Tracer | None] = ContextVar(
-    "repro_trace_active", default=None
-)
-
-
-class _NullSpanContext:
-    """Shared do-nothing context manager for the tracer-off fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-    def set(self, name: str, value: Any) -> None:  # Span-compatible
-        return None
-
-
-_NULL_SPAN = _NullSpanContext()
-
-
-class NoopTracer:
-    """A disabled tracer: every recording call is a cheap no-op.
-
-    ``SemanticMapper`` holds one of these when neither ``options.trace``
-    nor an externally activated tracer asks for recording, so the
-    pipeline can call ``self._tracer.span(...)`` unconditionally.
-    """
-
-    __slots__ = ()
-    enabled = False
-    explain = False
-
-    def span(self, name: str, **attributes: Any) -> _NullSpanContext:
-        return _NULL_SPAN
-
-    def prune(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def rank(self, entry: Mapping[str, Any]) -> None:
-        return None
-
-
-#: Shared disabled tracer (stateless, safe to reuse everywhere).
-NOOP = NoopTracer()
-
-
-def current() -> Tracer | None:
-    """The tracer active in this context, or ``None``."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def activate(tracer: Tracer) -> Iterator[Tracer]:
-    """Install ``tracer`` as this context's active tracer."""
-    token = _ACTIVE.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.reset(token)
-
-
-def span(name: str, **attributes: Any):
-    """A span on the active tracer, or a shared no-op when none is active."""
-    tracer = _ACTIVE.get()
-    if tracer is None:
-        return _NULL_SPAN
-    return tracer.span(name, **attributes)
-
-
-def prune(
-    phase: str,
-    rule: str,
-    source_csg: str = "",
-    target_csg: str = "",
-    detail: str = "",
-) -> None:
-    """Record a prune event iff an explain-mode tracer is active."""
-    tracer = _ACTIVE.get()
-    if tracer is not None and tracer.explain:
-        tracer.prune(phase, rule, source_csg, target_csg, detail)
-
-
-def active() -> bool:
-    """True when any tracer is active in this context."""
-    return _ACTIVE.get() is not None

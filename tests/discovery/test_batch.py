@@ -83,6 +83,26 @@ def test_aggregate_stats(scenarios):
     assert batch.notes == []
 
 
+def test_aggregate_span_seconds_are_float_sums(scenarios):
+    import repro.perf as perf
+
+    perf.clear_caches()
+    batch = discover_many(scenarios, workers=1)
+    keys = {
+        key
+        for _, result in batch.results
+        for key in result.stats
+        if key.startswith(("time_", "self_"))
+    }
+    assert "self_translate_s" in keys
+    for key in keys:
+        expected = 0
+        for _, result in batch.results:
+            expected += result.stats.get(key, 0)
+        assert isinstance(batch.stats[key], float), key
+        assert batch.stats[key] == expected, key
+
+
 def test_grouping_by_schema_pair(scenarios, bookstore):
     extra = Scenario.create(
         "bookstore-2",

@@ -1,14 +1,17 @@
 """The staged engine: stage vocabulary, fingerprints, and the stage cache.
 
-The headline contract (the "one vocabulary" test): the perf-stats timing
-keys, the trace phase names, and the service phase metrics all derive
-from :data:`repro.discovery.engine.STAGE_NAMES` — the three observability
-surfaces can never drift apart because they are generated from the same
-tuple. The rest pins the cache discipline: byte-identical results across
-the uncached reference pipeline and cold / warm runs, fingerprint
+The headline contract (the "one vocabulary" test): the stats timing
+keys, the trace span names, and the service phase metrics all come from
+the spans of one recorder, and contain :data:`STAGE_NAMES` — the three
+observability surfaces cannot drift apart because one clock feeds them.
+Self times never double-count: per run they add up to the wall time.
+The rest pins the cache discipline: byte-identical results across the
+uncached reference pipeline and cold / warm runs, fingerprint
 sensitivity to exactly the options each stage depends on, LRU eviction,
 and the bypass rule (tracing).
 """
+
+import threading
 
 import pytest
 
@@ -24,7 +27,8 @@ from repro.discovery.engine import (
 )
 from repro.service.jobs import observe_run_stats
 from repro.service.metrics import ServiceMetrics
-from repro.trace import Tracer, phase_seconds
+from repro.datasets.registry import load_all_datasets
+from repro.trace import Tracer
 
 
 def _tgds(result):
@@ -46,6 +50,32 @@ def mapper_args(bookstore):
     return bookstore.source, bookstore.target, bookstore.correspondences
 
 
+def _span_stat_names(stats, prefix):
+    return {
+        key[len(prefix) : -len("_s")]
+        for key in stats
+        if key.startswith(prefix) and key.endswith("_s")
+    }
+
+
+def _trace_span_names(trace):
+    names = set()
+    pending = list(trace["spans"])
+    while pending:
+        span = pending.pop()
+        names.add(span["name"])
+        pending.extend(span.get("children", ()))
+    return names
+
+
+def _assert_self_times_sum_to_wall_time(stats):
+    names = _span_stat_names(stats, "self_")
+    total = sum(stats[f"self_{name}_s"] for name in names)
+    assert total == pytest.approx(
+        stats["time_discover_s"], abs=1e-6 * len(names)
+    )
+
+
 class TestStageVocabulary:
     """Satellite: one stage vocabulary across stats, trace, and service."""
 
@@ -55,31 +85,71 @@ class TestStageVocabulary:
         ]
 
     def test_three_vocabularies_are_identical(self, mapper_args):
-        expected = set(STAGE_NAMES) | {"discover"}
-
-        # Vocabulary 1: perf-stats timing keys of an untraced cold run.
+        # Vocabulary 1: stats timing keys of an untraced cold run.
         result = SemanticMapper(*mapper_args).discover()
-        stats_phases = {
-            key[5:-2]
-            for key in result.stats
-            if key.startswith("time_") and key.endswith("_s")
-        }
-        assert stats_phases == expected
+        stats_phases = _span_stat_names(result.stats, "time_")
+        assert _span_stat_names(result.stats, "self_") == stats_phases
 
-        # Vocabulary 2: trace phase names of a traced run (the trace
-        # nests finer-grained spans inside the stages; the stage-level
-        # names must be exactly the same set).
+        # Vocabulary 2: span names of a traced run of the same case.
         traced = SemanticMapper(*mapper_args).discover(
             tracer=Tracer(explain=True)
         )
-        trace_phases = set(phase_seconds(traced.trace))
-        assert expected <= trace_phases
+        assert _trace_span_names(traced.trace) == stats_phases
 
         # Vocabulary 3: the service's phase metrics, fed from the same
         # stats keys by the job queue's observe_run_stats.
         metrics = ServiceMetrics()
         observe_run_stats(metrics, result.stats)
         assert set(metrics.phase_names()) == stats_phases
+        assert set(STAGE_NAMES) | {"discover"} <= stats_phases
+
+    def test_self_times_sum_to_discover_time_on_every_paper_case(self):
+        cases = 0
+        for pair in load_all_datasets():
+            for case in pair.cases:
+                perf.clear_caches()
+                result = SemanticMapper(
+                    pair.source, pair.target, case.correspondences
+                ).discover()
+                assert "self_translate_s" in result.stats, case.case_id
+                _assert_self_times_sum_to_wall_time(result.stats)
+                assert result.stats["time_discover_s"] == round(
+                    result.elapsed_seconds, 6
+                )
+                cases += 1
+        assert cases == 34
+
+    def test_concurrent_runs_report_only_their_own_spans(self, mapper_args):
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def run(engine):
+            barrier.wait(timeout=10)
+            results[engine] = SemanticMapper(
+                *mapper_args, options=DiscoveryOptions(engine=engine)
+            ).discover()
+
+        threads = [
+            threading.Thread(target=run, args=(engine,))
+            for engine in ("semantic", "clio")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert _span_stat_names(results["clio"].stats, "time_") == {
+            "discover",
+            "clio",
+        }
+        assert "clio" not in _span_stat_names(
+            results["semantic"].stats, "time_"
+        )
+        assert set(STAGE_NAMES) <= _span_stat_names(
+            results["semantic"].stats, "time_"
+        )
+        for result in results.values():
+            _assert_self_times_sum_to_wall_time(result.stats)
 
     def test_stage_option_fields_cover_exactly_the_stages(self):
         assert tuple(STAGE_OPTION_FIELDS) == STAGE_NAMES

@@ -36,14 +36,6 @@ def test_nested_scopes_both_count():
     assert outer.counts["profile_cache_hits"] == 1
 
 
-def test_phase_records_wall_time():
-    with counters.scope() as frame:
-        with counters.phase("rank"):
-            time.sleep(0.001)
-    snapshot = frame.snapshot()
-    assert snapshot["time_rank_s"] > 0
-
-
 def test_concurrent_scopes_are_thread_confined():
     """Regression: the frame stack was process-global, so two threads'
     scopes counted each other's events."""
@@ -86,7 +78,6 @@ def test_root_snapshot_safe_during_concurrent_inserts():
             index = 0
             while not stop.is_set():
                 counters.record(f"churn_{index}")
-                counters.record_time(f"churn_{index}", 0.001)
                 index += 1
         except BaseException as error:  # pragma: no cover - failure path
             failures.append(error)
@@ -107,10 +98,8 @@ def test_root_snapshot_safe_during_concurrent_inserts():
 def test_snapshot_and_merge_round_trip():
     with counters.scope() as frame:
         counters.record("lossy_paths_pruned", 4)
-        with counters.phase("search"):
-            pass
     merged = counters.PerfCounters()
     merged.merge(frame.snapshot())
     merged.merge(frame)
     assert merged.counts["lossy_paths_pruned"] == 8
-    assert merged.snapshot()["time_search_s"] >= 0
+    assert merged.snapshot() == {"lossy_paths_pruned": 8}

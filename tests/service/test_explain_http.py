@@ -148,3 +148,11 @@ class TestPhaseMetrics:
         assert 'quantile="0.5"' in text
         assert 'quantile="0.95"' in text
         assert "repro_service_phase_seconds_count" in text
+
+    def test_wall_time_exported_once(self, client):
+        """Span seconds reach /metrics only as the phase summary, never
+        again as process-root ``repro_perf_time_*`` gauges."""
+        client.request("POST", "/discover", {"scenario": dict(SCENARIO)})
+        text = client.metrics_text()
+        assert "repro_perf_" in text
+        assert "repro_perf_time_" not in text

@@ -137,6 +137,36 @@ class TestDiscoverFacade:
         assert result.trace is not None
 
 
+#: ``(module, class or None, name)`` of every name removed from the API
+#: (see the "Removed" table of docs/api.md).
+REMOVED = (
+    ("repro.trace", None, "NoopTracer"),
+    ("repro.trace", None, "NOOP"),
+    ("repro.trace", None, "activate"),
+    ("repro.trace", None, "active"),
+    ("repro.trace", None, "current"),
+    ("repro.trace", None, "span"),
+    ("repro.trace", None, "prune"),
+    ("repro.trace", None, "phase_seconds"),
+    ("repro.trace", "Tracer", "enabled"),
+    ("repro.perf", None, "phase"),
+    ("repro.perf", None, "record_time"),
+    ("repro.perf", "PerfCounters", "add_time"),
+    ("repro.perf", "PerfCounters", "timings"),
+    ("repro.discovery", None, "find_source_lossy_csgs"),
+    ("repro.discovery.compatibility", None, "tree_pair_compatible"),
+    ("repro.service.metrics", "ServiceMetrics", "phase_quantile"),
+)
+
+
+@pytest.mark.parametrize("module, owner, name", REMOVED)
+def test_removed_names_stay_removed(module, owner, name):
+    target = importlib.import_module(module)
+    if owner is not None:
+        target = getattr(target, owner)
+    assert not hasattr(target, name)
+
+
 @pytest.fixture(params=PACKAGES)
 def package(request):
     return importlib.import_module(request.param)

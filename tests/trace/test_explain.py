@@ -4,7 +4,9 @@ import copy
 
 import pytest
 
+import repro.perf as perf
 from repro.datasets.paper_examples import employee_example, partof_example
+from repro.datasets.registry import load_all_datasets
 from repro.discovery import (
     DiscoveryOptions,
     Scenario,
@@ -12,7 +14,7 @@ from repro.discovery import (
     discover_many,
     discover_mappings,
 )
-from repro.trace import TRACE_FORMAT, Tracer, phase_seconds
+from repro.trace import TRACE_FORMAT, Tracer
 
 
 def explain_result(scenario, **option_changes):
@@ -96,11 +98,15 @@ class TestExplainMode:
         assert "covered" in best
         assert result.trace["provenance"] == result.rank_provenance
 
-    def test_phase_seconds_flattens_trace(self):
+    def test_stats_carry_span_seconds(self):
         result = explain_result(partof_example(target_is_partof=True))
-        seconds = phase_seconds(result.trace)
-        assert seconds["discover"] >= 0
-        assert "rank" in seconds
+        names = {
+            name for span in result.trace["spans"] for name in span_names(span)
+        }
+        for name in names:
+            assert result.stats[f"time_{name}_s"] >= 0
+            assert result.stats[f"self_{name}_s"] >= 0
+        assert {"discover", "rank"} <= names
 
     def test_trace_without_explain_skips_prunes(self):
         scenario = partof_example(target_is_partof=True)
@@ -132,14 +138,33 @@ class TestDeterminism:
         assert strip_timings(first.trace) == strip_timings(second.trace)
 
     def test_candidates_unchanged_by_explain(self):
-        scenario = partof_example(target_is_partof=True)
-        plain = SemanticMapper(
-            scenario.source, scenario.target, scenario.correspondences
-        ).discover()
-        explained = explain_result(scenario)
-        assert [str(c.source_query) for c in plain.candidates] == [
-            str(c.source_query) for c in explained.candidates
+        """Explain runs bypass the stage cache; on every paper case they
+        must agree with a cold and a warm (cache-replayed) plain run."""
+
+        def outputs(result):
+            return (
+                [str(c.to_tgd(f"M{i}")) for i, c in enumerate(result, 1)],
+                result.candidates,
+                result.notes,
+                result.eliminations,
+            )
+
+        cases = [
+            (pair, case) for pair in load_all_datasets() for case in pair.cases
         ]
+        assert len(cases) == 34
+        for pair, case in cases:
+            perf.clear_caches()
+            args = (pair.source, pair.target, case.correspondences)
+            cold = SemanticMapper(*args).discover()
+            warm = SemanticMapper(*args).discover()
+            assert warm.stats.get("stage_cache_hit_rank", 0) == 1
+            explained = SemanticMapper(
+                *args, options=DiscoveryOptions(explain=True)
+            ).discover()
+            assert explained.trace is not None
+            assert outputs(explained) == outputs(cold), case.case_id
+            assert outputs(explained) == outputs(warm), case.case_id
 
 
 class TestCallerOwnedTracer:
@@ -167,6 +192,23 @@ class TestCallerOwnedTracer:
                 trace=tracer,
             )
         assert len(tracer.roots) == 2
+
+    def test_stats_count_only_this_runs_spans(self):
+        scenario = partof_example(target_is_partof=True)
+        tracer = Tracer()
+        results = [
+            discover_mappings(
+                scenario.source,
+                scenario.target,
+                scenario.correspondences,
+                trace=tracer,
+            )
+            for _ in range(2)
+        ]
+        for result, root in zip(results, tracer.roots):
+            assert result.stats["time_discover_s"] == pytest.approx(
+                root.elapsed_seconds, abs=1e-6
+            )
 
 
 class TestBatchEquivalence:

@@ -1,23 +1,20 @@
-"""Unit tests for ``repro.trace``: spans, prunes, activation, no-ops."""
+"""Unit tests for ``repro.trace``: the span recorder, trees, prunes."""
 
 import json
 import threading
+import time
 
 import pytest
 
-from repro import trace as tracing
 from repro.trace import (
-    NOOP,
     TRACE_FORMAT,
-    NoopTracer,
     PruneEvent,
+    Recorder,
     Span,
     Tracer,
-    phase_seconds,
     render_span,
     render_trace,
 )
-from repro.trace.tracer import _NULL_SPAN
 
 
 class TestSpan:
@@ -140,45 +137,108 @@ class TestTracer:
             ]
 
 
-class TestNoop:
-    def test_disabled_flags(self):
-        assert NOOP.enabled is False
-        assert NOOP.explain is False
-        assert isinstance(NOOP, NoopTracer)
+class TestRecorder:
+    """The always-on base: per-name calls, total and self time, no tree."""
 
-    def test_span_returns_shared_null_context(self):
-        first = NOOP.span("a", attr=1)
-        second = NOOP.span("b")
-        assert first is second is _NULL_SPAN
-        with first as span:
-            span.set("ignored", True)  # Span-compatible, does nothing
+    def test_records_no_tree(self):
+        recorder = Recorder()
+        assert recorder.records_tree is False
+        assert recorder.explain is False
+        assert Tracer().records_tree is True
 
     def test_prune_and_rank_are_noops(self):
-        NOOP.prune("pair_filter", "anchor")
-        NOOP.rank({"rank": 1})
+        recorder = Recorder()
+        with recorder.span("csg_pair", source="s") as span:
+            span.set("ignored", True)  # Span-compatible, keeps nothing
+            recorder.prune("pair_filter", "anchor")
+            recorder.rank({"rank": 1})
+        assert not hasattr(recorder, "prunes")
+        assert recorder.span_count == 1
 
+    def test_span_records_wall_time(self):
+        recorder = Recorder()
+        with recorder.span("rank"):
+            time.sleep(0.001)
+        calls, total, own = recorder.timings()["rank"]
+        assert calls == 1
+        assert total >= 0.001
+        assert own == total
 
-class TestActivation:
-    def test_no_tracer_by_default(self):
-        assert tracing.current() is None
-        assert tracing.active() is False
-        assert tracing.span("anything") is _NULL_SPAN
+    def test_timings_accumulate_by_name(self):
+        recorder = Recorder()
+        with recorder.span("discover"):
+            for _ in range(3):
+                with recorder.span("translate"):
+                    pass
+        timings = recorder.timings()
+        assert list(timings) == ["discover", "translate"]
+        assert timings["translate"][0] == 3
+        assert recorder.span_count == 4
 
-    def test_activate_scopes_tracer(self):
-        tracer = Tracer(explain=True)
-        with tracing.activate(tracer):
-            assert tracing.current() is tracer
-            with tracing.span("phase"):
-                tracing.prune("pair_filter", "cardinality")
-        assert tracing.current() is None
-        assert tracer.roots[0].name == "phase"
-        assert tracer.prunes[0].rule == "cardinality"
+    def test_self_time_excludes_direct_children(self):
+        recorder = Recorder()
+        with recorder.span("discover") as root:
+            with recorder.span("source_search"):
+                with recorder.span("translate"):
+                    time.sleep(0.002)
+            time.sleep(0.001)
+        timings = recorder.timings()
+        _, root_total, root_self = timings["discover"]
+        _, search_total, search_self = timings["source_search"]
+        _, translate_total, translate_self = timings["translate"]
+        assert root_total == root.elapsed_seconds
+        assert search_self == pytest.approx(search_total - translate_total)
+        assert root_self == pytest.approx(root_total - search_total)
+        assert root_self >= 0.001
+        assert root_self + search_self + translate_self == pytest.approx(
+            root_total, abs=1e-12
+        )
 
-    def test_module_prune_respects_explain(self):
-        tracer = Tracer(explain=False)
-        with tracing.activate(tracer):
-            tracing.prune("pair_filter", "cardinality")
-        assert tracer.prunes == []
+    def test_stats_keys_and_since(self):
+        recorder = Recorder()
+        with recorder.span("discover"):
+            with recorder.span("lift"):
+                pass
+        stats = recorder.stats()
+        assert set(stats) == {
+            "time_discover_s",
+            "self_discover_s",
+            "time_lift_s",
+            "self_lift_s",
+        }
+        before = recorder.timings()
+        with recorder.span("discover"):
+            pass
+        assert set(recorder.stats(since=before)) == {
+            "time_discover_s",
+            "self_discover_s",
+        }
+
+    def test_threads_time_only_their_own_spans(self):
+        recorder = Recorder()
+        barrier = threading.Barrier(2)
+
+        def worker(name):
+            with recorder.span(name):
+                barrier.wait(timeout=10)
+                with recorder.span(f"{name}-child"):
+                    barrier.wait(timeout=10)
+
+        threads = [
+            threading.Thread(target=worker, args=(f"t{i}",))
+            for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        timings = recorder.timings()
+        for name in ("t0", "t1"):
+            _, total, own = timings[name]
+            _, child_total, _ = timings[f"{name}-child"]
+            # Only this thread's child is subtracted from its parent.
+            assert own == pytest.approx(total - child_total)
 
 
 class TestRendering:
@@ -206,8 +266,3 @@ class TestRendering:
         assert "span tree" in text
         assert "anchor" in text
         assert "reified mismatch" in text
-
-    def test_phase_seconds_accumulates_by_name(self, trace_document):
-        seconds = phase_seconds(trace_document)
-        assert set(seconds) == {"discover", "rank"}
-        assert all(value >= 0 for value in seconds.values())

@@ -816,8 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-scenario wall-clock limit (degrades to a warning on "
-        "worker threads; see docs/robustness.md)",
+        help="per-scenario wall-clock limit; a synchronous request whose "
+        "job it stops gets a 504 (see docs/service.md)",
     )
     serve.add_argument(
         "--processes",

@@ -38,29 +38,20 @@ input order before returning.
 from __future__ import annotations
 
 import pickle
-import signal
-import threading
 import time
 import traceback
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.correspondences import CorrespondenceSet
+from repro.deadline import deadline
 from repro.discovery.fingerprint import (
     scenario_fingerprint,
     semantics_content_key,
 )
 from repro.discovery.mapper import DiscoveryResult, SemanticMapper
 from repro.discovery.options import DiscoveryOptions
-from repro.exceptions import (
-    BatchError,
-    ScenarioTimeout,
-    TimeoutUnavailableWarning,
-    WorkerCrashed,
-)
-from repro.perf import counters as perf_counters
+from repro.exceptions import BatchError, ScenarioTimeout, WorkerCrashed
 from repro.semantics.lav import SchemaSemantics
 
 #: How many innermost traceback frames a :class:`ScenarioFailure` keeps.
@@ -126,12 +117,9 @@ class BatchPolicy:
     ----------
     timeout_seconds:
         Per-scenario wall-clock limit; ``None`` disables the limit.
-        Enforced with ``SIGALRM`` in whichever process runs the scenario
-        (worker processes and, in serial mode, the parent's main
-        thread). In contexts where ``SIGALRM`` cannot be armed — worker
-        *threads* (e.g. the ``repro.service`` job queue) or non-Unix
-        platforms — the limit degrades to no-timeout with a
-        :class:`~repro.exceptions.TimeoutUnavailableWarning`.
+        Discovery's searches check it at their loop heads
+        (:mod:`repro.deadline`), so it stops a run the same way in the
+        parent, in a pool worker and on a service job thread.
     retries:
         How many serial re-runs a scenario gets after its worker process
         died (the whole group is re-run in the parent, since a dead
@@ -303,58 +291,6 @@ def _group_by_pair(
 # ---------------------------------------------------------------------------
 # Guarded execution
 # ---------------------------------------------------------------------------
-@contextmanager
-def _deadline(seconds: float | None, scenario_id: str) -> Iterator[None]:
-    """Raise :class:`ScenarioTimeout` after ``seconds`` of wall-clock time.
-
-    Uses ``SIGALRM``, so it only arms on platforms that have it and when
-    running on the main thread of its process (always true for pool
-    workers). Elsewhere — notably worker *threads* such as the
-    ``repro.service`` job queue, where ``signal.signal`` would raise —
-    the limit degrades to no-timeout with a
-    :class:`TimeoutUnavailableWarning` and a ``timeouts_unenforced``
-    perf counter, never a crash and never a silent drop.
-    """
-    if seconds is None or seconds <= 0:
-        yield
-        return
-    if not hasattr(signal, "SIGALRM"):
-        reason = "this platform has no SIGALRM"
-    elif threading.current_thread() is not threading.main_thread():
-        reason = (
-            "SIGALRM can only be armed on the process's main thread, and "
-            "this scenario is running on a worker thread"
-        )
-    else:
-        reason = None
-    if reason is not None:
-        warnings.warn(
-            TimeoutUnavailableWarning(
-                f"scenario {scenario_id!r}: the {seconds}s wall-clock "
-                f"limit is not enforced ({reason}); running without a "
-                f"timeout"
-            ),
-            stacklevel=3,
-        )
-        perf_counters.record("timeouts_unenforced")
-        yield
-        return
-
-    def _on_alarm(signum, frame):  # noqa: ARG001 - signal signature
-        raise ScenarioTimeout(
-            f"scenario {scenario_id!r} exceeded the {seconds}s "
-            f"wall-clock limit"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _guarded_run(
     scenario: Scenario,
     timeout_seconds: float | None,
@@ -367,7 +303,7 @@ def _guarded_run(
     """
     start = time.perf_counter()
     try:
-        with _deadline(timeout_seconds, scenario.scenario_id):
+        with deadline(timeout_seconds, scenario.scenario_id):
             result = scenario.run()
     except Exception as error:
         elapsed = time.perf_counter() - start

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cm.graph import CMEdge, CMGraph
+from repro.deadline import check_deadline
 from repro.perf import counters as perf_counters
 from repro.perf.index import GraphIndex
 
@@ -304,6 +305,7 @@ def _targeted_shortest_paths(
     heap: list[tuple[int, int, str]] = [(0, counter, root)]
     finalized: set[str] = set()
     while heap:
+        check_deadline()
         dist, _, node = heapq.heappop(heap)
         if node in finalized:
             continue
@@ -836,6 +838,7 @@ def minimally_lossy_paths(
             continue
         if edge.target in seen:
             continue
+        check_deadline()
         perf_counters.record("lossy_paths_expanded")
         new_reversals, new_last = _extend_reversal_state(
             reversals, last_step, edge

@@ -127,20 +127,3 @@ class ScenarioTimeout(BatchError):
 
 class WorkerCrashed(BatchError):
     """A worker process died (e.g. hard exit, OOM kill) mid-scenario."""
-
-
-class ReproWarning(Warning):
-    """Base class for warnings issued by the ``repro`` library."""
-
-
-class TimeoutUnavailableWarning(ReproWarning):
-    """A requested per-scenario timeout cannot be enforced here.
-
-    ``SIGALRM`` — the mechanism behind ``BatchPolicy.timeout_seconds`` —
-    only exists on Unix and only fires on the main thread of a process.
-    When a timeout is requested from a context without it (a worker
-    thread, e.g. the ``repro.service`` job queue, or a non-Unix
-    platform), the batch layer degrades to running without a limit and
-    issues this warning instead of crashing or silently ignoring the
-    policy.
-    """

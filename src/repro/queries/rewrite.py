@@ -33,6 +33,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.deadline import check_deadline
 from repro.exceptions import RewritingError
 from repro.queries.conjunctive import (
     Atom,
@@ -373,6 +374,7 @@ def _candidate_rewritings(
     def walk(depth: int) -> Iterator[ConjunctiveQuery]:
         nonlocal produced, truncated
         if depth == count:
+            check_deadline()
             result = finish(chosen, substitution)
             if result is not None:
                 produced += 1

@@ -236,10 +236,10 @@ class JobQueue:
     metrics:
         The shared :class:`ServiceMetrics` sink.
     policy:
-        Optional :class:`BatchPolicy` applied to every job (a
-        ``timeout_seconds`` degrades to a
-        :class:`~repro.exceptions.TimeoutUnavailableWarning` on worker
-        threads — see ``repro.discovery.batch``).
+        Optional :class:`BatchPolicy` applied to every job. Its
+        ``timeout_seconds`` stops a job's discovery on the worker
+        thread and fails the job with ``ScenarioTimeout`` (see
+        :mod:`repro.deadline`).
     history:
         How many retained jobs stay visible to ``GET /jobs/<id>``. Only
         jobs passed to :meth:`retain` count; the oldest is dropped
@@ -444,9 +444,10 @@ class JobQueue:
         enqueued with a deadline (never a blocking ``put``), so a queue
         that is at capacity when shutdown starts — exactly the
         429-backpressure situation — cannot wedge ``stop()``. If the
-        deadline passes (e.g. a worker is stuck inside a scenario, whose
-        timeout is unenforced on threads), a ``RuntimeWarning`` is
-        issued and the daemon workers are abandoned to process exit.
+        deadline passes (e.g. a worker is still inside a scenario run
+        with no job timeout, or one longer than ``timeout``), a
+        ``RuntimeWarning`` is issued and the daemon workers are
+        abandoned to process exit.
         """
         self._stopping.set()
         deadline = (

@@ -6,7 +6,8 @@ Endpoints
     Run (or serve from cache) one discovery scenario. Sync by default;
     ``{"mode": "async"}`` returns 202 with a job id for polling.
     Malformed requests get 400 with structured diagnostics *before*
-    anything is queued; a full queue gets 429 with ``Retry-After``.
+    anything is queued; a full queue gets 429 with ``Retry-After``; a
+    run stopped by the job timeout gets 504.
 ``POST /introspect``
     Live-database ingestion in one call: two SQLite SQL dumps + a CM in,
     mappings out. Dumps execute into in-memory databases (paths are
@@ -54,6 +55,7 @@ from repro.discovery.engine import persist
 from repro.exceptions import (
     QueueFullError,
     ReproError,
+    ScenarioTimeout,
     WireFormatError,
 )
 from repro.perf import counters as perf_counters
@@ -130,6 +132,11 @@ def _error_payload(
     payload = {"type": error_type, "message": message}
     payload.update(extra)
     return payload
+
+
+def _failed_job_status(error: dict[str, Any]) -> int:
+    """504 for a job its ``--job-timeout`` stopped, else 500."""
+    return 504 if error.get("type") == ScenarioTimeout.__name__ else 500
 
 
 def _side_to_wire(side: Any) -> dict[str, Any]:
@@ -295,7 +302,7 @@ class MappingService:
                 **job.to_wire(),
             }
         if job.state == "error":
-            return 500, {
+            return _failed_job_status(job.error), {
                 "status": "error",
                 "job_id": job.job_id,
                 "scenario_id": job.scenario_id,
@@ -416,7 +423,7 @@ class MappingService:
                 "ingest": ingest_summary,
             }
         if job.state == "error":
-            return 500, {
+            return _failed_job_status(job.error), {
                 "status": "error",
                 "job_id": job.job_id,
                 "scenario_id": job.scenario_id,

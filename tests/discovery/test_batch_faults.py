@@ -22,6 +22,7 @@ from repro.discovery import (
     Scenario,
     discover_many,
 )
+from repro.deadline import check_deadline
 from repro.discovery.batch import _group_by_pair
 from repro.exceptions import ScenarioTimeout, WorkerCrashed
 
@@ -64,10 +65,17 @@ def _unpicklable(scenario_id, example):
 
 
 class SlowScenario(Scenario):
-    """Sleeps far past any test timeout before delegating."""
+    """Spins far past any test timeout before delegating.
+
+    The limit is a cooperative deadline that a sleep never sees, so the
+    spin checks it the way discovery's search loops do.
+    """
 
     def run(self):
-        time.sleep(30.0)
+        give_up = time.monotonic() + 30.0
+        while time.monotonic() < give_up:
+            check_deadline()
+            time.sleep(0.01)
         return super().run()
 
 
@@ -223,10 +231,6 @@ class TestInjectedWorkerException:
             batch.result_for("never-submitted")
 
 
-@pytest.mark.skipif(
-    not hasattr(__import__("signal"), "SIGALRM"),
-    reason="per-scenario timeouts need SIGALRM",
-)
 class TestScenarioTimeout:
     def test_serial_timeout_records_failure(self, bookstore):
         scenarios = [_slow("sleepy", bookstore), _good("ok", bookstore)]
@@ -304,10 +308,6 @@ class TestInputValidation:
 # ---------------------------------------------------------------------------
 # Acceptance: the ISSUE's 20-scenario batch
 # ---------------------------------------------------------------------------
-@pytest.mark.skipif(
-    not hasattr(__import__("signal"), "SIGALRM"),
-    reason="per-scenario timeouts need SIGALRM",
-)
 class TestTwentyScenarioAcceptance:
     """20 scenarios, one crash, one timeout, one unpicklable spec:
     17 results byte-identical to serial, 3 structured failures."""

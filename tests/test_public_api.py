@@ -156,6 +156,8 @@ REMOVED = (
     ("repro.discovery", None, "find_source_lossy_csgs"),
     ("repro.discovery.compatibility", None, "tree_pair_compatible"),
     ("repro.service.metrics", "ServiceMetrics", "phase_quantile"),
+    ("repro.exceptions", None, "TimeoutUnavailableWarning"),
+    ("repro.exceptions", None, "ReproWarning"),
 )
 
 

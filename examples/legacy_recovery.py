@@ -3,16 +3,18 @@
 The paper's pipeline assumes table semantics exist; when they don't, a
 companion tool recovers them from the bare schema plus an existing CM.
 This example plays that scenario: the Network source schema arrives as
-*plain DDL* (no semantics), gets parsed, anchored against the networkA
-ontology by the heuristic recoverer, and then drives the same mapping
-discovery as hand-curated semantics would.
+*plain DDL* (no semantics), gets read by the ingest layer's SQL-dump
+catalog backend, anchored against the networkA ontology by the heuristic
+recoverer, and then drives the same mapping discovery as hand-curated
+semantics would.
 
 Run:  python examples/legacy_recovery.py
 """
 
 from repro.datasets.registry import load_dataset
 from repro.discovery import SemanticMapper
-from repro.relational.ddl import emit_ddl, parse_ddl
+from repro.ingest import DumpBackend, introspect_backend
+from repro.relational.ddl import emit_ddl
 from repro.semantics import recover_semantics
 
 
@@ -21,7 +23,9 @@ def main() -> None:
 
     # Pretend the source arrives as bare DDL from a legacy database.
     ddl = emit_ddl(pair.source.schema)
-    legacy_schema = parse_ddl(ddl, schema_name="networkA")
+    legacy_schema = introspect_backend(
+        DumpBackend.from_text(ddl), "networkA"
+    ).schema
     print(
         f"Parsed legacy schema: {len(legacy_schema)} tables, "
         f"{len(legacy_schema.rics)} foreign keys — no semantics attached."

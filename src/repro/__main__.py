@@ -192,50 +192,41 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if mapping_case is None:
         return 2
     rediscovery = None
-    if args.method == "semantic":
-        options = _options_from_args(args)
-        if args.cache_dir:
-            options = options.replace(cache_dir=args.cache_dir)
-        if args.reuse_from:
-            from repro.discovery import Scenario, rediscover
+    options = _options_from_args(args)
+    if args.cache_dir:
+        options = options.replace(cache_dir=args.cache_dir)
+    if args.reuse_from:
+        from repro.discovery import Scenario, rediscover
 
-            previous_case = _find_case(pair, args.reuse_from)
-            if previous_case is None:
-                return 2
-            previous = Scenario.create(
-                f"{args.name}/{args.reuse_from}",
-                pair.source,
-                pair.target,
-                previous_case.correspondences,
-                options=options,
-            ).run()
-            rediscovery = rediscover(
-                previous,
-                Scenario.create(
-                    f"{args.name}/{args.case}",
-                    pair.source,
-                    pair.target,
-                    mapping_case.correspondences,
-                    options=options,
-                ),
-            )
-            result = rediscovery.result
-        else:
-            from repro.discovery.mapper import SemanticMapper
-
-            result = SemanticMapper(
+        previous_case = _find_case(pair, args.reuse_from)
+        if previous_case is None:
+            return 2
+        previous = Scenario.create(
+            f"{args.name}/{args.reuse_from}",
+            pair.source,
+            pair.target,
+            previous_case.correspondences,
+            options=options,
+        ).run()
+        rediscovery = rediscover(
+            previous,
+            Scenario.create(
+                f"{args.name}/{args.case}",
                 pair.source,
                 pair.target,
                 mapping_case.correspondences,
                 options=options,
-            ).discover()
+            ),
+        )
+        result = rediscovery.result
     else:
-        from repro.baseline.clio import RICBasedMapper
+        from repro.discovery.mapper import SemanticMapper
 
-        result = RICBasedMapper(
-            pair.source.schema,
-            pair.target.schema,
+        result = SemanticMapper(
+            pair.source,
+            pair.target,
             mapping_case.correspondences,
+            options=options,
         ).discover()
     print(
         f"{len(result)} candidate(s) in {result.elapsed_seconds * 1000:.1f} ms"
@@ -254,7 +245,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
             f"{', '.join(report['invalidated_stages']) or 'none'}"
         )
     if args.stats:
-        _print_stats(getattr(result, "stats", None) or {})
+        _print_stats(result.stats)
     return 0
 
 
@@ -692,15 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_map.add_argument("name")
     run_map.add_argument("case")
     run_map.add_argument(
-        "--method", choices=["semantic", "ric"], default="semantic"
-    )
-    run_map.add_argument(
         "--engine",
         choices=["semantic", "clio"],
         default="semantic",
-        help="discovery engine for the unified pipeline (clio = the "
-        "schema-only RIC baseline behind the same staged API; "
-        "--method ric remains the legacy direct baseline path)",
+        help="discovery engine (clio = the paper's schema-only RIC "
+        "baseline behind the same staged API)",
     )
     run_map.add_argument(
         "--reuse-from",

@@ -1,4 +1,4 @@
-"""Conceptual-model substrate: CML, CM graphs, reification, reasoning."""
+"""Conceptual-model substrate: CML, CM graphs, reasoning."""
 
 from repro import _lazy_package
 
@@ -25,13 +25,7 @@ __all__ = _lazy_package(
             "attribute_node_id",
         ),
         "repro.cm.reasoner": ("CMReasoner",),
-        "repro.cm.reify": (
-            "ReificationMap",
-            "ReifiedBinary",
-            "auto_reify_many_many",
-            "reify_relationship",
-        ),
-        "repro.cm.dot": ("cm_graph_to_dot", "stree_to_dot"),
+        "repro.cm.dot": ("cm_graph_to_dot",),
         "repro.cm.serialize": ("model_from_dict", "model_to_dict"),
     },
 )

@@ -1,18 +1,16 @@
-"""GraphViz DOT export for CM graphs and s-trees.
+"""GraphViz DOT export for CM graphs.
 
 Renders conceptual models the way the paper draws them: class nodes as
 boxes (reified relationships tagged ``◇``), attributes folded into the
 class label, relationship edges labeled with name and cardinalities,
 ISA edges as hollow-arrow (``empty`` arrowhead) links, partOf edges with
-diamond tails. S-trees render with the anchor highlighted, which makes
-the discovered CSGs easy to eyeball.
+diamond tails.
 """
 
 from __future__ import annotations
 
 from repro.cm.graph import CMGraph
 from repro.cm.model import SemanticType
-from repro.semantics.stree import SemanticTree
 
 
 def _escape(text: str) -> str:
@@ -62,33 +60,3 @@ def cm_graph_to_dot(graph: CMGraph, name: str = "cm") -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def stree_to_dot(tree: SemanticTree, name: str = "stree") -> str:
-    """An s-tree as a DOT digraph; the anchor is drawn bold."""
-    lines = [f'digraph "{_escape(name)}" {{']
-    lines.append("  node [shape=box, fontsize=10];")
-    for node in tree.nodes():
-        extra = ", penwidth=2, color=blue" if node == tree.root else ""
-        lines.append(
-            f'  "{_escape(node.node_id)}" '
-            f'[label="{_escape(node.node_id)}"{extra}];'
-        )
-    for edge in tree.edges:
-        arrow = "normal" if edge.cm_edge.is_functional else "none"
-        lines.append(
-            f'  "{_escape(edge.parent.node_id)}" -> '
-            f'"{_escape(edge.child.node_id)}" '
-            f'[label="{_escape(edge.cm_edge.label)}", arrowhead={arrow}];'
-        )
-    for column, (node, attribute) in sorted(tree.columns.items()):
-        attr_id = f"{node.node_id}.{attribute}"
-        lines.append(
-            f'  "{_escape(attr_id)}" [shape=ellipse, '
-            f'label="{_escape(column)}"];'
-        )
-        lines.append(
-            f'  "{_escape(node.node_id)}" -> "{_escape(attr_id)}" '
-            f'[label="{_escape(attribute)}", style=dashed];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

@@ -305,10 +305,6 @@ class CMGraph:
         """Outgoing non-attribute functional edges (tree-growing steps)."""
         return self.edges_from(node, functional_only=True)
 
-    def degree(self, node: str) -> int:
-        """Number of outgoing non-attribute edges."""
-        return len(self.edges_from(node))
-
     def size(self) -> tuple[int, int]:
         """(number of class nodes, number of attribute nodes)."""
         classes = sum(1 for kind, _ in self._nodes.values() if kind == _CLASS)

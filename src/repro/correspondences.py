@@ -89,9 +89,6 @@ class CorrespondenceSet:
     def source_columns(self) -> tuple[Column, ...]:
         return tuple(c.source for c in self._items)
 
-    def target_columns(self) -> tuple[Column, ...]:
-        return tuple(c.target for c in self._items)
-
     def source_tables(self) -> tuple[str, ...]:
         result: dict[str, None] = {}
         for correspondence in self._items:

@@ -9,7 +9,6 @@ __all__ = _lazy_package(
             "CostModel",
             "DiscoveredTree",
             "direction_reversals",
-            "functional_tree_from_root",
             "functional_trees_from_root",
             "minimal_functional_trees",
             "minimally_lossy_paths",
@@ -20,7 +19,6 @@ __all__ = _lazy_package(
             "ConnectionProfile",
             "anchors_compatible",
             "compatibility_violation",
-            "connections_compatible",
             "path_semantic_type",
         ),
         "repro.discovery.options": ("DEFAULT_OPTIONS", "DiscoveryOptions"),

@@ -124,27 +124,6 @@ def compatibility_violation(
     return None
 
 
-def connections_compatible(
-    source: ConnectionProfile,
-    target: ConnectionProfile,
-    check_cardinality: bool = True,
-    check_semantic_type: bool = True,
-) -> bool:
-    """Hard compatibility filter between one source/target connection pair.
-
-    Boolean view of :func:`compatibility_violation`.
-    """
-    return (
-        compatibility_violation(
-            source,
-            target,
-            check_cardinality=check_cardinality,
-            check_semantic_type=check_semantic_type,
-        )
-        is None
-    )
-
-
 @dataclass(frozen=True)
 class AnchorProfile:
     """Section 3.3's preferences for reified-relationship anchors."""

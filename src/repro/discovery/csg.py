@@ -27,7 +27,6 @@ from repro.discovery.steiner import (
     CostModel,
     DiscoveredTree,
     direction_reversals,
-    functional_tree_from_root,
     functional_trees_from_root,
     minimal_functional_trees,
     minimally_lossy_paths,

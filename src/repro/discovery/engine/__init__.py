@@ -47,7 +47,6 @@ __all__ = _lazy_package(
             "STAGE_OPTION_FIELDS",
             "EngineOutcome",
             "SemanticEngine",
-            "time_stat_key",
         ),
     },
 )

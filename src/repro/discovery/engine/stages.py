@@ -120,11 +120,6 @@ STAGE_OPTION_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-def time_stat_key(stage: str) -> str:
-    """The ``DiscoveryResult.stats`` key of one stage's wall time."""
-    return f"time_{stage}_s"
-
-
 class EngineOutcome:
     """What one engine run hands back to the orchestrator."""
 

@@ -87,9 +87,6 @@ class DiscoveredTree:
             result.add(edge.target)
         return frozenset(result)
 
-    def edge_keys(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(edge_key(edge) for edge in self.edges)
-
     def undirected_edge_keys(self) -> frozenset[frozenset[tuple[str, str, str]]]:
         """Direction-insensitive edge identity (for deduplication)."""
         return frozenset(
@@ -458,19 +455,6 @@ def _trees_from_paths(
         for total, tree in results
         if total == best
     ]
-
-
-def functional_tree_from_root(
-    graph: CMGraph,
-    root: str,
-    targets: Iterable[str],
-    cost_model: CostModel | None = None,
-) -> tuple[DiscoveredTree, frozenset[str], int]:
-    """First minimal functional tree from ``root`` (single-result helper)."""
-    trees = functional_trees_from_root(graph, root, targets, cost_model)
-    if not trees:
-        return DiscoveredTree(root, ()), frozenset(), 0
-    return trees[0]
 
 
 def minimal_functional_trees(

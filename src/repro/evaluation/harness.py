@@ -5,8 +5,8 @@ on the case's correspondences:
 
 * the **semantic** approach (:class:`repro.discovery.SemanticMapper`) —
   schemas + CMs + table semantics;
-* the **RIC-based** baseline (:class:`repro.baseline.RICBasedMapper`) —
-  schemas + keys/RICs only.
+* the **RIC-based** baseline (:class:`repro.baseline.RICBasedMapper`,
+  run as the ``clio`` engine) — schemas + keys/RICs only.
 
 The harness aggregates per-domain average precision (Figure 6), average
 recall (Figure 7), and the Table 1 characteristics, and can be run as a
@@ -26,10 +26,8 @@ process exits non-zero to reflect the partial failure. See
 from __future__ import annotations
 
 import argparse
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.baseline.clio import RICBasedMapper
 from repro.datasets.registry import (
     DatasetPair,
     MappingCase,
@@ -42,15 +40,17 @@ from repro.discovery.batch import (
     Scenario,
     ScenarioFailure,
     discover_many,
-    failure_from_exception,
 )
 from repro.discovery.mapper import SemanticMapper
+from repro.discovery.options import DiscoveryOptions
 from repro.evaluation.measures import PrecisionRecall, average, precision_recall
 
 #: Method identifiers used throughout the harness and reports.
 SEMANTIC = "semantic"
 RIC = "ric"
 METHODS = (SEMANTIC, RIC)
+#: The discovery engine each method runs on.
+ENGINES = {SEMANTIC: "semantic", RIC: "clio"}
 
 
 @dataclass(frozen=True)
@@ -96,35 +96,23 @@ class DatasetResult:
         return not self.failures
 
 
+def _options(method: str) -> DiscoveryOptions:
+    if method not in ENGINES:
+        raise ValueError(f"unknown method {method!r}")
+    return DiscoveryOptions(engine=ENGINES[method])
+
+
 def run_case(
     pair: DatasetPair, mapping_case: MappingCase, method: str
 ) -> CaseResult:
     """Run one method on one benchmark case and score it."""
-    if method == SEMANTIC:
-        result = SemanticMapper(
-            pair.source, pair.target, mapping_case.correspondences
-        ).discover()
-    elif method == RIC:
-        result = RICBasedMapper(
-            pair.source.schema,
-            pair.target.schema,
-            mapping_case.correspondences,
-        ).discover()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    measures = precision_recall(
-        result.candidates,
-        mapping_case.benchmark,
-        source_schema=pair.source.schema,
-        target_schema=pair.target.schema,
-    )
-    return CaseResult(
-        dataset=pair.name,
-        case_id=mapping_case.case_id,
-        method=method,
-        measures=measures,
-        elapsed_seconds=result.elapsed_seconds,
-    )
+    result = SemanticMapper(
+        pair.source,
+        pair.target,
+        mapping_case.correspondences,
+        options=_options(method),
+    ).discover()
+    return _score_case(pair, mapping_case, method, result)
 
 
 def _score_case(
@@ -154,45 +142,27 @@ def run_dataset(
 ) -> DatasetResult:
     """Run all benchmark cases of one dataset pair with all methods.
 
-    The semantic method goes through :func:`repro.discovery.discover_many`,
-    so the pair's graph indexes and translation caches are shared across
-    its cases (and, with ``workers > 1``, cases fan out over a process
-    pool). The RIC baseline has no shared state worth batching and stays
-    serial.
+    Each method's cases go through :func:`repro.discovery.discover_many`
+    on its engine, so the pair's graph indexes and caches are shared
+    across its cases (and, with ``workers > 1``, cases fan out over a
+    process pool).
 
-    With ``fail_fast=True`` (default) the first failing case re-raises;
-    with ``fail_fast=False`` failing cases become
-    :class:`ScenarioFailure` records on the returned result and the
-    remaining cases still run. ``timeout_seconds`` bounds each semantic
-    case's wall-clock time.
+    With ``fail_fast=True`` (default) the first failing case raises a
+    :class:`~repro.exceptions.BatchError`; with ``fail_fast=False``
+    failing cases become :class:`ScenarioFailure` records on the
+    returned result and the remaining cases still run.
+    ``timeout_seconds`` bounds each semantic case's wall-clock time
+    (the baseline has no search loop to stop).
     """
     dataset_result = DatasetResult(pair)
-    for mapping_case in pair.cases:
-        for method in methods:
-            if method == SEMANTIC:
-                continue  # batched below
-            started = time.perf_counter()
-            try:
-                dataset_result.case_results.append(
-                    run_case(pair, mapping_case, method)
-                )
-            except Exception as error:
-                if fail_fast:
-                    raise
-                dataset_result.failures.append(
-                    failure_from_exception(
-                        f"{pair.name}/{mapping_case.case_id}[{method}]",
-                        error,
-                        time.perf_counter() - started,
-                    )
-                )
-    if SEMANTIC in methods:
+    for method in methods:
         scenarios = [
             Scenario.create(
                 mapping_case.case_id,
                 pair.source,
                 pair.target,
                 mapping_case.correspondences,
+                options=_options(method),
             )
             for mapping_case in pair.cases
         ]
@@ -208,18 +178,12 @@ def run_dataset(
             result = results_by_id.get(mapping_case.case_id)
             if result is not None:
                 dataset_result.case_results.append(
-                    _score_case(pair, mapping_case, SEMANTIC, result)
+                    _score_case(pair, mapping_case, method, result)
                 )
         dataset_result.failures.extend(
-            ScenarioFailure(
-                scenario_id=(
-                    f"{pair.name}/{failure.scenario_id}[{SEMANTIC}]"
-                ),
-                error_type=failure.error_type,
-                message=failure.message,
-                traceback_summary=failure.traceback_summary,
-                elapsed_seconds=failure.elapsed_seconds,
-                attempts=failure.attempts,
+            replace(
+                failure,
+                scenario_id=f"{pair.name}/{failure.scenario_id}[{method}]",
             )
             for failure in batch.failures
         )

@@ -178,8 +178,7 @@ def _apply_value_overlap(
             len(source_set) >= MIN_VALUE_SAMPLE
             and len(target_set) >= MIN_VALUE_SAMPLE
         ):
-            union = source_set | target_set
-            jaccard = len(source_set & target_set) / len(union)
+            jaccard = value_jaccard(source_set, target_set)
             multiplier = 1.0 - VALUE_OVERLAP_WEIGHT * (1.0 - jaccard)
             suggestion = MatchSuggestion(
                 suggestion.score * multiplier,

@@ -32,24 +32,13 @@ __all__ = _lazy_package(
         ),
         "repro.mappings.sql": ("insert_sql", "select_sql"),
         "repro.mappings.serialize": ("dump_mapping_set", "load_mapping_set"),
-        "repro.mappings.coverage": (
-            "ColumnCoverage",
-            "ColumnStatus",
-            "coverage_summary",
-            "target_coverage",
-        ),
         "repro.mappings.diff": ("MappingDiff", "diff_candidates"),
         "repro.mappings.verify": (
             "VerificationReport",
             "Violation",
-            "satisfies",
             "tgd_violations",
             "verify_mappings",
         ),
-        "repro.mappings.refinement": (
-            "optional_classes",
-            "optional_tables",
-            "outer_join_algebra",
-        ),
+        "repro.mappings.refinement": ("optional_classes", "optional_tables"),
     },
 )

@@ -8,31 +8,16 @@
 This module implements that future-work item: an s-tree edge whose
 forward lower bound is 0 means instances of the parent may lack a
 partner, so joining the tables realizing the child's subtree must not
-drop those instances. :func:`optional_classes` reads the hints off a CSG,
-:func:`optional_tables` projects them onto a table-level query, and
-:func:`outer_join_algebra` builds an executable plan where optional
-tables join with ``⟕``/``⟗`` instead of ``⋈`` — for Example 1.2 this
-yields exactly the full outer join of ``programmer`` and ``engineer``
-the paper asks for.
+drop those instances. :func:`optional_classes` reads the hints off a CSG
+and :func:`optional_tables` projects them onto a table-level query; the
+engine records the result on each candidate as
+:attr:`~repro.mappings.expression.MappingCandidate.source_optional_tables`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.discovery.csg import CSG
-from repro.exceptions import QueryError
-from repro.queries.conjunctive import ConjunctiveQuery, Variable
-from repro.relational.algebra import (
-    AlgebraExpression,
-    BaseRelation,
-    FullOuterJoin,
-    LeftOuterJoin,
-    NaturalJoin,
-    Projection,
-    Rename,
-)
-from repro.relational.schema import RelationalSchema
+from repro.queries.conjunctive import ConjunctiveQuery
 from repro.semantics.lav import SchemaSemantics
 from repro.semantics.stree import STreeNode
 
@@ -74,51 +59,3 @@ def optional_tables(
             result.add(table)
     return frozenset(result)
 
-
-def outer_join_algebra(
-    query: ConjunctiveQuery,
-    schema: RelationalSchema,
-    optional: Iterable[str] = (),
-) -> AlgebraExpression:
-    """An algebra plan joining optional tables with outer joins.
-
-    Mandatory atoms natural-join first; optional atoms then attach with a
-    left outer join — unless *every* atom is optional, in which case they
-    merge pairwise with full outer joins (the Example 1.2 situation: all
-    subclass tables are optional with respect to the superclass object).
-    """
-    optional_set = set(optional)
-    nodes: list[tuple[bool, AlgebraExpression]] = []
-    for atom in query.body:
-        table = schema.table(atom.bare_predicate)
-        renaming = {}
-        for column, term in zip(table.columns, atom.terms):
-            if not isinstance(term, Variable):
-                raise QueryError(
-                    f"outer-join conversion supports variable terms only: "
-                    f"{atom}"
-                )
-            if column != term.name:
-                renaming[column] = term.name
-        node: AlgebraExpression = BaseRelation(table.name)
-        if renaming:
-            node = Rename(node, renaming)
-        nodes.append((atom.bare_predicate in optional_set, node))
-    if not nodes:
-        raise QueryError("cannot convert an empty query")
-    mandatory = [node for is_optional, node in nodes if not is_optional]
-    optionals = [node for is_optional, node in nodes if is_optional]
-    if mandatory:
-        plan = mandatory[0]
-        for node in mandatory[1:]:
-            plan = NaturalJoin(plan, node)
-        for node in optionals:
-            plan = LeftOuterJoin(plan, node)
-    else:
-        plan = optionals[0]
-        for node in optionals[1:]:
-            plan = FullOuterJoin(plan, node)
-    head = [
-        term.name for term in query.head_terms if isinstance(term, Variable)
-    ]
-    return Projection(plan, head)

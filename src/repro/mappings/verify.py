@@ -48,15 +48,6 @@ def tgd_violations(
     return violations
 
 
-def satisfies(
-    tgd: SourceToTargetTGD,
-    source_instance: Instance,
-    target_instance: Instance,
-) -> bool:
-    """Whether the instance pair satisfies the tgd."""
-    return not tgd_violations(tgd, source_instance, target_instance, limit=1)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Satisfaction summary for a set of tgds over one instance pair."""

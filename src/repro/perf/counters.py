@@ -77,7 +77,7 @@ class PerfCounters:
     Instances are cheap thread-confined scratchpads by default; the
     module's shared root frame is the one instance that multiple
     threads hit concurrently, so every cross-thread touch point
-    (increment, merge, snapshot, clear) takes the per-instance lock.
+    (increment, snapshot, clear) takes the per-instance lock.
     Reading ``counts`` directly is fine for thread-confined frames
     (scoped frames, test fixtures) but unsynchronised for the root —
     use :meth:`snapshot` for a consistent view of it.
@@ -99,16 +99,6 @@ class PerfCounters:
         with self._lock:
             counts = dict(self.counts)
         return {name: int(value) for name, value in sorted(counts.items())}
-
-    def merge(self, other: "PerfCounters | dict[str, int]") -> None:
-        """Fold another frame (or a snapshot dict) into this one."""
-        if isinstance(other, PerfCounters):
-            with other._lock:
-                counts = dict(other.counts)
-        else:
-            counts = {name: int(value) for name, value in other.items()}
-        with self._lock:
-            self.counts.update(counts)
 
     def clear(self) -> None:
         """Drop every counter (locked)."""

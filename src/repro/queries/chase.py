@@ -147,10 +147,6 @@ class ChaseEngine:
                 queue.append(new_atom)
         return tuple(atoms)
 
-    def chase_closure_size(self, seed_atoms: Sequence[Atom]) -> int:
-        """Number of atoms in the chased set (diagnostic helper)."""
-        return len(self.chase(seed_atoms))
-
 
 def table_seed_atom(
     schema: RelationalSchema,

@@ -478,11 +478,6 @@ class ConjunctiveQuery:
         return f"<CQ {self}>"
 
 
-def fresh_variables(prefix: str, count: int) -> list[Variable]:
-    """``[prefix1, prefix2, ...]`` as variables."""
-    return [Variable(f"{prefix}{i}") for i in range(1, count + 1)]
-
-
 class _VariableFactory:
     """Generates globally fresh variables (for chase steps etc.)."""
 

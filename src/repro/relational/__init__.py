@@ -14,19 +14,14 @@ __all__ = _lazy_package(
         "repro.relational.constraints": ("ReferentialConstraint",),
         "repro.relational.schema": ("Column", "RelationalSchema", "Table"),
         "repro.relational.instance": ("Instance", "LabeledNull"),
-        "repro.relational.ddl": ("emit_ddl", "emit_table_ddl", "parse_ddl"),
+        "repro.relational.ddl": ("emit_ddl", "emit_table_ddl"),
         "repro.relational.algebra": (
             "AlgebraExpression",
             "BaseRelation",
-            "Distinct",
             "NaturalJoin",
-            "LeftOuterJoin",
-            "FullOuterJoin",
             "Projection",
             "Rename",
             "Selection",
-            "ThetaJoin",
-            "Union",
         ),
     },
 )

@@ -2,9 +2,6 @@
 
 The mapping expressions the library discovers are conjunctive queries; this
 module gives them an executable algebraic form (and a readable rendering).
-Outer joins are included because the paper (Example 1.2 and Section 6)
-motivates merging ISA siblings with outer joins.
-
 Every expression node evaluates against an :class:`~repro.relational.Instance`
 to a :class:`ResultSet` — an ordered column list plus a set of value tuples.
 Natural join is the workhorse: it joins on equal column *names*, which is the
@@ -18,7 +15,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from repro.exceptions import QueryError
-from repro.relational.instance import Instance, LabeledNull, _row_sort_key
+from repro.relational.instance import Instance, _row_sort_key
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,6 @@ class AlgebraExpression:
 
     def where(self, column: str, value: Hashable) -> "Selection":
         return Selection(self, column, value)
-
-    def select_columns(self, *columns: str) -> "Projection":
-        return Projection(self, columns)
 
 
 @dataclass(frozen=True)
@@ -178,12 +172,9 @@ def _join_rows(
     left: ResultSet,
     right: ResultSet,
     pairs: Sequence[tuple[int, int]],
-) -> tuple[tuple[str, ...], set[tuple], set[tuple], set[tuple]]:
-    """Inner-join machinery shared by all join nodes.
-
-    Returns output columns, joined rows, matched-left rows, matched-right
-    rows (the latter two feed outer-join padding).
-    """
+) -> tuple[tuple[str, ...], set[tuple]]:
+    """Hash-join ``left`` and ``right`` on the column-index ``pairs``:
+    the output columns and the joined rows."""
     right_keep = [
         i for i in range(len(right.columns)) if i not in {rp for _, rp in pairs}
     ]
@@ -193,15 +184,11 @@ def _join_rows(
         key = tuple(row[rp] for _, rp in pairs)
         index.setdefault(key, []).append(row)
     joined: set[tuple] = set()
-    matched_left: set[tuple] = set()
-    matched_right: set[tuple] = set()
     for row in left.rows:
         key = tuple(row[lp] for lp, _ in pairs)
         for other in index.get(key, ()):
             joined.add(row + tuple(other[i] for i in right_keep))
-            matched_left.add(row)
-            matched_right.add(other)
-    return out_columns, joined, matched_left, matched_right
+    return out_columns, joined
 
 
 def _shared_pairs(left: ResultSet, right: ResultSet) -> list[tuple[int, int]]:
@@ -225,197 +212,8 @@ class NaturalJoin(AlgebraExpression):
         left = self.left.evaluate(instance)
         right = self.right.evaluate(instance)
         pairs = _shared_pairs(left, right)
-        out_columns, joined, _, _ = _join_rows(left, right, pairs)
+        out_columns, joined = _join_rows(left, right, pairs)
         return ResultSet(out_columns, frozenset(joined))
 
     def render(self) -> str:
         return f"({self.left.render()} ⋈ {self.right.render()})"
-
-
-@dataclass(frozen=True)
-class ThetaJoin(AlgebraExpression):
-    """Equi-join on explicit (left column, right column) pairs.
-
-    Unlike natural join, only the listed pairs are equated; any other
-    shared column names must first be resolved with :class:`Rename`.
-    """
-
-    left: AlgebraExpression
-    right: AlgebraExpression
-    conditions: tuple[tuple[str, str], ...]
-
-    def __init__(
-        self,
-        left: AlgebraExpression,
-        right: AlgebraExpression,
-        conditions: Sequence[tuple[str, str]],
-    ) -> None:
-        if not conditions:
-            raise QueryError("theta join requires at least one condition")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "conditions", tuple(conditions))
-
-    def _pairs(self, left: ResultSet, right: ResultSet) -> list[tuple[int, int]]:
-        pairs = []
-        for lcol, rcol in self.conditions:
-            if lcol not in left.columns or rcol not in right.columns:
-                raise QueryError(
-                    f"theta join condition {lcol}={rcol} references "
-                    f"unknown columns"
-                )
-            pairs.append((left.columns.index(lcol), right.columns.index(rcol)))
-        return pairs
-
-    def output_columns(self, instance: Instance) -> tuple[str, ...]:
-        left_cols = self.left.output_columns(instance)
-        right_cols = self.right.output_columns(instance)
-        dropped = {rcol for _, rcol in self.conditions}
-        out = left_cols + tuple(c for c in right_cols if c not in dropped)
-        if len(set(out)) != len(out):
-            raise QueryError(
-                f"theta join output has duplicate columns {out}; use Rename"
-            )
-        return out
-
-    def evaluate(self, instance: Instance) -> ResultSet:
-        left = self.left.evaluate(instance)
-        right = self.right.evaluate(instance)
-        pairs = self._pairs(left, right)
-        out_columns, joined, _, _ = _join_rows(left, right, pairs)
-        return ResultSet(out_columns, frozenset(joined))
-
-    def render(self) -> str:
-        conds = " ∧ ".join(f"{l}={r}" for l, r in self.conditions)
-        return f"({self.left.render()} ⋈[{conds}] {self.right.render()})"
-
-
-@dataclass(frozen=True)
-class LeftOuterJoin(AlgebraExpression):
-    """Natural left outer join; unmatched left rows pad with fresh nulls."""
-
-    left: AlgebraExpression
-    right: AlgebraExpression
-
-    def output_columns(self, instance: Instance) -> tuple[str, ...]:
-        return NaturalJoin(self.left, self.right).output_columns(instance)
-
-    def evaluate(self, instance: Instance) -> ResultSet:
-        left = self.left.evaluate(instance)
-        right = self.right.evaluate(instance)
-        pairs = _shared_pairs(left, right)
-        out_columns, joined, matched_left, _ = _join_rows(left, right, pairs)
-        pad = len(out_columns) - len(left.columns)
-        for row in left.rows - matched_left:
-            nulls = tuple(
-                LabeledNull(f"lj:{out_columns[len(left.columns) + i]}:{row!r}")
-                for i in range(pad)
-            )
-            joined.add(row + nulls)
-        return ResultSet(out_columns, frozenset(joined))
-
-    def render(self) -> str:
-        return f"({self.left.render()} ⟕ {self.right.render()})"
-
-
-@dataclass(frozen=True)
-class FullOuterJoin(AlgebraExpression):
-    """Natural full outer join; unmatched rows on both sides are padded.
-
-    This is the merge the paper wants for ISA siblings in Example 1.2:
-    programmers and engineers combine on shared columns, keeping rows that
-    exist on only one side.
-    """
-
-    left: AlgebraExpression
-    right: AlgebraExpression
-
-    def output_columns(self, instance: Instance) -> tuple[str, ...]:
-        return NaturalJoin(self.left, self.right).output_columns(instance)
-
-    def evaluate(self, instance: Instance) -> ResultSet:
-        left = self.left.evaluate(instance)
-        right = self.right.evaluate(instance)
-        pairs = _shared_pairs(left, right)
-        out_columns, joined, matched_left, matched_right = _join_rows(
-            left, right, pairs
-        )
-        left_arity = len(left.columns)
-        pad = len(out_columns) - left_arity
-        for row in left.rows - matched_left:
-            nulls = tuple(
-                LabeledNull(f"fj:{out_columns[left_arity + i]}:{row!r}")
-                for i in range(pad)
-            )
-            joined.add(row + nulls)
-        right_keep = [
-            i
-            for i in range(len(right.columns))
-            if i not in {rp for _, rp in pairs}
-        ]
-        for row in right.rows - matched_right:
-            # Rebuild a full output row: left columns come from the join
-            # columns where available, fresh nulls elsewhere.
-            out_row = []
-            for idx, col in enumerate(left.columns):
-                pair = next(((lp, rp) for lp, rp in pairs if lp == idx), None)
-                if pair is not None:
-                    out_row.append(row[pair[1]])
-                else:
-                    out_row.append(LabeledNull(f"fj:{col}:{row!r}"))
-            out_row.extend(row[i] for i in right_keep)
-            joined.add(tuple(out_row))
-        return ResultSet(out_columns, frozenset(joined))
-
-    def render(self) -> str:
-        return f"({self.left.render()} ⟗ {self.right.render()})"
-
-
-@dataclass(frozen=True)
-class Union(AlgebraExpression):
-    """Set union of two union-compatible expressions."""
-
-    left: AlgebraExpression
-    right: AlgebraExpression
-
-    def output_columns(self, instance: Instance) -> tuple[str, ...]:
-        left_cols = self.left.output_columns(instance)
-        right_cols = self.right.output_columns(instance)
-        if left_cols != right_cols:
-            raise QueryError(
-                f"union of incompatible relations: {left_cols} vs {right_cols}"
-            )
-        return left_cols
-
-    def evaluate(self, instance: Instance) -> ResultSet:
-        left = self.left.evaluate(instance)
-        right = self.right.evaluate(instance)
-        if left.columns != right.columns:
-            raise QueryError(
-                f"union of incompatible relations: {left.columns} vs "
-                f"{right.columns}"
-            )
-        return ResultSet(left.columns, left.rows | right.rows)
-
-    def render(self) -> str:
-        return f"({self.left.render()} ∪ {self.right.render()})"
-
-
-@dataclass(frozen=True)
-class Distinct(AlgebraExpression):
-    """Explicit duplicate elimination (a no-op under set semantics).
-
-    Present so renderings can make set semantics explicit where a reader
-    might otherwise assume bags.
-    """
-
-    child: AlgebraExpression
-
-    def output_columns(self, instance: Instance) -> tuple[str, ...]:
-        return self.child.output_columns(instance)
-
-    def evaluate(self, instance: Instance) -> ResultSet:
-        return self.child.evaluate(instance)
-
-    def render(self) -> str:
-        return f"δ({self.child.render()})"

@@ -1,17 +1,13 @@
-"""SQL DDL emission and (simple) parsing for relational schemas.
+"""SQL DDL emission for relational schemas.
 
 ``emit_ddl`` renders a :class:`RelationalSchema` as portable
 ``CREATE TABLE`` statements (every column typed ``TEXT`` — the paper's
-algorithms are type-agnostic); ``parse_ddl`` reads the same dialect back,
-so schemas can be stored as plain ``.sql`` files.
+algorithms are type-agnostic). Reading DDL back is the ingest layer's
+job: the ``pgdump`` catalog backend parses it (``docs/ingestion.md``).
 """
 
 from __future__ import annotations
 
-import re
-
-from repro.exceptions import SchemaError
-from repro.relational.constraints import ReferentialConstraint
 from repro.relational.schema import RelationalSchema, Table
 
 
@@ -41,114 +37,3 @@ def emit_ddl(schema: RelationalSchema) -> str:
     ]
     return "\n\n".join(statements) + "\n"
 
-
-#: One identifier: double-quoted (SQL standard, ``""`` escapes a quote),
-#: bracketed (SQL Server / SQLite), backticked (MySQL / SQLite), or bare.
-_IDENT = r'(?:"(?:[^"]|"")+"|\[[^\]]+\]|`(?:[^`]|``)+`|\w+)'
-
-_CREATE_RE = re.compile(
-    rf"CREATE\s+TABLE\s+(?:IF\s+NOT\s+EXISTS\s+)?({_IDENT})\s*\((.*?)\)\s*;",
-    re.IGNORECASE | re.DOTALL,
-)
-_PK_RE = re.compile(
-    r"(?:CONSTRAINT\s+" + _IDENT + r"\s+)?PRIMARY\s+KEY\s*\(([^)]*)\)",
-    re.IGNORECASE,
-)
-_FK_RE = re.compile(
-    r"(?:CONSTRAINT\s+" + _IDENT + r"\s+)?"
-    rf"FOREIGN\s+KEY\s*\(([^)]*)\)\s*REFERENCES\s+({_IDENT})\s*\(([^)]*)\)",
-    re.IGNORECASE,
-)
-_COLUMN_RE = re.compile(rf"\s*({_IDENT})")
-
-
-def _unquote(token: str) -> str:
-    """Strip one level of identifier quoting, un-escaping doubled quotes.
-
-    Quoted identifiers keep their exact case; bare ones too — this
-    parser never case-folds, so mixed-case schemas round-trip.
-    """
-    token = token.strip()
-    if len(token) >= 2:
-        if token[0] == '"' and token[-1] == '"':
-            return token[1:-1].replace('""', '"')
-        if token[0] == "[" and token[-1] == "]":
-            return token[1:-1]
-        if token[0] == "`" and token[-1] == "`":
-            return token[1:-1].replace("``", "`")
-    return token
-
-
-def _ident_list(text: str) -> list[str]:
-    """Parse a parenthesized identifier list body (``a, "b", [c]``)."""
-    return [
-        _unquote(part) for part in text.split(",") if part.strip()
-    ]
-
-
-def _split_clauses(body: str) -> list[str]:
-    clauses, depth, current = [], 0, []
-    for char in body:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            clauses.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        clauses.append(tail)
-    return clauses
-
-
-def parse_ddl(text: str, schema_name: str = "parsed") -> RelationalSchema:
-    """Parse the dialect emitted by :func:`emit_ddl`.
-
-    Also accepts the quoted SQLite dialect of
-    :func:`repro.ingest.fixture.sqlite_ddl`: identifiers may be
-    double-quoted, bracketed, or backticked (case preserved either
-    way), ``IF NOT EXISTS`` and named ``CONSTRAINT`` clauses are
-    tolerated, and composite keys parse on both sides of a
-    ``FOREIGN KEY``.
-
-    >>> schema = RelationalSchema("s", [Table("t", ["a", "b"], ["a"])])
-    >>> parse_ddl(emit_ddl(schema)).table("t").primary_key
-    ('a',)
-    >>> parse_ddl('CREATE TABLE "Order" ("Id" TEXT);').table_names()
-    ('Order',)
-    """
-    schema = RelationalSchema(schema_name)
-    deferred_rics: list[ReferentialConstraint] = []
-    matches = list(_CREATE_RE.finditer(text))
-    if not matches and text.strip():
-        raise SchemaError("no CREATE TABLE statements found")
-    for match in matches:
-        table_name, body = _unquote(match.group(1)), match.group(2)
-        columns: list[str] = []
-        primary_key: list[str] = []
-        for clause in _split_clauses(body):
-            pk_match = _PK_RE.match(clause)
-            fk_match = _FK_RE.match(clause)
-            if pk_match:
-                primary_key = _ident_list(pk_match.group(1))
-            elif fk_match:
-                deferred_rics.append(
-                    ReferentialConstraint(
-                        table_name,
-                        _ident_list(fk_match.group(1)),
-                        _unquote(fk_match.group(2)),
-                        _ident_list(fk_match.group(3)),
-                    )
-                )
-            else:
-                column_match = _COLUMN_RE.match(clause)
-                if column_match is None:
-                    continue
-                columns.append(_unquote(column_match.group(1)))
-        schema.add_table(Table(table_name, columns, primary_key))
-    for ric in deferred_rics:
-        schema.add_ric(ric)
-    return schema

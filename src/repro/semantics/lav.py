@@ -22,7 +22,7 @@ from repro.queries.normalize import key_positions_of_schema
 from repro.queries.rewrite import LAVView
 from repro.relational.schema import Column, RelationalSchema
 from repro.semantics.encoder import encode_and_merge
-from repro.semantics.stree import STreeNode, SemanticTree
+from repro.semantics.stree import SemanticTree
 
 
 class SchemaSemantics:
@@ -160,9 +160,6 @@ class SchemaSemantics:
 
     def column_attribute(self, column: Column) -> str:
         return self.tree(column.table).column_attribute(column.name)
-
-    def column_tree_node(self, column: Column) -> STreeNode:
-        return self.tree(column.table).column_node(column.name)
 
     def marked_nodes(self, columns: Iterable[Column]) -> frozenset[str]:
         """The set of marked class nodes induced by a set of columns."""

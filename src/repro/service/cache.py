@@ -197,10 +197,6 @@ class ResultCache:
                 RESULT_STAGE, key, (self._epoch_clock(), payload)
             )
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ import threading
 import time
 
 from repro.service.server import (
+    POLL_SECONDS,
     MappingService,
     ServiceConfig,
     _Handler,
@@ -133,7 +134,7 @@ def _worker_main(config: ServiceConfig, shared_socket: socket.socket) -> int:
     )
     snapshotter.start()
     try:
-        httpd.serve_forever(poll_interval=0.1)
+        httpd.serve_forever(POLL_SECONDS)
     finally:
         stop_snapshots.set()
         try:

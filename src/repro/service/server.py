@@ -789,6 +789,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+#: How often a serving loop looks for a shutdown request. ``shutdown()``
+#: waits for the loop to notice, so this bounds how long a stop takes
+#: (socketserver's own default is 0.5 s).
+POLL_SECONDS = 0.05
+
+
 class _HTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     # The stock listen backlog of 5 drops (or resets) connections under
@@ -826,6 +832,7 @@ class ReproServer:
             return self
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(POLL_SECONDS,),
             name="repro-service-listener",
             daemon=True,
         )
@@ -835,7 +842,7 @@ class ReproServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (CLI mode)."""
         try:
-            self._httpd.serve_forever()
+            self._httpd.serve_forever(POLL_SECONDS)
         except KeyboardInterrupt:
             pass
         finally:

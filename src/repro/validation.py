@@ -24,7 +24,7 @@ Severities
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.correspondences import CorrespondenceSet
 from repro.exceptions import ConceptualModelError, SchemaError, ValidationError
@@ -310,13 +310,3 @@ def validate_scenario(scenario: "Scenario") -> ValidationReport:
             diagnostic.severity, diagnostic.code, diagnostic.message, location
         )
     return tagged
-
-
-def validate_scenarios(
-    scenarios: Iterable["Scenario"],
-) -> ValidationReport:
-    """Validate many scenarios into one combined report."""
-    report = ValidationReport()
-    for scenario in scenarios:
-        report.extend(validate_scenario(scenario))
-    return report

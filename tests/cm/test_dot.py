@@ -3,8 +3,7 @@
 import pytest
 
 from repro.cm import CMGraph, ConceptualModel, SemanticType
-from repro.cm.dot import cm_graph_to_dot, stree_to_dot
-from repro.semantics import SemanticTree
+from repro.cm.dot import cm_graph_to_dot
 
 
 @pytest.fixture
@@ -65,33 +64,3 @@ class TestCMGraphDot:
         cm.add_reified_relationship("R", roles={"ra": "A"})
         text = cm_graph_to_dot(CMGraph(cm))
         assert "R◇" in text
-
-
-class TestSTreeDot:
-    def test_anchor_highlighted_and_columns_rendered(self, model):
-        graph = CMGraph(model)
-        tree = SemanticTree.build(
-            graph,
-            "Person",
-            [("Person", "writes", "Book")],
-            {"pname": "Person.pname", "bid": "Book.bid"},
-        )
-        text = stree_to_dot(tree)
-        assert "penwidth=2" in text  # anchor styling
-        assert '"Person"' in text and '"Book"' in text
-        assert "pname" in text and "style=dashed" in text
-        assert text.count("{") == text.count("}")
-
-    def test_copy_nodes_distinct(self):
-        cm = ConceptualModel("m")
-        cm.add_class("P", attributes=["pid"], key=["pid"])
-        cm.add_relationship("spouse", "P", "P", "0..1", "0..1")
-        graph = CMGraph(cm)
-        tree = SemanticTree.build(
-            graph,
-            "P",
-            [("P", "spouse", "P~1")],
-            {"pid": "P.pid", "spid": "P~1.pid"},
-        )
-        text = stree_to_dot(tree)
-        assert '"P~1"' in text

@@ -13,7 +13,7 @@ from repro.discovery import (
     AnchorProfile,
     ConnectionProfile,
     anchors_compatible,
-    connections_compatible,
+    compatibility_violation,
     path_semantic_type,
 )
 
@@ -71,6 +71,10 @@ class TestConnectionProfile:
     def test_functional_profile(self, graph):
         profile = ConnectionProfile.of_path([graph.edge("Person", "favourite")])
         assert profile.category is ConnectionCategory.MANY_ONE
+
+
+def connections_compatible(source, target):
+    return compatibility_violation(source, target) is None
 
 
 class TestConnectionsCompatible:

@@ -23,7 +23,6 @@ from repro.discovery.engine import (
     STAGE_OPTION_FIELDS,
     StageCache,
     clear_stage_cache,
-    time_stat_key,
 )
 from repro.service.jobs import observe_run_stats
 from repro.service.metrics import ServiceMetrics
@@ -78,11 +77,6 @@ def _assert_self_times_sum_to_wall_time(stats):
 
 class TestStageVocabulary:
     """Satellite: one stage vocabulary across stats, trace, and service."""
-
-    def test_time_stat_keys_derive_from_stage_names(self):
-        assert [time_stat_key(s) for s in STAGE_NAMES] == [
-            f"time_{s}_s" for s in STAGE_NAMES
-        ]
 
     def test_three_vocabularies_are_identical(self, mapper_args):
         # Vocabulary 1: stats timing keys of an untraced cold run.

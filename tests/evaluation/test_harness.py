@@ -8,6 +8,7 @@ recall 1.0 everywhere, semantic precision ≥ RIC everywhere.
 import pytest
 
 from repro.datasets.registry import dataset_names, load_dataset
+from repro.exceptions import BatchError
 from repro.evaluation import (
     RIC,
     SEMANTIC,
@@ -105,15 +106,19 @@ class TestFailureHandling:
     @pytest.fixture
     def broken_ric(self, monkeypatch):
         from repro.baseline import clio
+        from repro.perf import clear_caches
 
         def _boom(self):
             raise RuntimeError("baseline exploded")
 
+        # The baseline runs as a cached engine stage: drop earlier
+        # results so every case reaches the patched mapper.
+        clear_caches()
         monkeypatch.setattr(clio.RICBasedMapper, "discover", _boom)
 
     def test_fail_fast_propagates(self, broken_ric):
         pair = load_dataset("Hotel")
-        with pytest.raises(RuntimeError, match="baseline exploded"):
+        with pytest.raises(BatchError, match="baseline exploded"):
             run_dataset(pair, fail_fast=True)
 
     def test_keep_going_records_structured_failures(self, broken_ric):

@@ -1,13 +1,11 @@
-"""Unit tests for outer-join refinement (the paper's Section 6 hints)."""
+"""Unit tests for the outer-join hints (the paper's Section 6)."""
 
 import pytest
 
 from repro.datasets.paper_examples import employee_example, project_example
 from repro.discovery import discover_mappings
-from repro.mappings import outer_join_algebra
 from repro.mappings.refinement import optional_classes, optional_tables
-from repro.queries.parser import parse_query
-from repro.relational import Instance, LabeledNull, RelationalSchema, Table
+from repro.relational import Instance
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +59,9 @@ class TestOptionalHints:
 
 
 class TestOuterJoinAlgebra:
+    """Why the hints matter: on Example 1.2's instance the inner-join
+    plan keeps only the people who are both engineer and programmer."""
+
     @pytest.fixture
     def employee_instance(self, employee_candidate):
         scenario, _ = employee_candidate
@@ -71,21 +72,6 @@ class TestOuterJoinAlgebra:
             "programmer", [("1", "ann", "acct1"), ("3", "cal", "acct3")]
         )
         return instance
-
-    def test_full_outer_join_keeps_both_sides(
-        self, employee_candidate, employee_instance
-    ):
-        scenario, candidate = employee_candidate
-        plan = outer_join_algebra(
-            candidate.source_query,
-            scenario.source.schema,
-            candidate.source_optional_tables,
-        )
-        rows = plan.evaluate(employee_instance).sorted_rows()
-        # Three people survive: ann (both), bob (engineer only),
-        # cal (programmer only).
-        assert len(rows) == 3
-        assert any(isinstance(v, LabeledNull) for row in rows for v in row)
 
     def test_inner_join_drops_singletons(
         self, employee_candidate, employee_instance
@@ -98,30 +84,3 @@ class TestOuterJoinAlgebra:
         )
         rows = plan.evaluate(employee_instance).sorted_rows()
         assert len(rows) == 1  # only ann is both
-
-    def test_mixed_mandatory_and_optional(self):
-        schema = RelationalSchema(
-            "s",
-            [
-                Table("base", ["k", "v"], ["k"]),
-                Table("extra", ["k", "w"], ["k"]),
-            ],
-        )
-        instance = Instance(schema)
-        instance.add_all("base", [("1", "a"), ("2", "b")])
-        instance.add_all("extra", [("1", "x")])
-        query = parse_query("ans(v, w) :- base(k, v), extra(k, w)")
-        plan = outer_join_algebra(query, schema, {"extra"})
-        rows = plan.evaluate(instance).sorted_rows()
-        assert len(rows) == 2
-        padded = [row for row in rows if isinstance(row[1], LabeledNull)]
-        assert len(padded) == 1
-
-    def test_render_shows_outer_operators(self, employee_candidate):
-        scenario, candidate = employee_candidate
-        plan = outer_join_algebra(
-            candidate.source_query,
-            scenario.source.schema,
-            candidate.source_optional_tables,
-        )
-        assert "⟗" in plan.render()

@@ -8,7 +8,6 @@ from repro.discovery import discover_mappings
 from repro.mappings import exchange
 from repro.mappings.verify import (
     VerificationReport,
-    satisfies,
     tgd_violations,
     verify_mappings,
 )
@@ -37,7 +36,6 @@ class TestTgdViolations:
             target_schema, {"b": [("1",), ("2",), ("3",)]}
         )
         assert tgd_violations(tgd, source, target) == []
-        assert satisfies(tgd, source, target)
 
     def test_missing_tuple_reported(self, simple):
         tgd, source, target_schema = simple
@@ -45,7 +43,6 @@ class TestTgdViolations:
         violations = tgd_violations(tgd, source, target)
         assert len(violations) == 1
         assert violations[0].exported == ("2",)
-        assert not satisfies(tgd, source, target)
         assert "no target tuple" in str(violations[0])
 
     def test_limit_respected(self, simple):

@@ -93,13 +93,3 @@ def test_root_snapshot_safe_during_concurrent_inserts():
         stop.set()
         thread.join(timeout=10)
     assert not failures
-
-
-def test_snapshot_and_merge_round_trip():
-    with counters.scope() as frame:
-        counters.record("lossy_paths_pruned", 4)
-    merged = counters.PerfCounters()
-    merged.merge(frame.snapshot())
-    merged.merge(frame)
-    assert merged.counts["lossy_paths_pruned"] == 8
-    assert merged.snapshot() == {"lossy_paths_pruned": 8}

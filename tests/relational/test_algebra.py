@@ -7,18 +7,13 @@ from hypothesis import strategies as st
 from repro.exceptions import QueryError
 from repro.relational import (
     BaseRelation,
-    FullOuterJoin,
     Instance,
-    LabeledNull,
-    LeftOuterJoin,
     NaturalJoin,
     Projection,
     RelationalSchema,
     Rename,
     Selection,
     Table,
-    ThetaJoin,
-    Union,
 )
 
 
@@ -104,57 +99,6 @@ class TestJoins:
         result = expr.evaluate(instance)
         assert ("ann", "toronto", "b1", "Logic") in result.rows
 
-    def test_theta_join(self, instance):
-        right = Rename(BaseRelation("writes"), {"pname": "author"})
-        expr = ThetaJoin(BaseRelation("person"), right, [("pname", "author")])
-        result = expr.evaluate(instance)
-        assert result.columns == ("pname", "city", "bid")
-        assert len(result) == 3
-
-    def test_theta_join_requires_conditions(self, instance):
-        with pytest.raises(QueryError):
-            ThetaJoin(BaseRelation("person"), BaseRelation("book"), [])
-
-    def test_theta_join_unknown_column(self, instance):
-        with pytest.raises(QueryError):
-            ThetaJoin(
-                BaseRelation("person"), BaseRelation("book"), [("ghost", "bid")]
-            ).evaluate(instance)
-
-    def test_left_outer_join_pads_unmatched(self, instance):
-        expr = LeftOuterJoin(BaseRelation("person"), BaseRelation("writes"))
-        result = expr.evaluate(instance)
-        cal_rows = [r for r in result.rows if r[0] == "cal"]
-        assert len(cal_rows) == 1
-        assert isinstance(cal_rows[0][2], LabeledNull)
-
-    def test_full_outer_join_pads_both_sides(self, instance):
-        expr = FullOuterJoin(BaseRelation("writes"), BaseRelation("book"))
-        result = expr.evaluate(instance)
-        # b3 has no writer: present with a null pname.
-        b3_rows = [r for r in result.rows if r[1] == "b3"]
-        assert len(b3_rows) == 1
-        assert isinstance(b3_rows[0][0], LabeledNull)
-        # Matched rows keep their values.
-        assert ("ann", "b1", "Logic") in result.rows
-
-    def test_full_outer_join_is_superset_of_inner(self, instance):
-        inner = NaturalJoin(BaseRelation("writes"), BaseRelation("book"))
-        outer = FullOuterJoin(BaseRelation("writes"), BaseRelation("book"))
-        assert inner.evaluate(instance).rows <= outer.evaluate(instance).rows
-
-
-class TestUnion:
-    def test_union_of_projections(self, instance):
-        left = Projection(BaseRelation("person"), ["pname"])
-        right = Projection(BaseRelation("writes"), ["pname"])
-        result = Union(left, right).evaluate(instance)
-        assert {r[0] for r in result.rows} == {"ann", "bob", "cal"}
-
-    def test_union_incompatible_rejected(self, instance):
-        with pytest.raises(QueryError):
-            Union(BaseRelation("person"), BaseRelation("book")).evaluate(instance)
-
 
 class TestRendering:
     def test_render_mentions_operators(self, instance):
@@ -224,17 +168,6 @@ def test_projection_idempotent(people):
         Projection(BaseRelation("person"), ["pname"]), ["pname"]
     ).evaluate(inst)
     assert once == twice
-
-
-@settings(max_examples=50, deadline=None)
-@given(people=people_rows, writes=writes_rows)
-def test_left_outer_join_covers_all_left_rows(people, writes):
-    inst = build_instance(people, writes)
-    result = LeftOuterJoin(BaseRelation("person"), BaseRelation("writes")).evaluate(
-        inst
-    )
-    left_projection = {r[:2] for r in result.rows}
-    assert left_projection == set(inst.rows("person"))
 
 
 @settings(max_examples=50, deadline=None)

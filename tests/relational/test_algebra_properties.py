@@ -20,16 +20,13 @@ from hypothesis import strategies as st
 
 from repro.relational import (
     BaseRelation,
-    FullOuterJoin,
     Instance,
-    LeftOuterJoin,
     NaturalJoin,
     Projection,
     RelationalSchema,
     Rename,
     Selection,
     Table,
-    Union,
 )
 
 #: Base tables the generated trees scan. Shared column names (``b``,
@@ -89,7 +86,7 @@ def expressions(draw, depth: int = 3):
         return BaseRelation(name), TABLES[name]
     kind = draw(
         st.sampled_from(
-            ["base", "select", "project", "rename", "join", "outer", "union"]
+            ["base", "select", "project", "rename", "join"]
         )
     )
     if kind == "base":
@@ -127,18 +124,9 @@ def expressions(draw, depth: int = 3):
         mapping = {old: available[i] for i, old in enumerate(renamed)}
         out = tuple(mapping.get(c, c) for c in columns)
         return Rename(child, mapping), out
-    if kind == "union":
-        # Union requires identical columns; a selection of the same
-        # child is the simplest guaranteed-compatible sibling.
-        column = draw(st.sampled_from(columns))
-        value = draw(st.sampled_from(VALUES))
-        return Union(child, Selection(child, column, value)), columns
     other, other_columns = draw(expressions(depth=depth - 1))
     out = columns + tuple(c for c in other_columns if c not in columns)
-    if kind == "join":
-        return NaturalJoin(child, other), out
-    join_type = draw(st.sampled_from([LeftOuterJoin, FullOuterJoin]))
-    return join_type(child, other), out
+    return NaturalJoin(child, other), out
 
 
 def _rebuild(expr):
@@ -151,14 +139,8 @@ def _rebuild(expr):
         return Projection(_rebuild(expr.child), expr.columns)
     if isinstance(expr, Rename):
         return Rename(_rebuild(expr.child), dict(expr.mapping))
-    if isinstance(expr, Union):
-        return Union(_rebuild(expr.left), _rebuild(expr.right))
     if isinstance(expr, NaturalJoin):
         return NaturalJoin(_rebuild(expr.left), _rebuild(expr.right))
-    if isinstance(expr, LeftOuterJoin):
-        return LeftOuterJoin(_rebuild(expr.left), _rebuild(expr.right))
-    if isinstance(expr, FullOuterJoin):
-        return FullOuterJoin(_rebuild(expr.left), _rebuild(expr.right))
     raise AssertionError(f"unhandled node {type(expr).__name__}")
 
 

@@ -1,14 +1,9 @@
-"""Unit tests for SQL DDL emission and parsing."""
-
-import string
+"""Unit tests for SQL DDL emission."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.exceptions import SchemaError
 from repro.relational import ReferentialConstraint, RelationalSchema, Table
-from repro.relational.ddl import emit_ddl, emit_table_ddl, parse_ddl
+from repro.relational.ddl import emit_ddl, emit_table_ddl
 
 
 @pytest.fixture
@@ -39,181 +34,23 @@ class TestEmit:
         schema = RelationalSchema("s", [Table("log", ["entry"])])
         assert "PRIMARY KEY" not in emit_ddl(schema)
 
-
-class TestParse:
-    def test_round_trip(self, schema):
-        parsed = parse_ddl(emit_ddl(schema))
-        assert parsed.table_names() == schema.table_names()
-        for name in schema.table_names():
-            assert parsed.table(name).columns == schema.table(name).columns
-            assert (
-                parsed.table(name).primary_key
-                == schema.table(name).primary_key
-            )
-        assert {str(r) for r in parsed.rics} == {str(r) for r in schema.rics}
-
-    def test_double_round_trip_stable(self, schema):
-        once = emit_ddl(parse_ddl(emit_ddl(schema)))
-        assert once == emit_ddl(schema)
-
-    def test_case_insensitive_keywords(self):
-        text = "create table t (a text, primary key (a));"
-        parsed = parse_ddl(text)
-        assert parsed.table("t").primary_key == ("a",)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(SchemaError):
-            parse_ddl("DROP EVERYTHING;")
-
-    def test_empty_text_gives_empty_schema(self):
-        assert len(parse_ddl("")) == 0
-
-
-class TestQuotedIdentifiers:
-    """The parser accepts quoted/mixed-case dialects (ingest fixtures)."""
-
-    def test_double_quoted_identifiers(self):
-        parsed = parse_ddl(
-            'CREATE TABLE "Order" ("Id" TEXT, "Total" REAL,'
-            ' PRIMARY KEY ("Id"));'
-        )
-        assert parsed.table_names() == ("Order",)
-        assert parsed.table("Order").columns == ("Id", "Total")
-        assert parsed.table("Order").primary_key == ("Id",)
-
-    def test_bracketed_and_backticked_identifiers(self):
-        parsed = parse_ddl(
-            "CREATE TABLE [LineItems] ([item_id] TEXT);"
-            "CREATE TABLE `select` (`from` TEXT);"
-        )
-        assert parsed.table("LineItems").columns == ("item_id",)
-        assert parsed.table("select").columns == ("from",)
-
-    def test_escaped_quote_inside_identifier(self):
-        parsed = parse_ddl('CREATE TABLE "a""b" (c TEXT);')
-        assert parsed.table_names() == ('a"b',)
-
-    def test_mixed_case_preserved(self):
-        parsed = parse_ddl("CREATE TABLE CamelCase (someColumn TEXT);")
-        assert parsed.table("CamelCase").columns == ("someColumn",)
-
-    def test_quoted_foreign_key_references(self):
-        parsed = parse_ddl(
-            'CREATE TABLE "Parent" ("K" TEXT, PRIMARY KEY ("K"));'
-            'CREATE TABLE "Child" ("K" TEXT,'
-            ' FOREIGN KEY ("K") REFERENCES "Parent" ("K"));'
-        )
-        assert [str(r) for r in parsed.rics] == ["Child.K -> Parent.K"]
-
-    def test_if_not_exists_and_named_constraints(self):
-        parsed = parse_ddl(
-            "CREATE TABLE IF NOT EXISTS t (a TEXT, b TEXT,"
-            " CONSTRAINT t_pk PRIMARY KEY (a),"
-            " CONSTRAINT t_fk FOREIGN KEY (b) REFERENCES t (a));"
-        )
-        assert parsed.table("t").primary_key == ("a",)
-        assert [str(r) for r in parsed.rics] == ["t.b -> t.a"]
-
-    def test_composite_foreign_key_both_sides(self):
-        parsed = parse_ddl(
-            "CREATE TABLE p (x TEXT, y TEXT, PRIMARY KEY (x, y));"
-            "CREATE TABLE c (u TEXT, v TEXT,"
-            " FOREIGN KEY (u, v) REFERENCES p (x, y));"
-        )
-        (ric,) = parsed.rics
-        assert ric.child_columns == ("u", "v")
-        assert ric.parent_columns == ("x", "y")
-
-    def test_sqlite_fixture_dialect_round_trips(self, schema):
-        from repro.ingest.fixture import sqlite_ddl
-
-        parsed = parse_ddl(sqlite_ddl(schema))
-        assert parsed.table_names() == schema.table_names()
-        for name in schema.table_names():
-            assert parsed.table(name).columns == schema.table(name).columns
-            assert (
-                parsed.table(name).primary_key
-                == schema.table(name).primary_key
-            )
-        assert {str(r) for r in parsed.rics} == {str(r) for r in schema.rics}
-
-
-_IDENT_ALPHABET = string.ascii_letters + string.digits + "_"
-
-identifiers = st.text(
-    alphabet=_IDENT_ALPHABET, min_size=1, max_size=8
-).filter(lambda s: s[0].isalpha())
-
-
-@st.composite
-def schemas(draw) -> RelationalSchema:
-    """Random mixed-case schemas with composite keys and foreign keys."""
-    table_names = draw(
-        st.lists(identifiers, min_size=1, max_size=4, unique=True)
-    )
-    schema = RelationalSchema("gen")
-    for name in table_names:
-        columns = draw(
-            st.lists(identifiers, min_size=1, max_size=5, unique=True)
-        )
-        pk_size = draw(st.integers(min_value=0, max_value=len(columns)))
-        schema.add_table(Table(name, columns, columns[:pk_size]))
-    keyed = [t for t in schema if t.primary_key]
-    for child in list(schema):
-        if not keyed or not draw(st.booleans()):
-            continue
-        parent = draw(st.sampled_from(keyed))
-        arity = len(parent.primary_key)
-        if arity == 0 or arity > len(child.columns):
-            continue
-        child_columns = draw(
-            st.lists(
-                st.sampled_from(child.columns),
-                min_size=arity,
-                max_size=arity,
-                unique=True,
-            )
-        )
-        ric = ReferentialConstraint(
-            child.name, child_columns, parent.name, list(parent.primary_key)
-        )
-        if str(ric) not in {str(r) for r in schema.rics}:
-            schema.add_ric(ric)
-    return schema
-
-
-class TestRoundTripProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(schema=schemas())
-    def test_parse_inverts_emit(self, schema):
-        parsed = parse_ddl(emit_ddl(schema))
-        assert parsed.table_names() == schema.table_names()
-        for name in schema.table_names():
-            assert parsed.table(name).columns == schema.table(name).columns
-            assert (
-                parsed.table(name).primary_key
-                == schema.table(name).primary_key
-            )
-        assert {str(r) for r in parsed.rics} == {str(r) for r in schema.rics}
-
-    @settings(max_examples=30, deadline=None)
-    @given(schema=schemas())
-    def test_parse_inverts_sqlite_fixture_dialect(self, schema):
-        from repro.ingest.fixture import sqlite_ddl
-
-        parsed = parse_ddl(sqlite_ddl(schema))
-        assert parsed.table_names() == schema.table_names()
-        for name in schema.table_names():
-            assert parsed.table(name).columns == schema.table(name).columns
-        assert {str(r) for r in parsed.rics} == {str(r) for r in schema.rics}
-
-
-class TestDatasetsRoundTrip:
-    def test_all_dataset_schemas_round_trip(self):
+    def test_dataset_schemas_read_back_through_the_dump_backend(self):
         from repro.datasets.registry import load_all_datasets
+        from repro.ingest import DumpBackend, introspect_backend
 
         for pair in load_all_datasets():
             for semantics in (pair.source, pair.target):
-                parsed = parse_ddl(emit_ddl(semantics.schema))
-                assert parsed.table_names() == semantics.schema.table_names()
-                assert len(parsed.rics) == len(semantics.schema.rics)
+                schema = semantics.schema
+                parsed = introspect_backend(
+                    DumpBackend.from_text(emit_ddl(schema))
+                ).schema
+                assert parsed.table_names() == schema.table_names()
+                for table in schema:
+                    assert parsed.table(table.name).columns == table.columns
+                    assert (
+                        parsed.table(table.name).primary_key
+                        == table.primary_key
+                    )
+                assert {str(r) for r in parsed.rics} == {
+                    str(r) for r in schema.rics
+                }

@@ -64,12 +64,6 @@ class TestResultCache:
         assert cache.get("a") is None
         assert len(cache) == 0
 
-    def test_clear(self):
-        cache = ResultCache(max_entries=4)
-        cache.put("a", 1)
-        cache.clear()
-        assert cache.get("a") is None
-
     @pytest.mark.parametrize(
         "kwargs",
         [{"max_entries": -1}, {"ttl_seconds": 0.0}, {"ttl_seconds": -5}],

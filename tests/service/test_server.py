@@ -3,6 +3,7 @@
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -373,3 +374,11 @@ class TestServerLifecycle:
         # After shutdown the socket is closed: a new request must fail.
         with pytest.raises(ServiceCallError):
             ServiceClient(running.url, timeout=0.5).health()
+
+    def test_shutdown_returns_promptly(self):
+        """Stopping a started server does not wait out socketserver's
+        default 0.5 s ``serve_forever`` poll."""
+        server = ReproServer(ServiceConfig(port=0)).start()
+        started = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - started < 0.25

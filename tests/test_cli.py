@@ -30,12 +30,28 @@ class TestMapCommand:
         assert "rateplan" in out
 
     def test_ric_method(self, capsys):
+        """``--engine clio`` prints the RIC baseline's candidates."""
+        from repro.baseline.clio import RICBasedMapper
+        from repro.datasets.registry import load_dataset
+
         assert (
-            main(["map", "Hotel", "hotel-rate-of-room", "--method", "ric"])
+            main(["map", "Hotel", "hotel-rate-of-room", "--engine", "clio"])
             == 0
         )
         out = capsys.readouterr().out
-        assert "candidate(s)" in out
+        pair = load_dataset("Hotel")
+        (case,) = [c for c in pair.cases if c.case_id == "hotel-rate-of-room"]
+        expected = RICBasedMapper(
+            pair.source.schema, pair.target.schema, case.correspondences
+        ).discover()
+        assert f"{len(expected)} candidate(s)" in out
+        for index, candidate in enumerate(expected, start=1):
+            assert f"  {candidate.to_tgd(f'M{index}')}\n" in out
+
+    def test_method_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["map", "Hotel", "hotel-rate-of-room", "--method", "ric"])
+        assert "--method" in capsys.readouterr().err
 
     def test_unknown_case_fails(self, capsys):
         assert main(["map", "Hotel", "ghost-case"]) == 2

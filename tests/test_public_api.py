@@ -158,6 +158,40 @@ REMOVED = (
     ("repro.service.metrics", "ServiceMetrics", "phase_quantile"),
     ("repro.exceptions", None, "TimeoutUnavailableWarning"),
     ("repro.exceptions", None, "ReproWarning"),
+    ("repro.mappings", None, "target_coverage"),
+    ("repro.mappings", None, "coverage_summary"),
+    ("repro.mappings", None, "ColumnCoverage"),
+    ("repro.mappings", None, "ColumnStatus"),
+    ("repro.cm", None, "reify_relationship"),
+    ("repro.cm", None, "auto_reify_many_many"),
+    ("repro.cm", None, "ReificationMap"),
+    ("repro.cm", None, "ReifiedBinary"),
+    ("repro.relational", None, "parse_ddl"),
+    ("repro.relational.ddl", None, "parse_ddl"),
+    ("repro.mappings", None, "outer_join_algebra"),
+    ("repro.mappings.refinement", None, "outer_join_algebra"),
+    ("repro.relational", None, "ThetaJoin"),
+    ("repro.relational", None, "LeftOuterJoin"),
+    ("repro.relational", None, "FullOuterJoin"),
+    ("repro.relational", None, "Union"),
+    ("repro.relational", None, "Distinct"),
+    ("repro.cm", None, "stree_to_dot"),
+    ("repro.cm.dot", None, "stree_to_dot"),
+    ("repro.discovery", None, "connections_compatible"),
+    ("repro.discovery", None, "functional_tree_from_root"),
+    ("repro.correspondences", "CorrespondenceSet", "target_columns"),
+    ("repro.discovery.steiner", "DiscoveredTree", "edge_keys"),
+    ("repro.cm.graph", "CMGraph", "degree"),
+    ("repro.queries.chase", "ChaseEngine", "chase_closure_size"),
+    ("repro.queries.conjunctive", None, "fresh_variables"),
+    ("repro.relational.algebra", "AlgebraExpression", "select_columns"),
+    ("repro.semantics.lav", "SchemaSemantics", "column_tree_node"),
+    ("repro.validation", None, "validate_scenarios"),
+    ("repro.discovery.engine", None, "time_stat_key"),
+    ("repro.mappings", None, "satisfies"),
+    ("repro.mappings.verify", None, "satisfies"),
+    ("repro.perf.counters", "PerfCounters", "merge"),
+    ("repro.service.cache", "ResultCache", "clear"),
 )
 
 

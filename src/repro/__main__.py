@@ -10,7 +10,6 @@ Commands
                         rank provenance (``--json`` for the raw trace)
 ``ddl NAME``            emit SQL DDL for a pair's schemas
 ``dot NAME``            emit GraphViz DOT for a pair's CM graphs
-``bench``               run the discovery benchmarks (BENCH_discovery.json)
 ``validate [NAME ...]`` pre-flight-check dataset pairs and their cases
 ``serve``               run the HTTP mapping-discovery service
 ``introspect S T``      ingest two databases (live SQLite, or SQL dumps
@@ -297,14 +296,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print()
     print(render_trace(result.trace))
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import main as bench_main
-
-    return bench_main(
-        output=args.output, workers=args.workers, trace=args.trace
-    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -727,30 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_option_flags(explain)
     explain.set_defaults(handler=_cmd_explain)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run the discovery benchmarks, write BENCH_discovery.json, "
-        "and fail on candidate-count drift",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_discovery.json",
-        help="where to write the JSON report",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for the parallel-equivalence check",
-    )
-    bench.add_argument(
-        "--trace",
-        action="store_true",
-        help="also run the paper scenarios traced and report per-phase "
-        "wall times plus the untraced span overhead estimate",
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     serve = commands.add_parser(
         "serve",

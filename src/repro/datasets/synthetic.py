@@ -26,8 +26,8 @@ pays for every extra class; an oracle-guided one proves most of the
 graph irrelevant up front.
 
 Everything here is deterministic — sizes map to models, models map to
-schemas, no randomness — so ``BENCH_scale.json`` is reproducible and
-the oracle-on/oracle-off equivalence gate compares like with like.
+schemas, no randomness — so the ``bench/`` workloads built on these
+families and the digests in ``tests/test_golden.py`` are reproducible.
 """
 
 from __future__ import annotations

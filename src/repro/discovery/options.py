@@ -35,7 +35,8 @@ class DiscoveryOptions:
         Length cap for the Section 3.3 lossy-path search.
     use_partof_filter / use_disjointness_filter / use_cardinality_filter:
         Ablation switches for the semantic-compatibility checks of
-        Sections 3.2–3.3 (see ``benchmarks/benchmark_ablation.py``).
+        Sections 3.2–3.3 (``tests/discovery/test_ablation_flags.py``
+        shows what each one removes).
     explain:
         Record structured prune events and per-candidate rank provenance
         on the result (implies ``trace``); see ``repro.trace``.

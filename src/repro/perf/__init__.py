@@ -6,9 +6,10 @@ Cross-cutting caches and instrumentation for the discovery pipeline:
   ``DiscoveryResult.stats`` next to the per-span wall times of the
   run's :class:`repro.trace.Recorder`;
 * :mod:`repro.perf.index` — immutable per-``CMGraph`` indexes with
-  lazily cached per-root shortest-path tables;
-* :mod:`repro.perf.bench` — the JSON-emitting benchmark core behind
-  ``python -m repro bench`` and ``benchmarks/benchmark_batch.py``.
+  lazily cached per-root shortest-path tables.
+
+Performance is measured outside the package, by ``bench/run.py`` (see
+``bench/README.md``).
 
 There is no switch that turns the caches off: every run takes the one
 cached code path. Cold, warm and uncached runs are held equal by golden

@@ -1,8 +1,7 @@
 """A thin stdlib (urllib) client for the mapping-discovery service.
 
-Used by the test suite, the CI smoke job, and the
-``benchmarks/benchmark_service.py`` load generator — and small enough
-to crib for real callers. Non-2xx responses raise
+Used by the test suite and the CI smoke job, and small enough to crib
+for real callers. Non-2xx responses raise
 :class:`~repro.exceptions.ServiceCallError` carrying the HTTP status
 and the decoded error payload, so callers can branch on backpressure
 (429) versus invalid input (400) without parsing messages.

@@ -27,12 +27,22 @@ puts a job in the ``GET /jobs/<id>`` table, and the server calls it
 exactly when a 202 response hands the id out. A sync request answered
 inline leaves no record behind, and a finished job keeps only what
 :meth:`Job.to_wire` reads.
+
+In a pre-fork pool (:mod:`repro.service.pool`) each worker process has
+its own queue, and the kernel may hand a poll to any of them. So a
+pool worker's job ids carry its worker index (``job-w<N>-<serial>``),
+and every retained job is also published as ``<jobs_dir>/<id>.json``:
+on retention, again when it finishes, and removed when it ages out. A
+worker that misses an id in its own table answers from that file.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import queue
+import re
 import threading
 import time
 import warnings
@@ -46,7 +56,7 @@ from repro.discovery.batch import (
 )
 from repro.exceptions import QueueFullError
 from repro.service.cache import ResultCache
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import ServiceMetrics, write_snapshot_file
 from repro.service.wire import failure_to_wire, result_to_wire
 
 #: Job lifecycle states.
@@ -56,6 +66,10 @@ DONE = "done"
 ERROR = "error"
 
 _STOP = object()
+
+#: The form of a pool worker's job ids; only these name a published
+#: job file.
+_POOL_JOB_ID = re.compile(r"job-w\d+-\d+")
 
 #: The one wait event every finished job shares: set once, never
 #: cleared, so a finished job holds no event of its own.
@@ -244,6 +258,12 @@ class JobQueue:
         How many retained jobs stay visible to ``GET /jobs/<id>``. Only
         jobs passed to :meth:`retain` count; the oldest is dropped
         first.
+    worker_index, jobs_dir:
+        Set together on a pre-fork pool worker: ids carry the index,
+        and retained jobs are published under ``jobs_dir`` for the
+        sibling workers. Leftover files of an earlier process in the
+        same slot are removed, so its ids answer 404, never another
+        job's record.
     """
 
     def __init__(
@@ -254,6 +274,8 @@ class JobQueue:
         metrics: ServiceMetrics,
         policy: BatchPolicy | None = None,
         history: int = 4096,
+        worker_index: int | None = None,
+        jobs_dir: str | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -274,6 +296,16 @@ class JobQueue:
         self._unfinished: set[Job] = set()
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._counter = itertools.count(1)
+        self._id_prefix = (
+            "job-" if worker_index is None else f"job-w{worker_index}-"
+        )
+        self._jobs_dir = jobs_dir
+        self._publish_lock = threading.Lock()
+        if jobs_dir is not None:
+            os.makedirs(jobs_dir, exist_ok=True)
+            for name in os.listdir(jobs_dir):
+                if name.startswith(self._id_prefix):
+                    self._unlink(os.path.join(jobs_dir, name))
         self._threads = [
             threading.Thread(
                 target=self._worker,
@@ -336,7 +368,7 @@ class JobQueue:
             return job, False
 
     def _next_id(self) -> str:
-        return f"job-{next(self._counter):08d}"
+        return f"{self._id_prefix}{next(self._counter):08d}"
 
     def retain(self, job: Job) -> None:
         """Make ``job`` pollable at ``GET /jobs/<id>``.
@@ -347,8 +379,49 @@ class JobQueue:
         """
         with self._lock:
             self._jobs[job.job_id] = job
-            while len(self._jobs) > self._history:
-                self._jobs.popitem(last=False)
+            aged_out = [
+                self._jobs.popitem(last=False)[0]
+                for _ in range(len(self._jobs) - self._history)
+            ]
+        self._publish(job)
+        for job_id in aged_out:
+            self._withdraw(job_id)
+
+    # ------------------------------------------------------------------
+    # Publication to pool siblings
+    # ------------------------------------------------------------------
+    def _job_path(self, job_id: str) -> str:
+        return os.path.join(self._jobs_dir, f"{job_id}.json")
+
+    def _publish(self, job: Job) -> None:
+        """Write a retained job's record for the siblings to read.
+
+        Called on retention and when a job finishes, in either order:
+        the record is read under the publish lock, so the last write
+        always carries the latest state.
+        """
+        if self._jobs_dir is None:
+            return
+        with self._publish_lock:
+            with self._lock:
+                retained = self._jobs.get(job.job_id) is job
+            if retained:
+                write_snapshot_file(
+                    self._job_path(job.job_id), json.dumps(job.to_wire())
+                )
+
+    def _withdraw(self, job_id: str) -> None:
+        if self._jobs_dir is None:
+            return
+        with self._publish_lock:
+            self._unlink(self._job_path(job_id))
+
+    @staticmethod
+    def _unlink(path: str) -> None:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------
     # Interrogation
@@ -356,6 +429,23 @@ class JobQueue:
     def job(self, job_id: str) -> Job | None:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def record(self, job_id: str) -> dict | None:
+        """The ``GET /jobs/<id>`` payload of a retained job, or ``None``.
+
+        A pool worker that does not hold the id itself reads the record
+        a sibling published.
+        """
+        job = self.job(job_id)
+        if job is not None:
+            return job.to_wire()
+        if self._jobs_dir is None or not _POOL_JOB_ID.fullmatch(job_id):
+            return None
+        try:
+            with open(self._job_path(job_id), encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, ValueError):
+            return None
 
     def depth(self) -> int:
         """Jobs waiting in the queue (not yet picked up by a worker)."""
@@ -403,6 +493,7 @@ class JobQueue:
                 else:
                     self._run(job, fingerprint)
             finally:
+                self._publish(job)
                 with self._lock:
                     self._unfinished.discard(job)
                     if self._inflight.get(fingerprint) is job:

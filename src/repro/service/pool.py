@@ -24,6 +24,11 @@ finishes in-flight requests (``httpd.shutdown`` stops accepting, then
 the job queue drains), and exits; stragglers are SIGKILLed after a
 deadline.
 
+Jobs: a worker's job ids carry its index, and each job it hands out
+with a 202 is published under ``<metrics_dir>/jobs/`` (see
+:mod:`repro.service.jobs`), so a poll answered by a sibling still finds
+it.
+
 Metrics: each worker stamps its ``/metrics`` output with a
 ``worker="N"`` label and publishes it as an atomic snapshot file under
 ``metrics_dir``; a scrape of any worker merges its own live series with

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -87,7 +88,8 @@ class ServiceConfig:
     point through which sibling workers share computed artifacts.
     ``worker_index`` / ``pool_size`` / ``metrics_dir`` are set by the
     :mod:`repro.service.pool` supervisor on each forked worker so
-    ``/metrics`` can aggregate across the pool; single-process servers
+    ``/metrics`` can aggregate across the pool and ``GET /jobs/<id>``
+    finds a job whichever worker holds it; single-process servers
     leave them at their defaults.
     """
 
@@ -232,12 +234,20 @@ class MappingService:
             policy = BatchPolicy(
                 timeout_seconds=config.job_timeout_seconds
             )
+        pooled = (
+            config.worker_index is not None
+            and config.metrics_dir is not None
+        )
         self.jobs = JobQueue(
             workers=config.workers,
             capacity=config.queue_capacity,
             cache=self.cache,
             metrics=self.metrics,
             policy=policy,
+            worker_index=config.worker_index if pooled else None,
+            jobs_dir=(
+                os.path.join(config.metrics_dir, "jobs") if pooled else None
+            ),
         )
         self.started_at = time.monotonic()
 
@@ -529,15 +539,15 @@ class MappingService:
     # ------------------------------------------------------------------
     @_versioned_handler
     def handle_job(self, job_id: str) -> tuple[int, dict[str, Any]]:
-        job = self.jobs.job(job_id)
-        if job is None:
+        record = self.jobs.record(job_id)
+        if record is None:
             return 404, {
                 "status": "not-found",
                 "error": _error_payload(
                     "UnknownJob", f"no job {job_id!r} (it may have aged out)"
                 ),
             }
-        return 200, job.to_wire()
+        return 200, record
 
     @_versioned_handler
     def health(self) -> tuple[int, dict[str, Any]]:

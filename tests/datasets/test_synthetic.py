@@ -43,3 +43,13 @@ def test_smallest_point_discovers_a_candidate(family):
     _, (source, target, correspondences) = synthetic.scale_point(family, 10)
     result = SemanticMapper(source, target, correspondences).discover()
     assert len(result) >= 1
+
+
+@pytest.mark.parametrize("length", [2, 4, 8, 12])
+def test_chain_end_to_end_join_found_at_every_length(length):
+    """Marked classes at the two ends of the chain: the best candidate
+    joins the first and the last table."""
+    scenario = synthetic.chain_scenario(length, span=length)
+    best = SemanticMapper(*scenario).discover().best()
+    tables = {atom.bare_predicate for atom in best.source_query.body}
+    assert {"c0", f"c{length}"} <= tables

@@ -3,6 +3,8 @@
 import pytest
 
 import repro.perf as perf
+from repro.cm import ConceptualModel
+from repro.correspondences import CorrespondenceSet
 from repro.discovery import (
     Rediscovery,
     Scenario,
@@ -10,10 +12,72 @@ from repro.discovery import (
     rediscover_many,
 )
 from repro.discovery.engine import STAGE_NAMES
-from repro.perf.bench import build_incremental_scenario
+from repro.semantics import design_schema
 
 #: Small enough to keep the suite fast, large enough for two segments.
 SEGMENTS, LENGTH = 2, 3
+
+
+def segmented_model(name, segments, length, pendants=2):
+    """``segments`` disjoint chains; every chain node carries
+    ``pendants`` pendant classes (dead-end branches that widen the
+    Steiner search without adding candidates)."""
+    cm = ConceptualModel(name)
+    for seg in range(segments):
+        for index in range(length + 1):
+            cm.add_class(
+                f"S{seg}C{index}",
+                attributes=[f"k{index}", f"a{index}", f"b{index}"],
+                key=[f"k{index}"],
+            )
+            for p in range(pendants):
+                cm.add_class(
+                    f"S{seg}P{index}x{p}",
+                    attributes=[f"pk{index}"],
+                    key=[f"pk{index}"],
+                )
+                cm.add_relationship(
+                    f"s{seg}pend{index}x{p}",
+                    f"S{seg}C{index}",
+                    f"S{seg}P{index}x{p}",
+                    "0..1",
+                    "0..*",
+                )
+        for index in range(length):
+            cm.add_relationship(
+                f"s{seg}f{index}",
+                f"S{seg}C{index}",
+                f"S{seg}C{index + 1}",
+                "1..1",
+                "0..*",
+            )
+    return cm
+
+
+def build_incremental_scenario(segments, length, edited=False):
+    """Fresh ``(source, target, correspondences)`` of ``segments``
+    disjoint chains, two endpoint correspondences each.
+
+    With ``edited=True``, segment 0's first correspondence moves from
+    ``a0`` to ``b0``: a single-correspondence edit. The other segments'
+    target CSGs and relevant correspondences (the per-target unit cache
+    key) are the same in both variants.
+    """
+    source = design_schema(
+        segmented_model("segmented_src", segments, length), "src"
+    )
+    target = design_schema(
+        segmented_model("segmented_tgt", segments, length), "tgt"
+    )
+    lines = []
+    for seg in range(segments):
+        first = "b0" if edited and seg == 0 else "a0"
+        lines.append(f"s{seg}c0.{first} <-> s{seg}c0.{first}")
+        lines.append(
+            f"s{seg}c{length}.a{length} <-> s{seg}c{length}.a{length}"
+        )
+    correspondences = CorrespondenceSet.parse(lines)
+    return source.semantics, target.semantics, correspondences
 
 
 def _scenario(scenario_id: str, edited: bool = False) -> Scenario:
@@ -63,6 +127,7 @@ class TestRediscover:
         previous = _scenario("base").run()
         outcome = rediscover(previous, _scenario("edited", edited=True))
         assert _tgds(outcome.result) == _tgds(cold)
+        assert len(outcome.result) == len(previous) >= 1
         assert outcome.result.notes == cold.notes
         assert outcome.result.eliminations == cold.eliminations
 

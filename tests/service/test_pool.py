@@ -13,7 +13,9 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -109,10 +111,8 @@ def _get(url: str, path: str, timeout: float = 10.0) -> str:
         return response.read().decode("utf-8")
 
 
-@pytest.fixture(scope="module")
-def pool_server(tmp_path_factory):
-    """One two-worker pre-fork server with a shared cache directory."""
-    cache_dir = str(tmp_path_factory.mktemp("pool-cache"))
+def _start_server(processes: int, cache_dir: str):
+    """``python -m repro serve`` in a subprocess; returns (proc, url)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     proc = subprocess.Popen(
@@ -124,7 +124,7 @@ def pool_server(tmp_path_factory):
             "--port",
             "0",
             "--processes",
-            "2",
+            str(processes),
             "--workers",
             "1",
             "--cache-dir",
@@ -139,12 +139,38 @@ def pool_server(tmp_path_factory):
     banner = proc.stdout.readline()
     if "listening on " not in banner:
         proc.kill()
-        pytest.fail(f"pool server failed to start: {banner!r}")
-    url = banner.split("listening on ", 1)[1].split(" ", 1)[0]
+        pytest.fail(f"server failed to start: {banner!r}")
+    return proc, banner.split("listening on ", 1)[1].split(" ", 1)[0]
+
+
+@pytest.fixture(scope="module")
+def pool_server(tmp_path_factory):
+    """One two-worker pre-fork server with a shared cache directory."""
+    cache_dir = str(tmp_path_factory.mktemp("pool-cache"))
+    proc, url = _start_server(2, cache_dir)
     yield proc, url, cache_dir
     if proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=10)
+        # SIGTERM lets the supervisor stop its workers; a SIGKILL
+        # would leave them running without a parent.
+        proc.terminate()
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
+def test_single_process_server_drains_on_sigint(tmp_path):
+    proc, url = _start_server(1, str(tmp_path))
+    try:
+        scenario = {"dataset": "Hotel", "case": "hotel-room-of-hotel"}
+        assert _post(url, "/discover", {"scenario": scenario})["status"] == "ok"
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
 
 
 class TestPreForkServing:
@@ -207,6 +233,80 @@ class TestPreForkServing:
             if 'worker="' in series
         }
         assert workers_seen == {"0", "1"}
+
+    def test_concurrent_clients_are_all_answered(self, pool_server):
+        """Sixteen clients, five requests each, over seven cases; every
+        fifth request carries a never-seen ``max_path_edges``, a miss in
+        every cache, so the pool runs discovery under the load."""
+        _, url, _ = pool_server
+        cases = [
+            ("DBLP", "dblp-article-in-journal"),
+            ("DBLP", "dblp-book-publisher"),
+            ("Mondial", "mondial-city-in-country"),
+            ("Amalgam", "amalgam-author-of-article"),
+            ("Hotel", "hotel-room-of-hotel"),
+            ("UT", "ut-professor-teaches-course"),
+            ("Network", "network-interface-of-device"),
+        ]
+        requests = []
+        for serial in range(80):
+            dataset, case = cases[serial % len(cases)]
+            body = {"scenario": {"dataset": dataset, "case": case}}
+            if serial % 20 == 0:
+                body["options"] = {"max_path_edges": 10 + serial}
+            requests.append(body)
+
+        def client(start):
+            return [
+                _post(url, "/discover", body)["status"]
+                for body in requests[start::16]
+            ]
+
+        with ThreadPoolExecutor(max_workers=16) as executor:
+            statuses = [
+                status
+                for answers in executor.map(client, range(16))
+                for status in answers
+            ]
+        assert statuses == ["ok"] * 80
+
+    def test_every_poll_finds_its_own_async_job(self, pool_server):
+        """Each worker keeps its own job table, and the kernel hands a
+        poll to any worker: ids must not collide across the pool, and a
+        sibling must answer for a job it does not hold."""
+        _, url, _ = pool_server
+        cases = (
+            "dblp-author-of-publication",
+            "dblp-author-in-journal",
+            "dblp-paper-at-conference",
+            "dblp-book-publisher",
+        )
+        accepted = [
+            _post(
+                url,
+                "/discover",
+                {
+                    "scenario": {"dataset": "DBLP", "case": case},
+                    "mode": "async",
+                },
+            )
+            for case in cases
+        ]
+        job_ids = [reply["job_id"] for reply in accepted]
+        assert len(set(job_ids)) == len(job_ids), job_ids
+        for _ in range(10):
+            for reply in accepted:
+                try:
+                    polled = json.loads(
+                        _get(url, f"/jobs/{reply['job_id']}")
+                    )
+                except urllib.error.HTTPError as error:
+                    pytest.fail(
+                        f"GET /jobs/{reply['job_id']} answered {error.code}"
+                    )
+                assert polled["job_id"] == reply["job_id"]
+                assert polled["scenario_id"] == reply["scenario_id"]
+            time.sleep(0.05)
 
     def test_sigint_drains_and_exits_cleanly(self, pool_server):
         proc, url, _ = pool_server

@@ -53,6 +53,12 @@ class TestMapCommand:
             main(["map", "Hotel", "hotel-rate-of-room", "--method", "ric"])
         assert "--method" in capsys.readouterr().err
 
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_unknown_case_fails(self, capsys):
         assert main(["map", "Hotel", "ghost-case"]) == 2
         assert "unknown case" in capsys.readouterr().err

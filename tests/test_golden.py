@@ -8,9 +8,14 @@ and three synthetic families are pinned at 10, 30 and 60 classes by
 blind-search runs could still be compared, and all three agreed.
 
 Each case runs cold (``clear_caches()`` first) and then warm in the same
-process; both must reproduce the pinned digest. The digest rule is the
-benchmark's (``bench/workloads.py:tgd_digest``): sha256 over the
-candidates' ``to_tgd("M<i>")`` lines joined by newlines.
+process; both must reproduce the pinned digest, and so must a parallel
+batch of the 34 paper cases. The digest rule is the benchmark's
+(``bench/workloads.py:tgd_digest``): sha256 over the candidates'
+``to_tgd("M<i>")`` lines joined by newlines.
+
+The reified web's mapping stays small at every size, so none of its
+rewrites may stop at the enumeration limit (isa_fan's do from 30
+classes up, until ``translate`` is exact).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import pytest
 import repro.perf as perf
 from repro.datasets import synthetic
 from repro.datasets.registry import load_all_datasets
+from repro.discovery.batch import Scenario, discover_many
 from repro.discovery.mapper import SemanticMapper
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "bench" / "golden.json"
@@ -77,6 +83,25 @@ def test_paper_cases_match_golden_cold_and_warm():
         assert warm == golden[key], f"{key}: warm output drifted"
 
 
+def test_paper_cases_match_golden_in_a_parallel_batch():
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["paper"]
+    scenarios = [
+        Scenario.create(
+            f"{pair.name}/{case.case_id}",
+            pair.source,
+            pair.target,
+            case.correspondences,
+        )
+        for pair in load_all_datasets()
+        for case in pair.cases
+    ]
+    perf.clear_caches()
+    batch = discover_many(scenarios, workers=2)
+    assert batch.failures == []
+    digests = {key: tgd_digest(result) for key, result in batch.results}
+    assert digests == golden
+
+
 @pytest.mark.parametrize("point", sorted(SYNTHETIC_DIGESTS))
 def test_synthetic_families_match_pins_cold_and_warm(point):
     family, classes = point.split("@")
@@ -84,3 +109,7 @@ def test_synthetic_families_match_pins_cold_and_warm(point):
     cold, warm = _cold_then_warm(*scenario)
     assert tgd_digest(cold) == SYNTHETIC_DIGESTS[point]
     assert tgd_digest(warm) == SYNTHETIC_DIGESTS[point]
+    assert len(cold) >= 1
+    assert cold.stats.get("bound_prunes", 0) > 0
+    if family == "reified_web":
+        assert cold.stats.get("rewrite_limit_hits", 0) == 0

@@ -12,6 +12,7 @@ unknown name.
 """
 
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -192,6 +193,8 @@ REMOVED = (
     ("repro.mappings.verify", None, "satisfies"),
     ("repro.perf.counters", "PerfCounters", "merge"),
     ("repro.service.cache", "ResultCache", "clear"),
+    ("repro.perf", None, "bench"),
+    ("repro.perf", None, "invariants"),
 )
 
 
@@ -201,6 +204,9 @@ def test_removed_names_stay_removed(module, owner, name):
     if owner is not None:
         target = getattr(target, owner)
     assert not hasattr(target, name)
+    if owner is None and hasattr(target, "__path__"):
+        # Nor can it be imported as a submodule of the package.
+        assert importlib.util.find_spec(f"{module}.{name}") is None
 
 
 @pytest.fixture(params=PACKAGES)

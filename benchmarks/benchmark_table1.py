@@ -2,17 +2,23 @@
 
 The paper's Table 1 reports, per domain pair, the schema sizes, CM sizes,
 number of benchmark mappings, and the time the semantic approach takes to
-generate all mappings. The characteristics are printed/persisted; the
-benchmarks measure mapping generation per domain, which is what the
-table's last column times.
+generate all mappings. The characteristics are persisted to
+``results/table1.txt``; the benchmarks measure mapping generation per
+domain, which is what the table's last column times, and report it
+through pytest-benchmark.
 """
 
 from __future__ import annotations
+
+import pathlib
 
 import pytest
 
 from repro.discovery.mapper import SemanticMapper
 from repro.evaluation.report import render_table1
+
+#: Where the full table, time column included, is written (git-ignored).
+TIMED_TABLE = pathlib.Path(__file__).parent.parent / ".bench_out" / "table1.txt"
 
 
 @pytest.mark.parametrize(
@@ -62,8 +68,20 @@ def test_ric_generation_time(benchmark, dataset_pairs, name):
 
 
 def test_render_table1(evaluation_results, results_dir, benchmark):
-    """Regenerate Table 1 itself and persist it."""
+    """Regenerate Table 1 and persist it.
+
+    The committed ``results/table1.txt`` keeps the columns a rerun
+    reproduces byte for byte; the time column records one machine at
+    one moment, so the full table goes to the git-ignored
+    ``.bench_out/table1.txt`` instead.
+    """
     results = list(evaluation_results.values())
     text = benchmark(render_table1, results)
-    (results_dir / "table1.txt").write_text(text + "\n")
     assert "DBLP1" in text and "NetworkB" in text
+    TIMED_TABLE.parent.mkdir(exist_ok=True)
+    TIMED_TABLE.write_text(text + "\n")
+    lines = text.splitlines()
+    time_column = lines[1].index("time (sec)")
+    (results_dir / "table1.txt").write_text(
+        "\n".join(line[:time_column].rstrip() for line in lines) + "\n"
+    )

@@ -2,9 +2,9 @@
 
 Each benchmark module regenerates one of the paper's exhibits (Table 1,
 Figure 6, Figure 7) and measures the runtime of the piece of the pipeline
-it exercises. Rendered exhibits are written to ``benchmarks/results/`` so
-``pytest benchmarks/ --benchmark-only`` leaves the regenerated tables and
-figures on disk next to the timing numbers.
+it exercises. Rendered exhibits are written to ``benchmarks/results/``,
+where a rerun reproduces the committed files byte for byte; timings go
+only to the pytest-benchmark report and the git-ignored ``.bench_out/``.
 """
 
 from __future__ import annotations

@@ -684,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--reuse-from",
         metavar="CASE",
         help="incremental re-discovery: run CASE first to warm the "
-        "stage cache, then run the requested case reusing every "
-        "unaffected stage artifact, and report what was reused",
+        "stage cache, then run the requested case reusing the cached "
+        "search of every unaffected target, and report what was reused",
     )
     run_map.add_argument(
         "--stats",

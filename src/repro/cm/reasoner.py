@@ -19,44 +19,18 @@ from typing import Sequence
 from repro.cm.cardinality import Cardinality, ConnectionCategory
 from repro.cm.graph import CMEdge
 from repro.cm.model import ConceptualModel
-from repro.perf import counters as perf_counters
-
-
-def _edge_key_tuple(edges: Sequence[CMEdge]) -> tuple[tuple[str, str, str], ...]:
-    """Frozen per-edge identity used as a memo key.
-
-    ``(source, label, target)`` identifies an edge uniquely within one CM
-    graph (labels carry the inverse mark), and both consistency checks
-    only read fields determined by that triple.
-    """
-    return tuple((edge.source, edge.label, edge.target) for edge in edges)
 
 
 class CMReasoner:
     """Semantic queries over one conceptual model.
 
-    Consistency checks are memoized on frozen edge-key tuples; the memos
-    assume the model is no longer mutated (invalidation by immutability —
-    construct a fresh reasoner if you must edit the model afterwards).
+    Holds no state beyond the model: every check computes its answer
+    from the model's declarations, so a reasoner is cheap to build and
+    any number of them may share one model.
     """
 
     def __init__(self, model: ConceptualModel) -> None:
         self.model = model
-        self._path_consistency: dict[tuple, bool] = {}
-        self._tree_consistency: dict[tuple, bool] = {}
-
-    @classmethod
-    def shared(cls, model: ConceptualModel) -> "CMReasoner":
-        """The memo-sharing reasoner of ``model``.
-
-        Cached on the model object itself so the memo's lifetime matches
-        the model's.
-        """
-        reasoner = getattr(model, "_shared_reasoner", None)
-        if reasoner is None:
-            reasoner = cls(model)
-            model._shared_reasoner = reasoner
-        return reasoner
 
     # ------------------------------------------------------------------
     # ISA and disjointness
@@ -165,17 +139,6 @@ class CMReasoner:
         after climbing from ``C``, descending into ``D`` requires ``C`` and
         ``D`` to be satisfiable together.
         """
-        key = _edge_key_tuple(edges)
-        cached = self._path_consistency.get(key)
-        if cached is not None:
-            perf_counters.record("path_consistency_cache_hits")
-            return cached
-        perf_counters.record("path_consistency_cache_misses")
-        result = self._path_is_consistent(edges)
-        self._path_consistency[key] = result
-        return result
-
-    def _path_is_consistent(self, edges: Sequence[CMEdge]) -> bool:
         for index in range(len(edges) - 1):
             first, second = edges[index], edges[index + 1]
             up = first.is_isa and not first.is_inverse
@@ -195,17 +158,6 @@ class CMReasoner:
         subclasses on the same root-to-leaf path, the tree denotes false.
         This conservative check walks all consecutive pairs.
         """
-        key = _edge_key_tuple(edges)
-        cached = self._tree_consistency.get(key)
-        if cached is not None:
-            perf_counters.record("tree_consistency_cache_hits")
-            return cached
-        perf_counters.record("tree_consistency_cache_misses")
-        result = self._tree_is_consistent(edges)
-        self._tree_consistency[key] = result
-        return result
-
-    def _tree_is_consistent(self, edges: Sequence[CMEdge]) -> bool:
         for first in edges:
             for second in edges:
                 if first is second:

@@ -25,7 +25,6 @@ from repro.cm.cardinality import ConnectionCategory, categories_compatible
 from repro.cm.graph import CMEdge
 from repro.cm.model import SemanticType
 from repro.cm.reasoner import CMReasoner
-from repro.perf import counters as perf_counters
 
 
 def path_semantic_type(edges: Sequence[CMEdge]) -> SemanticType:
@@ -58,38 +57,11 @@ class ConnectionProfile:
 
     @classmethod
     def of_path(cls, edges: Sequence[CMEdge]) -> "ConnectionProfile":
-        key = tuple(edges)  # CMEdge is frozen: the tuple is a full identity
-        hit = _PROFILE_CACHE.get(key)
-        if hit is not None:
-            perf_counters.record("profile_cache_hits")
-            return hit
-        perf_counters.record("profile_cache_misses")
-        profile = cls._compute(edges)
-        if len(_PROFILE_CACHE) >= PROFILE_CACHE_SIZE:
-            _PROFILE_CACHE.clear()
-        _PROFILE_CACHE[key] = profile
-        return profile
-
-    @classmethod
-    def _compute(cls, edges: Sequence[CMEdge]) -> "ConnectionProfile":
-        """The uncached profile (the reference :meth:`of_path` memoizes)."""
         return cls(
             category=CMReasoner.path_category(edges),
             semantic_type=path_semantic_type(edges),
             length=len(edges),
         )
-
-
-#: Entry bound of the ``of_path`` memo (cleared wholesale when reached).
-PROFILE_CACHE_SIZE = 8192
-
-#: Module-wide ``of_path`` memo; keys are frozen edge tuples, so entries
-#: from different models cannot collide.
-_PROFILE_CACHE: dict[tuple[CMEdge, ...], ConnectionProfile] = {}
-
-
-def clear_profile_cache() -> None:
-    _PROFILE_CACHE.clear()
 
 
 def compatibility_violation(

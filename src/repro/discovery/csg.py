@@ -347,7 +347,7 @@ def extend_with_lossy_paths(
     """
     from repro.cm.reasoner import CMReasoner
 
-    reasoner = CMReasoner.shared(semantics.model)
+    reasoner = CMReasoner(semantics.model)
 
     def acceptable(path: tuple[CMEdge, ...]) -> bool:
         return reasoner.path_is_consistent(list(path))

@@ -1,11 +1,11 @@
-"""The staged discovery engine: typed artifacts + content-addressed cache.
+"""The staged discovery engine: fingerprinted stages + content-addressed cache.
 
 This package factors the discovery pipeline into explicit stages —
-:data:`~repro.discovery.engine.stages.STAGE_NAMES` — each producing a
-typed, frozen artifact stamped with a content-addressed fingerprint.
-``SemanticMapper`` delegates here; the engine owns the stage graph, the
-perf phase / trace span vocabulary (both derive from ``STAGE_NAMES``),
-the bounded LRU :class:`StageCache`, and the per-target
+:data:`~repro.discovery.engine.stages.STAGE_NAMES` — each with a
+content-addressed input fingerprint. ``SemanticMapper`` delegates here;
+the engine owns the stage graph, the span vocabulary (derived from
+``STAGE_NAMES``), the bounded LRU :class:`StageCache` of whole-run
+:class:`RankedResult` entries, and the per-target
 :class:`SourceSearchUnit` reuse that makes incremental re-discovery
 (:func:`repro.discovery.incremental.rediscover`) cheap.
 
@@ -18,14 +18,8 @@ __all__ = _lazy_package(
     __name__,
     {
         "repro.discovery.engine.artifacts": (
-            "CompatiblePairs",
-            "LiftedCorrespondences",
-            "PairRecord",
             "RankedResult",
-            "SourceCSGSet",
             "SourceSearchUnit",
-            "TargetCSGSet",
-            "TranslatedCandidates",
         ),
         "repro.discovery.engine.cache": (
             "StageCache",

@@ -1,22 +1,22 @@
-"""Typed, frozen artifacts — one per stage of the discovery pipeline.
+"""The two artifacts the stage cache holds.
 
-Each artifact is the complete output of one stage, stamped with the
-content-addressed ``fingerprint`` of the stage's *input* (see
-:func:`repro.discovery.fingerprint.stage_fingerprint`): upstream
-artifact fingerprints chained with the options subset the stage reads.
-Equal fingerprint ⇒ equal artifact, which is what lets the
-:class:`~repro.discovery.engine.cache.StageCache` substitute a cached
-artifact for a recomputation without changing any output byte.
+Each is stored under a content-addressed fingerprint (see
+:func:`repro.discovery.fingerprint.stage_fingerprint`) that covers
+everything the artifact depends on, so equal fingerprint ⇒ equal
+artifact: the :class:`~repro.discovery.engine.cache.StageCache` can
+substitute one for a recomputation without changing any output byte.
 
-Three stages — source search, pair filtering, and translation — execute
-*fused* (the paper's tiered fallback gates each source-CSG tier on
-whether candidate emission succeeded, so the stages cannot be separated
-by barriers without changing behaviour; see ``docs/architecture.md``).
-Their artifacts are still materialised individually, and the fused
-block's real reuse granularity is the per-target
-:class:`SourceSearchUnit`: everything one target CSG's search produced
-— candidates, surviving pairs, notes, eliminations — replayable in
-order for byte-identical warm output.
+* :class:`RankedResult` — a whole run's output, keyed by the ``rank``
+  stage fingerprint (or the ``clio`` fingerprint for the baseline). A
+  hit answers the run without executing any stage.
+* :class:`SourceSearchUnit` — one target CSG's fused source search,
+  pair filter and translation, keyed by the target CSG's content plus
+  the correspondences relevant to it. A hit replays that target after
+  an edit elsewhere in the scenario.
+
+The other stages' outputs are not cached: nothing would read them.
+``lift`` and ``target_csgs`` recompute in about a millisecond per paper
+case, and the fused middle stages are only ever reused per target.
 
 Payloads are immutable (tuples of frozen dataclasses, strings, and the
 frozen query/candidate objects), so artifacts may be shared freely
@@ -27,82 +27,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.correspondences import LiftedCorrespondence
-from repro.discovery.csg import CSG
 from repro.discovery.ranking import CandidateScore
 from repro.mappings.expression import MappingCandidate
-
-
-@dataclass(frozen=True)
-class LiftedCorrespondences:
-    """Stage ``lift``: correspondences lifted to marked CM class nodes."""
-
-    fingerprint: str
-    items: tuple[LiftedCorrespondence, ...]
-
-
-@dataclass(frozen=True)
-class TargetCSGSet:
-    """Stage ``target_csgs``: the target-side CSGs (Cases A and B)."""
-
-    fingerprint: str
-    csgs: tuple[CSG, ...]
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    """One CSG pair that survived the compatibility filters."""
-
-    source_csg: str
-    target_csg: str
-    reversals: int
-    candidates: int
 
 
 @dataclass(frozen=True)
 class SourceSearchUnit:
     """One target CSG's complete search outcome (the fused block's unit).
 
-    ``considered`` lists every source CSG examined as ``(tier, text)``
-    rows (tier ``"functional"`` or ``"lossy"``); ``scored`` carries the
-    emitted candidates with their rank scores in emission order, which
-    the stable rank sort depends on. ``notes`` and ``eliminations`` are
-    replayed verbatim on a cache hit so warm runs stay byte-identical.
+    ``scored`` carries the emitted candidates with their rank scores in
+    emission order, which the stable rank sort depends on. ``notes`` and
+    ``eliminations`` are replayed verbatim on a cache hit so warm runs
+    stay byte-identical.
     """
 
-    fingerprint: str
-    target_csg: str
-    considered: tuple[tuple[str, str], ...]
-    pairs: tuple[PairRecord, ...]
     scored: tuple[tuple[CandidateScore, MappingCandidate], ...]
     notes: tuple[str, ...]
     eliminations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SourceCSGSet:
-    """Stage ``source_search``: per-target units with every CSG examined."""
-
-    fingerprint: str
-    units: tuple[SourceSearchUnit, ...]
-
-
-@dataclass(frozen=True)
-class CompatiblePairs:
-    """Stage ``pair_filter``: surviving pairs plus the elimination log."""
-
-    fingerprint: str
-    pairs: tuple[PairRecord, ...]
-    eliminations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class TranslatedCandidates:
-    """Stage ``translate``: scored candidates in emission order."""
-
-    fingerprint: str
-    scored: tuple[tuple[CandidateScore, MappingCandidate], ...]
-    notes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -114,7 +55,6 @@ class RankedResult:
     any stage.
     """
 
-    fingerprint: str
     candidates: tuple[MappingCandidate, ...]
     notes: tuple[str, ...]
     eliminations: tuple[str, ...]

@@ -1,13 +1,15 @@
 """The bounded LRU stage cache behind incremental re-discovery.
 
 One process-wide :class:`StageCache` holds the staged engine's
-content-addressed artifacts (see
-:mod:`repro.discovery.engine.artifacts`), keyed by ``(stage name,
-fingerprint)``. Because fingerprints cover *content* — semantics,
-correspondences, and the options subset each stage reads — the cache is
-safely shared across scenarios, threads (service job workers), and
-repeated ``discover()`` calls: a hit can only ever return the artifact
-the stage would have recomputed.
+content-addressed artifacts, keyed by ``(stage name, fingerprint)``.
+The engine stores two kinds (see
+:mod:`repro.discovery.engine.artifacts`): a whole run's ``RankedResult``
+under ``rank`` (``clio`` for the baseline engine) and a per-target
+``SourceSearchUnit`` under ``source_search.unit``. Because fingerprints
+cover *content* — semantics, correspondences, and the options subset
+each stage reads — the cache is safely shared across scenarios, threads
+(service job workers), and repeated ``discover()`` calls: a hit can
+only ever return the artifact the stage would have recomputed.
 
 The cache holds at most :data:`STAGE_CACHE_SIZE` artifacts and evicts
 the least recently used first. Its traffic lands in the perf counters

@@ -76,7 +76,6 @@ def run_clio(
                 "clio",
                 fingerprint,
                 RankedResult(
-                    fingerprint,
                     tuple(result.candidates),
                     tuple(result.notes),
                     tuple(result.eliminations),

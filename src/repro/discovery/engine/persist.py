@@ -61,7 +61,10 @@ STORE_FORMAT = "repro-stage-store"
 #: state and so would load a wrong object without raising. Version 4:
 #: ``ConjunctiveQuery``, ``InverseRule`` and ``LAVView`` became slotted
 #: and pickle a tuple state where version 3 pickled an instance dict.
-STORE_VERSION = 4
+#: Version 5: ``RankedResult`` and ``SourceSearchUnit`` lost their
+#: unread fields (``fingerprint``; the unit's ``target_csg``,
+#: ``considered`` and ``pairs``), and only those two kinds are stored.
+STORE_VERSION = 5
 
 #: Environment variable naming a default cache directory (lowest
 #: precedence; see :func:`active_cache_dir`).

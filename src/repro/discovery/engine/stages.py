@@ -1,11 +1,12 @@
 """The staged semantic-discovery engine (the pipeline of Section 3).
 
 :class:`SemanticEngine` runs the algorithm as six explicit stages —
-:data:`STAGE_NAMES` — each producing one typed artifact
-(:mod:`repro.discovery.engine.artifacts`) stamped with a
-content-addressed fingerprint. ``SemanticMapper`` is a thin orchestrator
-over this engine; the engine owns the stage graph, the spans, and the
-:class:`~repro.discovery.engine.cache.StageCache` interaction.
+:data:`STAGE_NAMES` — each with a content-addressed input fingerprint
+chained from its upstream stages and the options it reads
+(:meth:`SemanticEngine.stage_fingerprints`). ``SemanticMapper`` is a
+thin orchestrator over this engine; the engine owns the stage graph, the
+spans, and the :class:`~repro.discovery.engine.cache.StageCache`
+interaction.
 
 One clock: each instrumented site opens exactly one span on the run's
 :class:`~repro.trace.Recorder` — a stage span per name in
@@ -24,18 +25,21 @@ trees → lossy extension → split across partial trees) decides whether to
 try the next tier based on whether candidate *emission* — which runs the
 pair filters and the translation — produced results for the previous
 tier. Separating the stages with barriers would change which tiers run
-and therefore the output. The three artifacts are still materialised
-(post hoc) with their own fingerprints; the fused block's reuse
-granularity is the per-target :class:`SourceSearchUnit`, keyed by the
-target CSG's content plus the correspondences relevant to it — this is
-what makes a one-correspondence edit cheap: every unaffected target's
-unit replays from cache.
+and therefore the output. The fused block's reuse granularity is the
+per-target :class:`SourceSearchUnit`, keyed by the target CSG's content
+plus the correspondences relevant to it — this is what makes a
+one-correspondence edit cheap: every unaffected target's unit replays
+from cache.
 
-Caching discipline: the stage cache is consulted only when the run
+Caching discipline: the stage cache holds two kinds of entry, the only
+ones a run ever reads back — the whole run's :class:`RankedResult`
+under the ``rank`` fingerprint, and one :class:`SourceSearchUnit` per
+target CSG. ``lift`` and ``target_csgs`` always recompute (about a
+millisecond per paper case). The cache is consulted only when the run
 records no span tree (a :class:`~repro.trace.Tracer` wants the real
-spans and prune events, so cached fast paths are bypassed). Cold runs
-are byte-identical to the pre-engine pipeline; warm runs replay
-recorded notes/eliminations in order, so they are byte-identical too.
+spans and prune events, so cached fast paths are bypassed). Warm runs
+replay recorded notes/eliminations in order, so they are byte-identical
+to cold ones.
 """
 
 from __future__ import annotations
@@ -54,16 +58,7 @@ from repro.discovery.csg import (
     find_source_functional_csgs,
     find_target_csgs,
 )
-from repro.discovery.engine.artifacts import (
-    CompatiblePairs,
-    LiftedCorrespondences,
-    PairRecord,
-    RankedResult,
-    SourceCSGSet,
-    SourceSearchUnit,
-    TargetCSGSet,
-    TranslatedCandidates,
-)
+from repro.discovery.engine.artifacts import RankedResult, SourceSearchUnit
 from repro.discovery.engine.cache import StageCache, stage_cache
 from repro.discovery.fingerprint import (
     csg_content_key,
@@ -102,7 +97,7 @@ CLIO_STAGE_NAMES = ("clio",)
 UNIT_STAGE = "source_search.unit"
 
 #: The :class:`DiscoveryOptions` fields each stage's output depends on.
-#: Fields *not* listed for a stage must never change its artifact;
+#: Fields *not* listed for a stage must never change its output;
 #: ``explain`` / ``trace`` / ``cache_dir`` are deliberately absent
 #: everywhere (observability and the deployment-local cache directory
 #: must not invalidate caches).
@@ -230,87 +225,64 @@ class SemanticEngine:
                 return EngineOutcome(
                     list(ranked.candidates), fingerprints, full_hit=True
                 )
-        lifted = self._lift(fingerprints, cache)
-        if not lifted.items:
+        lifted = self._lift()
+        if not lifted:
             raise DiscoveryError("no correspondences to interpret")
-        targets = self._target_csgs(fingerprints, cache, lifted)
+        targets = self._target_csgs(lifted)
         scored = self._fused_search(
-            fingerprints, cache, lifted, targets, notes, eliminations
+            cache, lifted, targets, notes, eliminations
         )
-        candidates = self._rank(
-            fingerprints, cache, scored, notes, eliminations
-        )
+        candidates = self._rank(scored)
+        if cache is not None:
+            cache.put(
+                "rank",
+                fingerprints["rank"],
+                RankedResult(
+                    tuple(candidates), tuple(notes), tuple(eliminations)
+                ),
+            )
         return EngineOutcome(candidates, fingerprints)
 
     # ------------------------------------------------------------------
     # Stage 1: lift
     # ------------------------------------------------------------------
-    def _lift(
-        self, fingerprints: dict[str, str], cache: StageCache | None
-    ) -> LiftedCorrespondences:
+    def _lift(self) -> tuple[LiftedCorrespondence, ...]:
         with self._tracer.span("lift") as span:
-            artifact = (
-                cache.get("lift", fingerprints["lift"])
-                if cache is not None
-                else None
-            )
-            if artifact is None:
-                items = tuple(
-                    self.correspondences.lift(
-                        self.source_semantics, self.target_semantics
-                    )
+            lifted = tuple(
+                self.correspondences.lift(
+                    self.source_semantics, self.target_semantics
                 )
-                artifact = LiftedCorrespondences(fingerprints["lift"], items)
-                if cache is not None:
-                    cache.put("lift", fingerprints["lift"], artifact)
-            span.set("correspondences", len(artifact.items))
-        return artifact
+            )
+            span.set("correspondences", len(lifted))
+        return lifted
 
     # ------------------------------------------------------------------
     # Stage 2: target CSGs
     # ------------------------------------------------------------------
     def _target_csgs(
-        self,
-        fingerprints: dict[str, str],
-        cache: StageCache | None,
-        lifted: LiftedCorrespondences,
-    ) -> TargetCSGSet:
+        self, lifted: tuple[LiftedCorrespondence, ...]
+    ) -> tuple[CSG, ...]:
         with self._tracer.span("target_csgs") as span:
-            artifact = (
-                cache.get("target_csgs", fingerprints["target_csgs"])
-                if cache is not None
-                else None
-            )
-            if artifact is None:
-                csgs = tuple(
-                    find_target_csgs(self.target_semantics, lifted.items)
-                )
-                artifact = TargetCSGSet(fingerprints["target_csgs"], csgs)
-                if cache is not None:
-                    cache.put(
-                        "target_csgs", fingerprints["target_csgs"], artifact
-                    )
-            span.set("found", len(artifact.csgs))
-        return artifact
+            csgs = tuple(find_target_csgs(self.target_semantics, lifted))
+            span.set("found", len(csgs))
+        return csgs
 
     # ------------------------------------------------------------------
     # Stages 3-5 (fused): source search, pair filter, translate
     # ------------------------------------------------------------------
     def _fused_search(
         self,
-        fingerprints: dict[str, str],
         cache: StageCache | None,
-        lifted: LiftedCorrespondences,
-        targets: TargetCSGSet,
+        lifted: tuple[LiftedCorrespondence, ...],
+        targets: tuple[CSG, ...],
         notes: list[str],
         eliminations: list[str],
     ) -> list[tuple[CandidateScore, MappingCandidate]]:
         scored: list[tuple[CandidateScore, MappingCandidate]] = []
-        units: list[SourceSearchUnit] = []
-        for target_csg in targets.csgs:
+        for target_csg in targets:
             relevant = tuple(
                 item
-                for item in lifted.items
+                for item in lifted
                 if item.target_class in target_csg.marked_classes()
             )
             if not relevant:
@@ -327,58 +299,42 @@ class SemanticEngine:
                     else None
                 )
                 if unit is None:
-                    unit = self._run_unit(unit_key, target_csg, relevant)
+                    unit = self._run_unit(target_csg, relevant)
                     if cache is not None:
                         cache.put(UNIT_STAGE, unit_key, unit)
                 span.set("candidates", len(unit.scored))
             notes.extend(unit.notes)
             eliminations.extend(unit.eliminations)
             scored.extend(unit.scored)
-            units.append(unit)
-        if cache is not None:
-            cache.put(
-                "source_search",
-                fingerprints["source_search"],
-                SourceCSGSet(fingerprints["source_search"], tuple(units)),
-            )
-            cache.put(
-                "pair_filter",
-                fingerprints["pair_filter"],
-                CompatiblePairs(
-                    fingerprints["pair_filter"],
-                    tuple(
-                        pair for unit in units for pair in unit.pairs
-                    ),
-                    tuple(eliminations),
-                ),
-            )
-            cache.put(
-                "translate",
-                fingerprints["translate"],
-                TranslatedCandidates(
-                    fingerprints["translate"], tuple(scored), tuple(notes)
-                ),
-            )
         return scored
 
     def _run_unit(
         self,
-        fingerprint: str,
         target_csg: CSG,
         relevant: tuple[LiftedCorrespondence, ...],
     ) -> SourceSearchUnit:
-        """The per-target tiered search (Section 3.3's fallback ladder)."""
+        """One target CSG's search, packed for replay."""
         notes: list[str] = []
         eliminations: list[str] = []
-        considered: list[tuple[str, str]] = []
-        pairs: list[PairRecord] = []
+        scored = self._search_tiers(target_csg, relevant, notes, eliminations)
+        return SourceSearchUnit(
+            tuple(scored), tuple(notes), tuple(eliminations)
+        )
+
+    def _search_tiers(
+        self,
+        target_csg: CSG,
+        relevant: tuple[LiftedCorrespondence, ...],
+        notes: list[str],
+        eliminations: list[str],
+    ) -> list[tuple[CandidateScore, MappingCandidate]]:
+        """The per-target tiered search (Section 3.3's fallback ladder)."""
         marked_sources = {item.source_class for item in relevant}
         with self._tracer.span("functional_csgs") as span:
             functional = find_source_functional_csgs(
                 self.source_semantics, relevant, target_csg
             )
             span.set("found", len(functional))
-        considered.extend(("functional", str(csg)) for csg in functional)
         full = [
             csg
             for csg in functional
@@ -388,15 +344,10 @@ class SemanticEngine:
         if full:
             for source_csg in full:
                 results.extend(
-                    self._emit(
-                        source_csg, target_csg, relevant, eliminations, pairs
-                    )
+                    self._emit(source_csg, target_csg, relevant, eliminations)
                 )
             if results:
-                return self._unit(
-                    fingerprint, target_csg, considered, pairs, results,
-                    notes, eliminations,
-                )
+                return results
             notes.append(
                 f"{target_csg}: functional trees found but all pairs "
                 f"incompatible"
@@ -417,18 +368,12 @@ class SemanticEngine:
                 extra_bases=tuple(functional),
             )
             span.set("found", len(extended))
-        considered.extend(("lossy", str(csg)) for csg in extended)
         for source_csg in extended:
             results.extend(
-                self._emit(
-                    source_csg, target_csg, relevant, eliminations, pairs
-                )
+                self._emit(source_csg, target_csg, relevant, eliminations)
             )
         if results:
-            return self._unit(
-                fingerprint, target_csg, considered, pairs, results,
-                notes, eliminations,
-            )
+            return results
         if extended:
             notes.append(
                 f"{target_csg}: lossy extensions found but incompatible"
@@ -436,36 +381,11 @@ class SemanticEngine:
         # Split: partially covering functional trees, one candidate each.
         for source_csg in functional:
             results.extend(
-                self._emit(
-                    source_csg, target_csg, relevant, eliminations, pairs
-                )
+                self._emit(source_csg, target_csg, relevant, eliminations)
             )
         if not results:
             notes.append(f"{target_csg}: no source connection found")
-        return self._unit(
-            fingerprint, target_csg, considered, pairs, results,
-            notes, eliminations,
-        )
-
-    @staticmethod
-    def _unit(
-        fingerprint: str,
-        target_csg: CSG,
-        considered: list[tuple[str, str]],
-        pairs: list[PairRecord],
-        results: list[tuple[CandidateScore, MappingCandidate]],
-        notes: list[str],
-        eliminations: list[str],
-    ) -> SourceSearchUnit:
-        return SourceSearchUnit(
-            fingerprint=fingerprint,
-            target_csg=str(target_csg),
-            considered=tuple(considered),
-            pairs=tuple(pairs),
-            scored=tuple(results),
-            notes=tuple(notes),
-            eliminations=tuple(eliminations),
-        )
+        return results
 
     # ------------------------------------------------------------------
     # Candidate emission (pair filter + translate, per CSG pair)
@@ -476,7 +396,6 @@ class SemanticEngine:
         target_csg: CSG,
         relevant: tuple[LiftedCorrespondence, ...],
         eliminations: list[str],
-        pairs: list[PairRecord],
     ) -> list[tuple[CandidateScore, MappingCandidate]]:
         covered = tuple(
             item
@@ -542,14 +461,6 @@ class SemanticEngine:
                 )
                 results.append((score, candidate))
             span.set("candidates", len(results))
-        pairs.append(
-            PairRecord(
-                source_csg=str(source_csg),
-                target_csg=str(target_csg),
-                reversals=reversals,
-                candidates=len(results),
-            )
-        )
         return results
 
     def _anchor_rank(self, source_csg: CSG, target_csg: CSG) -> int:
@@ -708,12 +619,7 @@ class SemanticEngine:
     # Stage 6: rank
     # ------------------------------------------------------------------
     def _rank(
-        self,
-        fingerprints: dict[str, str],
-        cache: StageCache | None,
-        scored: list[tuple[CandidateScore, MappingCandidate]],
-        notes: list[str],
-        eliminations: list[str],
+        self, scored: list[tuple[CandidateScore, MappingCandidate]]
     ) -> list[MappingCandidate]:
         with self._tracer.span("rank") as span:
             scored.sort(key=lambda pair: pair[0].sort_key())
@@ -727,17 +633,6 @@ class SemanticEngine:
             span.set("kept", len(candidates))
             if self._tracer.explain:
                 self._record_rank_provenance(scored, candidates)
-        if cache is not None:
-            cache.put(
-                "rank",
-                fingerprints["rank"],
-                RankedResult(
-                    fingerprints["rank"],
-                    tuple(candidates),
-                    tuple(notes),
-                    tuple(eliminations),
-                ),
-            )
         return candidates
 
     def _record_rank_provenance(

@@ -1,4 +1,4 @@
-"""Content fingerprints for discovery inputs and stage artifacts.
+"""Content fingerprints for discovery inputs and pipeline stages.
 
 Every cache in the discovery stack — the service's result cache, the
 batch layer's schema-pair grouping, and the staged engine's
@@ -16,7 +16,7 @@ the same cache entry. This module owns the hashing conventions:
 * :func:`csg_content_key` — one CSG's structure (root, edges, marked
   nodes, origin), mirroring the translation-memo key;
 * :func:`stage_fingerprint` — the per-stage chaining hash of the staged
-  engine: a stage's fingerprint covers its name, its upstream artifact
+  engine: a stage's fingerprint covers its name, its upstream stage
   fingerprints, and the options subset it reads, so an edit invalidates
   exactly the stages downstream of the change (see
   ``docs/architecture.md``).
@@ -149,7 +149,7 @@ def csg_content_key(csg: "CSG") -> tuple:
 def stage_fingerprint(stage: str, *parts: Any) -> str:
     """The fingerprint of one stage's input: name + upstream + options.
 
-    ``parts`` carries the upstream artifact fingerprints and the
+    ``parts`` carries the upstream stage fingerprints and the
     ``(field, value)`` options subset the stage reads; anything *not*
     hashed here (``explain``, ``trace``, cache sizing) must never change
     a stage's output.

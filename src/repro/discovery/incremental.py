@@ -8,9 +8,9 @@ the edit did not touch would search, filter, and translate identically.
 :func:`rediscover` runs the edited scenario through the staged engine
 (whose process-wide :class:`~repro.discovery.engine.cache.StageCache`
 still holds the previous run's artifacts) and reports *what was
-reusable*: which whole stages the edit invalidated (by fingerprint
-comparison against the previous run) and how many cached stage
-artifacts and per-target search units the warm run actually replayed.
+reusable*: which stages the edit invalidated (by fingerprint
+comparison against the previous run) and how many cached results and
+per-target search units the warm run actually replayed.
 
 The output is byte-identical to a cold run of the edited scenario — the
 cache substitutes artifacts only at equal content fingerprints — so
@@ -46,11 +46,12 @@ class Rediscovery:
     """One incremental run: the fresh result plus the reuse report.
 
     ``unchanged_stages`` / ``invalidated_stages`` compare the new run's
-    stage fingerprints against the previous run's (pipeline order): an
-    unchanged stage *could* be served wholesale from cache, an
-    invalidated one had to recompute — though inside the fused search
-    block reuse is finer-grained (per-target units; see
-    ``stats["stage_cache_hit_source_search.unit"]``).
+    stage fingerprints against the previous run's (pipeline order). Only
+    ``rank`` is ever served wholesale from cache: when it is unchanged
+    the whole run is one cache hit. Otherwise the fused search block
+    reuses per-target units (see
+    ``stats["stage_cache_hit_source_search.unit"]``), and ``lift`` and
+    ``target_csgs`` recompute whether or not they changed.
     """
 
     result: DiscoveryResult

@@ -20,9 +20,10 @@ six explicit stages:
    rewriting;
 6. **rank** the emitted :class:`MappingCandidate` objects.
 
-Each stage yields a typed artifact stamped with a content-addressed
-fingerprint (exposed on :attr:`DiscoveryResult.stage_fingerprints`), and
-a bounded LRU stage cache makes repeated and *incremental* discovery
+Each stage has a content-addressed input fingerprint (exposed on
+:attr:`DiscoveryResult.stage_fingerprints`), and a bounded LRU stage
+cache of whole-run results and per-target search units makes repeated
+and *incremental* discovery
 (:func:`repro.discovery.incremental.rediscover`) cheap — see
 ``docs/architecture.md``.
 
@@ -164,8 +165,8 @@ class SemanticMapper:
         self.source_semantics = source_semantics
         self.target_semantics = target_semantics
         self.correspondences = correspondences
-        self._source_reasoner = CMReasoner.shared(source_semantics.model)
-        self._target_reasoner = CMReasoner.shared(target_semantics.model)
+        self._source_reasoner = CMReasoner(source_semantics.model)
+        self._target_reasoner = CMReasoner(target_semantics.model)
 
     # ------------------------------------------------------------------
     # Entry point

@@ -290,6 +290,7 @@ def _targeted_shortest_paths(
     unreachable targets are simply absent (matching the blind sweep,
     where they never enter the table).
     """
+    perf_counters.record("dijkstra_sweeps")
     edges_from = lambda node: adjacency.get(node, ())  # noqa: E731
     checks = tuple(
         (backward[target], bound) for target, bound in root_bounds.items()
@@ -372,13 +373,10 @@ def functional_trees_from_root(
     ``chairOf`` vs ``deanOf`` — each yield their own tree. Only trees of
     minimal union cost are returned.
 
-    The shortest-path sweep is A*-pruned against per-target backward
-    tables (:func:`_targeted_shortest_paths`) and cached on the graph's
-    :class:`~repro.perf.index.GraphIndex` per ``(root, reachable
-    targets, cost_model)``, so repeated roots across target-CSG
-    iterations (and across whole ``discover()`` calls on the same graph)
-    reuse one sweep. Its target entries are those of the blind sweep
-    :func:`_functional_shortest_paths`.
+    The shortest-path sweep (:func:`_targeted_shortest_paths`) is
+    A*-pruned against per-target backward tables, which the graph's
+    :class:`~repro.perf.index.GraphIndex` caches; its target entries are
+    those of the blind sweep :func:`_functional_shortest_paths`.
     """
     cost_model = cost_model or CostModel()
     index = GraphIndex.of(graph)
@@ -389,17 +387,13 @@ def functional_trees_from_root(
         for target, table in backward.items()
         if root in table
     }
-    paths = index.shortest_paths(
-        (root, frozenset(root_bounds)),
+    paths = _targeted_shortest_paths(
+        graph,
+        root,
         cost_model,
-        lambda: _targeted_shortest_paths(
-            graph,
-            root,
-            cost_model,
-            index.functional_adjacency,
-            backward,
-            root_bounds,
-        ),
+        index.functional_adjacency,
+        backward,
+        root_bounds,
     )
     return _trees_from_paths(
         root, paths, target_set, cost_model, max_combinations

@@ -24,8 +24,8 @@ Thread-safety contract:
 
 Counter names used across the codebase:
 
-``dijkstra_sweeps``, ``dijkstra_cache_hits``, ``dijkstra_cache_misses``
-    per-root shortest-path table computations vs :class:`GraphIndex` hits;
+``dijkstra_sweeps``
+    targeted shortest-path sweeps of the functional-tree search;
 ``tied_paths_dropped``
     tied shortest paths truncated by ``MAX_TIED_PATHS`` (satellite:
     truncation is no longer silent);
@@ -35,20 +35,15 @@ Counter names used across the codebase:
     cap is whole and not counted);
 ``lossy_paths_expanded``, ``lossy_paths_pruned``
     branch-and-bound search effort in ``minimally_lossy_paths``;
-``path_consistency_cache_*``, ``tree_consistency_cache_*``
-    :class:`CMReasoner` memo traffic;
-``profile_cache_*``
-    ``ConnectionProfile.of_path`` memo traffic;
 ``translate_cache_*``
     CSG → table-query translation memo traffic;
 ``stage_cache_hits``, ``stage_cache_misses``
     staged-engine artifact cache traffic in aggregate (see
     :mod:`repro.discovery.engine.cache`);
 ``stage_cache_hit_<stage>``, ``stage_cache_miss_<stage>``
-    the same traffic broken down by stage name (the engine's
-    ``STAGE_NAMES`` vocabulary plus ``source_search.unit`` for the
-    fused block's per-target units and ``clio`` for the baseline
-    engine);
+    the same traffic broken down by entry kind: ``rank`` (a whole
+    run), ``source_search.unit`` (the fused block's per-target units)
+    and ``clio`` (the baseline engine);
 ``oracle_sweeps``, ``oracle_cache_hits``, ``oracle_cache_misses``
     distance-oracle table computations (backward Dijkstra sweeps) vs
     :class:`GraphIndex` oracle-table hits;

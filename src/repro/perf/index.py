@@ -3,8 +3,9 @@
 A :class:`GraphIndex` snapshots everything the tree/path search reads
 from a CM graph — functional adjacency, full (non-attribute) adjacency,
 the class-node list, and the reified-node set — into plain dicts and
-tuples, and lazily caches per-root shortest-path tables keyed by
-``(root, CostModel)``.
+tuples, and lazily caches the distance oracle's tables (backward
+distances and lossy lower bounds) keyed by kind, node and
+``CostModel``.
 
 Correctness rests on *invalidation by immutability*: a ``CMGraph`` is
 fully built in its constructor and never mutated afterwards, so an index
@@ -16,7 +17,7 @@ to the graph, so entries die exactly when their graph does).
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Callable
 
 from repro.perf import counters
 
@@ -32,7 +33,6 @@ class GraphIndex:
         "reified_nodes",
         "adjacency",
         "functional_adjacency",
-        "_shortest",
         "_reverse",
         "_reverse_functional",
         "_oracle",
@@ -53,9 +53,6 @@ class GraphIndex:
             )
             for node in self.class_nodes
         }
-        # (root, CostModel) → node → (cost, tied shortest paths); tables
-        # are computed by the caller-provided function on first request.
-        self._shortest: dict[tuple[Hashable, Hashable], object] = {}
         # Lazily-built reverse adjacencies (distance-oracle support).
         self._reverse: dict[str, tuple["CMEdge", ...]] | None = None
         self._reverse_functional: dict[str, tuple["CMEdge", ...]] | None = None
@@ -63,8 +60,8 @@ class GraphIndex:
         # ("bd", target, CostModel)    → node → min functional cost node→target
         # ("lossy", end, CostModel)    → lower-bound tables for the
         #                                branch-and-bound lossy search.
-        # Invalidation rides the same rules as ``_shortest``: the graph is
-        # immutable, the index dies with it, and :meth:`clear_registry`
+        # Invalidation by immutability: the graph is never mutated, the
+        # index dies with it, and :meth:`clear_registry`
         # (called by ``perf.clear_caches``) drops every shared index.
         self._oracle: dict[tuple, object] = {}
 
@@ -141,32 +138,8 @@ class GraphIndex:
         self._oracle[key] = table
         return table
 
-    def shortest_paths(
-        self,
-        root: Hashable,
-        cost_model: Hashable,
-        compute: Callable[[], object],
-    ):
-        """The cached Dijkstra table for ``(root, cost_model)``.
-
-        ``compute`` runs on a miss; the returned table must be treated as
-        read-only by callers (it is shared across hits). The
-        oracle-guided search keys its target-set-dependent tables as
-        ``(root, frozenset(targets))``.
-        """
-        key = (root, cost_model)
-        table = self._shortest.get(key)
-        if table is not None:
-            counters.record("dijkstra_cache_hits")
-            return table
-        counters.record("dijkstra_cache_misses")
-        counters.record("dijkstra_sweeps")
-        table = compute()
-        self._shortest[key] = table
-        return table
-
     def __repr__(self) -> str:
         return (
             f"GraphIndex(classes={len(self.class_nodes)}, "
-            f"cached_roots={len(self._shortest)})"
+            f"oracle_tables={len(self._oracle)})"
         )

@@ -6,14 +6,12 @@ from unittest.mock import patch
 
 import pytest
 
-from repro.cm.reasoner import CMReasoner
 from repro.datasets.paper_examples import (
     bookstore_example,
     employee_example,
     partof_example,
     project_example,
 )
-from repro.discovery.compatibility import ConnectionProfile
 from repro.discovery.engine.stages import SemanticEngine
 from repro.discovery.translate import _translate_uncached
 from repro.perf.index import GraphIndex
@@ -61,16 +59,13 @@ def _translate_reference(
 def _uncached_pipeline():
     """Run discovery with every memo replaced by the function it caches.
 
-    Profiles, consistency checks and translations are computed by their
-    uncached reference functions, every ``GraphIndex.of`` call builds a
-    fresh index, and the stage cache is never consulted — the pipeline
-    a cached run must stay byte-identical to.
+    Translations are computed by their uncached reference function,
+    every ``GraphIndex.of`` call builds a fresh index (so no distance-
+    oracle table is shared), and the stage cache is never consulted —
+    the pipeline a cached run must stay byte-identical to.
     """
     with ExitStack() as stack:
         for owner, name, reference in (
-            (ConnectionProfile, "of_path", ConnectionProfile._compute),
-            (CMReasoner, "path_is_consistent", CMReasoner._path_is_consistent),
-            (CMReasoner, "tree_is_consistent", CMReasoner._tree_is_consistent),
             (GraphIndex, "of", GraphIndex),
             (SemanticEngine, "_cache", lambda self: None),
         ):

@@ -162,10 +162,10 @@ class TestStageVocabulary:
         metrics = ServiceMetrics()
         observe_run_stats(
             metrics,
-            {"stage_cache_hits": 5, "stage_cache_hit_lift": 1},
+            {"stage_cache_hits": 5, "stage_cache_hit_rank": 1},
         )
         assert metrics.total("stage_cache_hits_total") == 1
-        assert metrics.value("stage_cache_hits_total", stage="lift") == 1
+        assert metrics.value("stage_cache_hits_total", stage="rank") == 1
 
 
 class TestCacheEquivalence:
@@ -174,10 +174,7 @@ class TestCacheEquivalence:
         with uncached():
             reference = SemanticMapper(*mapper_args).discover()
         assert not any(
-            key.startswith(
-                ("stage_cache", "translate_cache", "profile_cache",
-                 "path_consistency", "tree_consistency")
-            )
+            key.startswith(("stage_cache", "translate_cache"))
             for key in reference.stats
         ), reference.stats
         cold = SemanticMapper(*mapper_args).discover()

@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 
 import repro.perf as perf
 from repro.cm.cardinality import Cardinality
+from repro.datasets.registry import load_all_datasets
 from repro.discovery import DiscoveryOptions, SemanticMapper
-from repro.discovery.engine import StageCache, clear_stage_cache
+from repro.discovery.engine import StageCache, clear_stage_cache, stage_cache
+from repro.discovery.engine.stages import UNIT_STAGE
 from repro.discovery.engine.persist import (
     STORE_FORMAT,
     STORE_VERSION,
@@ -368,6 +370,34 @@ class TestEngineDiskTier:
         ).discover()
         assert "stage_cache_disk_writes" not in result.stats
         assert "stage_cache_disk_misses" not in result.stats
+
+    def test_paper_pass_caches_only_what_a_run_can_read(self, tmp_path):
+        # A cold pass over the 34 paper cases stores one whole-run
+        # ``rank`` result per case and one unit per target CSG searched;
+        # no other stage's output is ever read back, so none is kept,
+        # in memory or on disk.
+        options = DiscoveryOptions(cache_dir=str(tmp_path))
+        for pair in load_all_datasets():
+            for case in pair.cases:
+                SemanticMapper(
+                    pair.source,
+                    pair.target,
+                    case.correspondences,
+                    options=options,
+                ).discover()
+        assert stage_cache().stats() == {
+            "rank": 34,
+            UNIT_STAGE: 47,
+            "entries": 81,
+        }
+        assert sorted(
+            path.name for path in tmp_path.iterdir() if path.is_dir()
+        ) == ["rank", "source_search_unit"]
+        assert store_for(tmp_path).stats() == {
+            "rank": 34,
+            "source_search_unit": 47,
+            "entries": 81,
+        }
 
 
 #: Discover the bookstore example through a disk cache, then cold in the

@@ -31,9 +31,9 @@ def test_scope_isolates_and_still_feeds_global():
 def test_nested_scopes_both_count():
     with counters.scope() as outer:
         with counters.scope() as inner:
-            counters.record("profile_cache_hits")
-    assert inner.counts["profile_cache_hits"] == 1
-    assert outer.counts["profile_cache_hits"] == 1
+            counters.record("translate_cache_hits")
+    assert inner.counts["translate_cache_hits"] == 1
+    assert outer.counts["translate_cache_hits"] == 1
 
 
 def test_concurrent_scopes_are_thread_confined():

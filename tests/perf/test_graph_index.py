@@ -6,7 +6,6 @@ import gc
 
 import repro.perf as perf
 from repro.cm import CMGraph, ConceptualModel
-from repro.perf import counters
 from repro.perf.index import GraphIndex
 
 
@@ -22,7 +21,6 @@ def _graph() -> CMGraph:
 
 def setup_function(_):
     GraphIndex.clear_registry()
-    counters.reset()
 
 
 def test_of_shares_one_index_per_graph():
@@ -39,26 +37,6 @@ def test_adjacency_matches_graph():
         assert index.functional_adjacency[node] == tuple(
             edge for edge in graph.edges_from(node) if edge.is_functional
         )
-
-
-def test_shortest_paths_computes_once_per_key():
-    index = GraphIndex.of(_graph())
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"A": (0, ())}
-
-    first = index.shortest_paths("A", "unit-cost", compute)
-    second = index.shortest_paths("A", "unit-cost", compute)
-    assert first is second
-    assert len(calls) == 1
-    index.shortest_paths("A", "other-cost", compute)
-    assert len(calls) == 2
-    frame = counters.global_counters()
-    assert frame.counts["dijkstra_cache_hits"] == 1
-    assert frame.counts["dijkstra_cache_misses"] == 2
-    assert frame.counts["dijkstra_sweeps"] == 2
 
 
 def test_registry_entry_dies_with_graph():

@@ -195,6 +195,16 @@ REMOVED = (
     ("repro.service.cache", "ResultCache", "clear"),
     ("repro.perf", None, "bench"),
     ("repro.perf", None, "invariants"),
+    ("repro.discovery.engine", None, "LiftedCorrespondences"),
+    ("repro.discovery.engine", None, "TargetCSGSet"),
+    ("repro.discovery.engine", None, "SourceCSGSet"),
+    ("repro.discovery.engine", None, "CompatiblePairs"),
+    ("repro.discovery.engine", None, "TranslatedCandidates"),
+    ("repro.discovery.engine", None, "PairRecord"),
+    ("repro.discovery.compatibility", None, "PROFILE_CACHE_SIZE"),
+    ("repro.discovery.compatibility", None, "clear_profile_cache"),
+    ("repro.cm", "CMReasoner", "shared"),
+    ("repro.perf", "GraphIndex", "shortest_paths"),
 )
 
 

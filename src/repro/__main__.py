@@ -26,6 +26,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 
@@ -312,29 +313,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_timeout_seconds=args.job_timeout,
         quiet=not args.verbose,
         cache_dir=args.cache_dir,
+        processes=args.processes,
     )
     extra = (
         f", cache dir {config.cache_dir}" if config.cache_dir else ""
     )
-    if args.processes > 1:
-        from repro.service.pool import PreForkSupervisor
-
-        supervisor = PreForkSupervisor(config, processes=args.processes)
-        supervisor.start()
-        print(
-            f"repro service listening on {supervisor.url} "
-            f"({args.processes} process(es) x {config.workers} worker(s), "
-            f"queue {config.queue_capacity}, "
-            f"cache {config.cache_entries} entries{extra}); "
-            f"Ctrl-C to stop",
-            flush=True,
-        )
-        supervisor.serve_forever()
-        return 0
+    shape = f"{config.workers} worker(s)"
+    if config.processes > 1:
+        shape = f"{config.processes} process(es) x {shape}"
     server = ReproServer(config)
+    # SIGTERM drains like Ctrl-C, so the compute processes stop too.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(
         f"repro service listening on {server.url} "
-        f"({config.workers} worker(s), queue {config.queue_capacity}, "
+        f"({shape}, queue {config.queue_capacity}, "
         f"cache {config.cache_entries} entries{extra}); Ctrl-C to stop",
         flush=True,
     )
@@ -736,7 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="discovery worker threads sharing the warm caches",
+        help="discovery job threads (per compute process with "
+        "--processes)",
     )
     serve.add_argument(
         "--queue-size",
@@ -777,17 +770,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=1,
-        help="pre-fork worker processes sharing the listening socket "
-        "(1 = single-process; pair with --cache-dir so workers share "
-        "computed artifacts)",
+        help="compute processes that run discoveries (1 = on the "
+        "server's own job threads); the server runs --workers x "
+        "--processes jobs at once and keeps one job table, result "
+        "cache and metrics",
     )
     serve.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
         help="persistent cache directory for stage artifacts and "
-        "results (the coherence point between pre-fork workers and "
-        "across restarts)",
+        "results, read again after a restart and by batch runs",
     )
     serve.add_argument(
         "--verbose",

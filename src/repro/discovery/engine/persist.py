@@ -7,8 +7,8 @@ This is the persistence tier under the in-memory caches: the engine's
 cached artifact is valid for any process, on any day, as long as the
 code that wrote it still produces the same artifact for the same
 fingerprint. :class:`PersistentStageStore` turns that property into
-shared warm state: CLI runs, ``discover_many`` workers, service worker
-processes, and restarts all read and write one directory of
+shared warm state: CLI runs, ``discover_many`` workers, the service's
+compute processes, and restarts all read and write one directory of
 fingerprint-named entry files.
 
 Durability and correctness rules (production posture):
@@ -31,8 +31,8 @@ Activation: the store is off unless a cache directory is named — by
 ``DiscoveryOptions(cache_dir=...)`` (a per-run contextvar override, see
 :func:`cache_dir_override`), by :func:`configure` (process-wide: the
 service and CLI install their ``--cache-dir`` here), or by the
-``REPRO_CACHE_DIR`` environment variable (lowest precedence; how forked
-service workers and CI jobs inherit one). ``repro.perf.clear_caches()``
+``REPRO_CACHE_DIR`` environment variable (lowest precedence; how batch
+workers and CI jobs inherit one). ``repro.perf.clear_caches()``
 clears the active store along with the in-memory tiers.
 """
 

@@ -20,7 +20,8 @@ Thread-safety contract:
   recorded by the thread that opened the scope;
 * the root frame aggregates across all threads; its mutations and
   :meth:`PerfCounters.snapshot` both run under a per-instance lock, so
-  ``GET /metrics`` can snapshot while workers record.
+  a reader can snapshot while workers record (the service's
+  ``/metrics`` sums each run's scoped counters instead).
 
 Counter names used across the codebase:
 
@@ -33,6 +34,11 @@ Counter names used across the codebase:
     ``rewrite_query`` calls whose enumeration stopped at its ``limit``
     with rule combinations still untried (one that ends exactly at the
     cap is whole and not counted);
+``chase_depth_hits``
+    atoms the inclusion-dependency chase (``ChaseEngine.chase``) left
+    at its ``max_depth`` with a dependency still unsatisfied, i.e. a
+    truncated chase (an atom at the bound with nothing left to add is
+    not counted);
 ``lossy_paths_expanded``, ``lossy_paths_pruned``
     branch-and-bound search effort in ``minimally_lossy_paths``;
 ``translate_cache_*``

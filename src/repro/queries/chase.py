@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.exceptions import QueryError
+from repro.perf import counters as perf_counters
 from repro.queries.conjunctive import (
     Atom,
     Term,
@@ -93,13 +94,28 @@ def _satisfied(
     return False
 
 
+def _missing_key(
+    atoms: Iterable[Atom], atom: Atom, dependency: InclusionDependency
+) -> tuple[Term, ...] | None:
+    """The key of ``atom`` that ``dependency`` still needs a parent atom
+    for, or ``None`` when it does not apply or is satisfied."""
+    if atom.predicate != dependency.child_predicate:
+        return None
+    if atom.arity <= max(dependency.child_positions):
+        raise QueryError(f"atom {atom} too short for dependency {dependency}")
+    key = tuple(atom.terms[p] for p in dependency.child_positions)
+    return None if _satisfied(atoms, dependency, key) else key
+
+
 class ChaseEngine:
     """Chases atom sets with inclusion dependencies to a (bounded) fixpoint.
 
     ``max_depth`` bounds how many dependency applications may stack on one
     chain of generated atoms; depth 0 atoms are the user-provided seeds.
     The default depth comfortably covers real schemas (whose RIC chains
-    are short) while guaranteeing termination on cyclic schemas.
+    are short) while guaranteeing termination on cyclic schemas. An atom
+    left at the bound with a dependency still unsatisfied counts as one
+    ``chase_depth_hits``: the result is a truncated chase.
     """
 
     def __init__(
@@ -125,16 +141,15 @@ class ChaseEngine:
         while queue:
             atom = queue.pop(0)
             if depth[atom] >= self.max_depth:
+                if any(
+                    _missing_key(atoms, atom, dependency) is not None
+                    for dependency in self.dependencies
+                ):
+                    perf_counters.record("chase_depth_hits")
                 continue
             for dependency in self.dependencies:
-                if atom.predicate != dependency.child_predicate:
-                    continue
-                if atom.arity <= max(dependency.child_positions):
-                    raise QueryError(
-                        f"atom {atom} too short for dependency {dependency}"
-                    )
-                key = tuple(atom.terms[p] for p in dependency.child_positions)
-                if _satisfied(atoms, dependency, key):
+                key = _missing_key(atoms, atom, dependency)
+                if key is None:
                     continue
                 terms: list[Term] = [
                     fresh() for _ in range(dependency.parent_arity)

@@ -10,7 +10,8 @@ serves discovery over HTTP/JSON:
 * :mod:`repro.service.cache` — a content-addressed LRU + TTL result
   cache keyed by :func:`repro.discovery.batch.scenario_fingerprint`;
 * :mod:`repro.service.jobs` — a bounded job queue and worker-thread
-  pool over :func:`repro.discovery.batch.discover_many`, with
+  pool over :func:`repro.discovery.batch.discover_many` (or, with
+  ``--processes``, over a pool of compute processes), with
   single-flight coalescing of identical in-flight requests;
 * :mod:`repro.service.metrics` — request/latency/cache counters layered
   on :mod:`repro.perf`, exposed Prometheus-style at ``GET /metrics``;

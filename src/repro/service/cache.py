@@ -19,10 +19,10 @@ memory indefinitely.
 
 With a ``store`` attached (the disk tier of
 :mod:`repro.discovery.engine.persist`), results are written through to a
-shared cache directory and a memory miss falls back to it, so restarts
-and sibling pre-fork worker processes serve each other's computed
-results. Disk entries carry their *epoch* store time, making the TTL
-meaningful across processes (monotonic clocks are process-local).
+cache directory and a memory miss falls back to it, so a restarted
+server serves what an earlier one computed. Disk entries carry their
+*epoch* store time, making the TTL meaningful across processes
+(monotonic clocks are process-local).
 
 All operations are thread-safe; the service's handler threads and job
 workers share one instance.
@@ -65,7 +65,7 @@ class ResultCache:
         Optional persistent tier (see
         :class:`repro.discovery.engine.persist.PersistentStageStore`):
         ``put`` writes through, a memory miss reads through, restarts
-        and sibling processes share the directory.
+        share the directory.
     epoch_clock:
         Injectable wall clock for disk-entry timestamps (defaults to
         ``time.time``; disk TTLs must be comparable across processes).

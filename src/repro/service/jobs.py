@@ -1,12 +1,14 @@
-"""The service's bounded job queue and in-process worker pool.
+"""The service's bounded job queue, its job threads and compute pool.
 
 Discovery requests become :class:`Job` records on a bounded
-``queue.Queue``; a fixed pool of daemon *threads* drains it, each
-running scenarios through :func:`repro.discovery.batch.discover_many`
-in serial mode. Threads — not processes — are the point: every worker
-shares the process's warm :class:`~repro.perf.GraphIndex` registry,
-reasoner memos, and translation caches, so repeat traffic over the same
-schema pairs never pays cold-start costs again.
+``queue.Queue``; a fixed pool of daemon *threads* drains it. With one
+compute process (the default) each thread runs its scenario through
+:func:`repro.discovery.batch.discover_many` in serial mode, sharing the
+process's warm :class:`~repro.perf.GraphIndex` registry and translation
+caches. With ``processes > 1`` each thread hands the scenario to a
+:class:`ComputePool` of long-lived processes instead, which run the
+batch layer's guarded entry; the job table, the result cache,
+coalescing and the metrics stay in this one process either way.
 
 Admission control happens at submit time, single-flight style:
 
@@ -20,29 +22,23 @@ Admission control happens at submit time, single-flight style:
 
 Failures inside a job reuse the batch layer's fault isolation: a
 failing scenario produces a structured error payload, never a dead
-worker thread.
+worker thread. A compute process that dies fails the job it was
+running with a ``WorkerCrashed`` record; the job is not retried.
 
 Submitting does not make a job pollable. Only :meth:`JobQueue.retain`
 puts a job in the ``GET /jobs/<id>`` table, and the server calls it
 exactly when a 202 response hands the id out. A sync request answered
 inline leaves no record behind, and a finished job keeps only what
 :meth:`Job.to_wire` reads.
-
-In a pre-fork pool (:mod:`repro.service.pool`) each worker process has
-its own queue, and the kernel may hand a poll to any of them. So a
-pool worker's job ids carry its worker index (``job-w<N>-<serial>``),
-and every retained job is also published as ``<jobs_dir>/<id>.json``:
-on retention, again when it finishes, and removed when it ages out. A
-worker that misses an id in its own table answers from that file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import json
-import os
+import pickle
 import queue
-import re
+import signal
 import threading
 import time
 import warnings
@@ -51,12 +47,16 @@ from collections import OrderedDict
 from repro.discovery.batch import (
     BatchPolicy,
     Scenario,
+    ScenarioFailure,
+    _guarded_run,
     discover_many,
     scenario_fingerprint,
 )
-from repro.exceptions import QueueFullError
+from repro.discovery.engine import persist
+from repro.discovery.fingerprint import semantics_content_key
+from repro.exceptions import QueueFullError, WorkerCrashed
 from repro.service.cache import ResultCache
-from repro.service.metrics import ServiceMetrics, write_snapshot_file
+from repro.service.metrics import ServiceMetrics
 from repro.service.wire import failure_to_wire, result_to_wire
 
 #: Job lifecycle states.
@@ -66,10 +66,6 @@ DONE = "done"
 ERROR = "error"
 
 _STOP = object()
-
-#: The form of a pool worker's job ids; only these name a published
-#: job file.
-_POOL_JOB_ID = re.compile(r"job-w\d+-\d+")
 
 #: The one wait event every finished job shares: set once, never
 #: cleared, so a finished job holds no event of its own.
@@ -96,30 +92,33 @@ def observe_run_stats(metrics: ServiceMetrics, stats: dict) -> None:
     counter becomes a ``stage_cache_hits_total`` /
     ``stage_cache_misses_total`` increment labelled with the stage.
     The disk tier's ``stage_cache_disk_hit_<stage>`` breakdown maps to
-    ``stage_cache_disk_hits_total`` the same way (disk misses carry no
-    per-stage breakdown and ride along as ``repro_perf_`` gauges).
+    ``stage_cache_disk_hits_total`` the same way. Every integer counter
+    also adds to the ``repro_perf_`` totals, so ``/metrics`` reports
+    the same algorithmic counts whichever process ran the discovery.
     """
     for key, value in stats.items():
-        if not isinstance(value, (int, float)):
-            continue
         if key.startswith("time_") and key.endswith("_s"):
             metrics.observe_phase(key[5:-2], float(value))
-        elif key.startswith(_DISK_HIT_PREFIX):
+            continue
+        if not isinstance(value, int):
+            continue
+        metrics.add_perf(key, value)
+        if key.startswith(_DISK_HIT_PREFIX):
             metrics.inc(
                 "stage_cache_disk_hits_total",
-                int(value),
+                value,
                 stage=key[len(_DISK_HIT_PREFIX):],
             )
         elif key.startswith(_STAGE_HIT_PREFIX):
             metrics.inc(
                 "stage_cache_hits_total",
-                int(value),
+                value,
                 stage=key[len(_STAGE_HIT_PREFIX):],
             )
         elif key.startswith(_STAGE_MISS_PREFIX):
             metrics.inc(
                 "stage_cache_misses_total",
-                int(value),
+                value,
                 stage=key[len(_STAGE_MISS_PREFIX):],
             )
 
@@ -234,6 +233,166 @@ class Job:
         return payload
 
 
+#: How many schemas' semantics the pool keeps pickled, and each compute
+#: process keeps unpickled, least recently used first out.
+SEMANTICS_KEPT = 32
+
+#: Compute-process state: the semantics objects of the schemas seen
+#: lately, by content key. Graph indexes and memos are keyed by object
+#: identity, so a job that unpickled fresh copies would rebuild them
+#: (on the paper cases, six times the discovery time).
+_SEMANTICS: OrderedDict = OrderedDict()
+
+
+def _kept(table: OrderedDict, key: str, make):
+    value = table.pop(key, None)
+    if value is None:
+        value = make()
+    table[key] = value
+    if len(table) > SEMANTICS_KEPT:
+        table.popitem(last=False)
+    return value
+
+
+def _run_in_compute_process(
+    shell: Scenario,
+    source: tuple[str, bytes],
+    target: tuple[str, bytes],
+    timeout_seconds: float | None,
+) -> tuple[str, object]:
+    """The batch layer's guarded run of ``shell`` over this process's
+    semantics objects; ``source``/``target`` are ``(content key,
+    pickle)`` pairs, unpickled only for a schema not kept here."""
+    scenario = dataclasses.replace(
+        shell,
+        source=_kept(_SEMANTICS, source[0], lambda: pickle.loads(source[1])),
+        target=_kept(_SEMANTICS, target[0], lambda: pickle.loads(target[1])),
+    )
+    return _guarded_run(scenario, timeout_seconds)
+
+
+def _compute_main(conn, cache_dir: str | None) -> None:
+    """One compute process: run each scenario that arrives on ``conn``.
+
+    Ctrl-C in a terminal reaches the whole process group; the HTTP
+    process drains on it, so a compute process must not die mid-job.
+    The process ends when the server closes its end of the pipe, or
+    dies without closing it.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    persist.configure(cache_dir)
+    try:
+        while True:
+            conn.send(_run_in_compute_process(*conn.recv()))
+    except (EOFError, OSError):
+        pass
+
+
+class ComputePool:
+    """Long-lived compute processes that run the service's discoveries.
+
+    Each process serves one pipe: a job thread takes an idle process,
+    sends it the scenario and blocks until the outcome comes back, with
+    no thread in between. The processes start with the ``forkserver``
+    method, because the HTTP process already runs threads, which
+    ``fork`` would copy mid-flight. A job runs the batch layer's
+    guarded entry, so the job timeout and per-scenario failure records
+    behave as in a serial run. A process that dies fails the one job it
+    was running with ``WorkerCrashed``; a fresh process takes its place
+    and the scenario is not re-run.
+    """
+
+    def __init__(self, processes: int, cache_dir: str | None = None) -> None:
+        # Imported here so a single-process server never loads
+        # multiprocessing.
+        import multiprocessing
+
+        self._cache_dir = cache_dir
+        self._context = multiprocessing.get_context("forkserver")
+        self._context.set_forkserver_preload(["repro.discovery.batch"])
+        self._lock = threading.Lock()
+        self._pickled: OrderedDict[str, bytes] = OrderedDict()
+        self._workers: set = set()
+        self._idle: queue.Queue = queue.Queue()
+        self._closed = False
+        for _ in range(processes):
+            self._idle.put(self._start())
+
+    def _start(self):
+        ours, theirs = self._context.Pipe()
+        process = self._context.Process(
+            target=_compute_main,
+            args=(theirs, self._cache_dir),
+            name="repro-compute",
+            daemon=True,
+        )
+        process.start()
+        theirs.close()
+        with self._lock:
+            self._workers.add((process, ours))
+        return process, ours
+
+    def _shipped(self, semantics) -> tuple[str, bytes]:
+        key = semantics_content_key(semantics)
+        with self._lock:
+            return key, _kept(
+                self._pickled, key, lambda: pickle.dumps(semantics)
+            )
+
+    def run(
+        self, scenario: Scenario, timeout_seconds: float | None
+    ) -> tuple[str, object]:
+        """Run one scenario in a compute process; never raises for it.
+
+        Returns ``("ok", DiscoveryResult)`` or ``("error",
+        ScenarioFailure)``, like the guarded entry it runs.
+        """
+        worker = self._idle.get()
+        process, conn = worker
+        try:
+            conn.send(
+                (
+                    dataclasses.replace(scenario, source=None, target=None),
+                    self._shipped(scenario.source),
+                    self._shipped(scenario.target),
+                    timeout_seconds,
+                )
+            )
+            return conn.recv()
+        except (EOFError, OSError):
+            process.join(1.0)
+            with self._lock:
+                self._workers.discard(worker)
+            if not self._closed:
+                worker = self._start()
+            return "error", ScenarioFailure(
+                scenario_id=scenario.scenario_id,
+                error_type=WorkerCrashed.__name__,
+                message=(
+                    f"compute process died (exit code {process.exitcode})"
+                ),
+            )
+        finally:
+            self._idle.put(worker)
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the processes.
+
+        ``wait=False`` is for jobs still running when the server's stop
+        deadline passed: their processes are terminated, not awaited.
+        """
+        self._closed = True
+        with self._lock:
+            workers = list(self._workers)
+        for process, conn in workers:
+            if wait:
+                conn.close()  # an idle process ends on the closed pipe
+            else:
+                process.terminate()
+        for process, _ in workers:
+            process.join()
+
+
 class JobQueue:
     """Bounded queue + worker pool with single-flight content dedup.
 
@@ -258,12 +417,10 @@ class JobQueue:
         How many retained jobs stay visible to ``GET /jobs/<id>``. Only
         jobs passed to :meth:`retain` count; the oldest is dropped
         first.
-    worker_index, jobs_dir:
-        Set together on a pre-fork pool worker: ids carry the index,
-        and retained jobs are published under ``jobs_dir`` for the
-        sibling workers. Leftover files of an earlier process in the
-        same slot are removed, so its ids answer 404, never another
-        job's record.
+    pool:
+        Optional :class:`ComputePool`. With one, the worker threads run
+        discovery in its processes instead of on themselves; the queue
+        owns it from then on and shuts it down in :meth:`stop`.
     """
 
     def __init__(
@@ -274,8 +431,7 @@ class JobQueue:
         metrics: ServiceMetrics,
         policy: BatchPolicy | None = None,
         history: int = 4096,
-        worker_index: int | None = None,
-        jobs_dir: str | None = None,
+        pool: ComputePool | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -296,16 +452,7 @@ class JobQueue:
         self._unfinished: set[Job] = set()
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._counter = itertools.count(1)
-        self._id_prefix = (
-            "job-" if worker_index is None else f"job-w{worker_index}-"
-        )
-        self._jobs_dir = jobs_dir
-        self._publish_lock = threading.Lock()
-        if jobs_dir is not None:
-            os.makedirs(jobs_dir, exist_ok=True)
-            for name in os.listdir(jobs_dir):
-                if name.startswith(self._id_prefix):
-                    self._unlink(os.path.join(jobs_dir, name))
+        self._pool = pool
         self._threads = [
             threading.Thread(
                 target=self._worker,
@@ -368,7 +515,7 @@ class JobQueue:
             return job, False
 
     def _next_id(self) -> str:
-        return f"{self._id_prefix}{next(self._counter):08d}"
+        return f"job-{next(self._counter):08d}"
 
     def retain(self, job: Job) -> None:
         """Make ``job`` pollable at ``GET /jobs/<id>``.
@@ -379,49 +526,8 @@ class JobQueue:
         """
         with self._lock:
             self._jobs[job.job_id] = job
-            aged_out = [
-                self._jobs.popitem(last=False)[0]
-                for _ in range(len(self._jobs) - self._history)
-            ]
-        self._publish(job)
-        for job_id in aged_out:
-            self._withdraw(job_id)
-
-    # ------------------------------------------------------------------
-    # Publication to pool siblings
-    # ------------------------------------------------------------------
-    def _job_path(self, job_id: str) -> str:
-        return os.path.join(self._jobs_dir, f"{job_id}.json")
-
-    def _publish(self, job: Job) -> None:
-        """Write a retained job's record for the siblings to read.
-
-        Called on retention and when a job finishes, in either order:
-        the record is read under the publish lock, so the last write
-        always carries the latest state.
-        """
-        if self._jobs_dir is None:
-            return
-        with self._publish_lock:
-            with self._lock:
-                retained = self._jobs.get(job.job_id) is job
-            if retained:
-                write_snapshot_file(
-                    self._job_path(job.job_id), json.dumps(job.to_wire())
-                )
-
-    def _withdraw(self, job_id: str) -> None:
-        if self._jobs_dir is None:
-            return
-        with self._publish_lock:
-            self._unlink(self._job_path(job_id))
-
-    @staticmethod
-    def _unlink(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+            while len(self._jobs) > self._history:
+                self._jobs.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Interrogation
@@ -429,23 +535,6 @@ class JobQueue:
     def job(self, job_id: str) -> Job | None:
         with self._lock:
             return self._jobs.get(job_id)
-
-    def record(self, job_id: str) -> dict | None:
-        """The ``GET /jobs/<id>`` payload of a retained job, or ``None``.
-
-        A pool worker that does not hold the id itself reads the record
-        a sibling published.
-        """
-        job = self.job(job_id)
-        if job is not None:
-            return job.to_wire()
-        if self._jobs_dir is None or not _POOL_JOB_ID.fullmatch(job_id):
-            return None
-        try:
-            with open(self._job_path(job_id), encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
 
     def depth(self) -> int:
         """Jobs waiting in the queue (not yet picked up by a worker)."""
@@ -493,7 +582,6 @@ class JobQueue:
                 else:
                     self._run(job, fingerprint)
             finally:
-                self._publish(job)
                 with self._lock:
                     self._unfinished.discard(job)
                     if self._inflight.get(fingerprint) is job:
@@ -504,14 +592,23 @@ class JobQueue:
         job.mark_running()
         self._metrics.inc("discovery_invocations_total")
         try:
-            batch = discover_many(
-                [job.scenario], workers=1, policy=self._policy
-            )
-            if batch.failures:
-                job.fail(failure_to_wire(batch.failures[0]))
+            if self._pool is None:
+                batch = discover_many(
+                    [job.scenario], workers=1, policy=self._policy
+                )
+                failure = batch.failures[0] if batch.failures else None
+                result = None if failure else batch.results[0][1]
+            else:
+                kind, outcome = self._pool.run(
+                    job.scenario, self._policy.timeout_seconds
+                )
+                failure, result = (
+                    (outcome, None) if kind == "error" else (None, outcome)
+                )
+            if failure is not None:
+                job.fail(failure_to_wire(failure))
                 self._metrics.inc("jobs_failed_total")
             else:
-                result = batch.results[0][1]
                 observe_run_stats(self._metrics, result.stats)
                 payload = result_to_wire(result)
                 # Store before dropping the in-flight marker so a
@@ -538,7 +635,8 @@ class JobQueue:
         deadline passes (e.g. a worker is still inside a scenario run
         with no job timeout, or one longer than ``timeout``), a
         ``RuntimeWarning`` is issued and the daemon workers are
-        abandoned to process exit.
+        abandoned to process exit. The compute pool, if any, stops
+        last; past the deadline its processes are terminated.
         """
         self._stopping.set()
         deadline = (
@@ -560,6 +658,8 @@ class JobQueue:
             else:
                 thread.join(max(0.0, deadline - time.monotonic()))
         alive = sum(1 for thread in self._threads if thread.is_alive())
+        if self._pool is not None:
+            self._pool.shutdown(wait=not alive)
         if stalled or alive:
             warnings.warn(
                 f"JobQueue.stop() deadline ({timeout}s) passed with "

@@ -1,11 +1,12 @@
 """Service instrumentation: request/cache/job counters and latency quantiles.
 
 A :class:`ServiceMetrics` instance is the single metrics sink of one
-server process. It layers on :mod:`repro.perf`: the service counts
-*requests* (how often, how fast, served from where), while the perf
-layer keeps counting *algorithmic* events (Dijkstra sweeps, cache memo
-traffic) in its process-lifetime root frame — ``render`` exposes both in
-one Prometheus-style text document for ``GET /metrics``.
+server. It layers on :mod:`repro.perf`: the service counts *requests*
+(how often, how fast, served from where), and sums the *algorithmic*
+events (Dijkstra sweeps, cache memo traffic) that each discovery run
+reports in its ``DiscoveryResult.stats`` — wherever the run computed,
+in the server process or in a compute process. The server renders both
+in one Prometheus-style text document for ``GET /metrics``.
 
 Counter vocabulary (all exported with the ``repro_service_`` prefix):
 
@@ -35,8 +36,8 @@ Counter vocabulary (all exported with the ``repro_service_`` prefix):
     ``stage_cache_miss_<stage>`` stats (see
     :func:`repro.service.jobs.observe_run_stats`).
 
-The algorithmic counters ride along under ``repro_perf_`` — including
-the distance-oracle vocabulary (``oracle_sweeps``,
+The algorithmic counter totals ride along under ``repro_perf_`` —
+including the distance-oracle vocabulary (``oracle_sweeps``,
 ``astar_expansions``, ``bound_prunes``, ``lossy_prefix_skips``,
 ``required_subtree_prunes``; see
 :mod:`repro.perf.counters`) — so a scrape sees search-guidance
@@ -45,8 +46,6 @@ effectiveness next to request health.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 from collections import Counter, deque
 from typing import Iterable, Mapping
@@ -93,6 +92,7 @@ class ServiceMetrics:
         self._phase_samples: dict[str, deque[float]] = {}
         self._phase_count: Counter[str] = Counter()
         self._phase_sum: Counter[str] = Counter()
+        self._perf: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     # Recording
@@ -124,6 +124,11 @@ class ServiceMetrics:
             self._phase_count[phase] += 1
             self._phase_sum[phase] += seconds
 
+    def add_perf(self, name: str, amount: int) -> None:
+        """Add one run's count of perf-layer counter ``name``."""
+        with self._lock:
+            self._perf[name] += amount
+
     # ------------------------------------------------------------------
     # Reading (tests and the bench harness)
     # ------------------------------------------------------------------
@@ -150,6 +155,11 @@ class ServiceMetrics:
             ordered = sorted(reservoir)
             index = min(len(ordered) - 1, int(q * len(ordered)))
             return ordered[index]
+
+    def perf_totals(self) -> dict[str, int]:
+        """The perf-layer counters summed over every run observed."""
+        with self._lock:
+            return dict(self._perf)
 
     def phase_names(self) -> tuple[str, ...]:
         """Phases observed so far, sorted."""
@@ -248,84 +258,6 @@ class ServiceMetrics:
             else:
                 lines.append(f"{full} {value}")
         return "\n".join(lines) + "\n"
-
-
-def label_series(text: str, **labels: str) -> str:
-    """Inject ``labels`` into every series line of an exposition document.
-
-    Pre-fork workers use this to stamp their whole ``/metrics`` output
-    with ``worker="N"`` before aggregation — series from different
-    workers must stay distinguishable (summing two workers'
-    ``requests_total`` into one unlabeled series would double-count on
-    the scraping side's own aggregation).
-    """
-    if not labels:
-        return text
-    suffix = ",".join(
-        f'{name}="{value}"' for name, value in sorted(labels.items())
-    )
-    out: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            out.append(line)
-            continue
-        series, space, value = stripped.rpartition(" ")
-        if not space:
-            out.append(line)
-            continue
-        if series.endswith("}"):
-            series = series[:-1] + "," + suffix + "}"
-        else:
-            series = series + "{" + suffix + "}"
-        out.append(f"{series} {value}")
-    return "\n".join(out) + ("\n" if text.endswith("\n") else "")
-
-
-def write_snapshot_file(path: str, text: str) -> bool:
-    """Atomically publish one worker's exposition text at ``path``.
-
-    Same tempfile-then-``os.replace`` discipline as the persistent
-    store: a sibling reading the file mid-write sees the previous
-    complete snapshot, never a truncated one. Returns ``False`` (never
-    raises) when the write fails — metrics are best-effort.
-    """
-    try:
-        parent = os.path.dirname(path) or "."
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=parent)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return True
-    except OSError:
-        return False
-
-
-def read_snapshot_series(path: str) -> list[str]:
-    """The raw series lines of a snapshot file (comments dropped).
-
-    Missing or unreadable files yield ``[]`` — an aggregating worker
-    must keep serving its own metrics when a sibling's snapshot is
-    absent (the sibling may simply not have written one yet).
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError:
-        return []
-    return [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
 
 
 def parse_exposition(text: str) -> dict[str, float]:

@@ -35,16 +35,18 @@ Endpoints
 Architecture: ``ThreadingHTTPServer`` accepts connections on demand
 (one handler thread per in-flight request, which may block waiting on a
 job), while the fixed :class:`~repro.service.jobs.JobQueue` worker pool
-bounds actual discovery concurrency. All request handling is delegated
-to :class:`MappingService`, which is plain-Python callable state —
-tests exercise it without sockets.
+bounds actual discovery concurrency. This one process owns the job
+table, the result cache, in-flight coalescing and the metrics; with
+``ServiceConfig.processes > 1`` only the discovery runs themselves move
+to a pool of compute processes. All request handling is delegated to
+:class:`MappingService`, which is plain-Python callable state — tests
+exercise it without sockets.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -59,10 +61,8 @@ from repro.exceptions import (
     ScenarioTimeout,
     WireFormatError,
 )
-from repro.perf import counters as perf_counters
-from repro.service import metrics as service_metrics
 from repro.service.cache import ResultCache
-from repro.service.jobs import JobQueue
+from repro.service.jobs import ComputePool, JobQueue
 from repro.service.metrics import ServiceMetrics, perf_gauges
 from repro.service.wire import (
     WIRE_VERSION,
@@ -82,15 +82,13 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 class ServiceConfig:
     """Tuning knobs of one server instance.
 
-    ``cache_dir`` activates the persistent cross-process cache tier
+    ``cache_dir`` activates the persistent cache tier
     (:mod:`repro.discovery.engine.persist`) for both the stage cache and
-    the result cache — in pre-fork deployments it is the coherence
-    point through which sibling workers share computed artifacts.
-    ``worker_index`` / ``pool_size`` / ``metrics_dir`` are set by the
-    :mod:`repro.service.pool` supervisor on each forked worker so
-    ``/metrics`` can aggregate across the pool and ``GET /jobs/<id>``
-    finds a job whichever worker holds it; single-process servers
-    leave them at their defaults.
+    the result cache, so a restart or a batch run finds what this server
+    computed. ``processes`` above 1 moves discovery into that many
+    compute processes (:class:`~repro.service.jobs.ComputePool`) and
+    runs ``workers × processes`` job threads; the job table, caches and
+    metrics stay in the server process.
     """
 
     host: str = "127.0.0.1"
@@ -103,29 +101,19 @@ class ServiceConfig:
     job_timeout_seconds: float | None = None
     quiet: bool = True
     cache_dir: str | None = None
-    worker_index: int | None = None
-    pool_size: int = 0
-    metrics_dir: str | None = None
+    processes: int = 1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.processes < 1:
+            raise ValueError(
+                f"processes must be >= 1, got {self.processes}"
+            )
         if self.request_timeout_seconds <= 0:
             raise ValueError("request_timeout_seconds must be positive")
         if self.cache_dir is not None and not self.cache_dir:
             raise ValueError("cache_dir must be a non-empty path or None")
-        if self.pool_size < 0:
-            raise ValueError(
-                f"pool_size must be >= 0, got {self.pool_size}"
-            )
-        if self.worker_index is not None and (
-            self.worker_index < 0
-            or (self.pool_size and self.worker_index >= self.pool_size)
-        ):
-            raise ValueError(
-                f"worker_index {self.worker_index} out of range for "
-                f"pool_size {self.pool_size}"
-            )
 
 
 def _error_payload(
@@ -234,20 +222,16 @@ class MappingService:
             policy = BatchPolicy(
                 timeout_seconds=config.job_timeout_seconds
             )
-        pooled = (
-            config.worker_index is not None
-            and config.metrics_dir is not None
-        )
+        pool = None
+        if config.processes > 1:
+            pool = ComputePool(config.processes, config.cache_dir)
         self.jobs = JobQueue(
-            workers=config.workers,
+            workers=config.workers * config.processes,
             capacity=config.queue_capacity,
             cache=self.cache,
             metrics=self.metrics,
             policy=policy,
-            worker_index=config.worker_index if pooled else None,
-            jobs_dir=(
-                os.path.join(config.metrics_dir, "jobs") if pooled else None
-            ),
+            pool=pool,
         )
         self.started_at = time.monotonic()
 
@@ -539,21 +523,22 @@ class MappingService:
     # ------------------------------------------------------------------
     @_versioned_handler
     def handle_job(self, job_id: str) -> tuple[int, dict[str, Any]]:
-        record = self.jobs.record(job_id)
-        if record is None:
+        job = self.jobs.job(job_id)
+        if job is None:
             return 404, {
                 "status": "not-found",
                 "error": _error_payload(
                     "UnknownJob", f"no job {job_id!r} (it may have aged out)"
                 ),
             }
-        return 200, record
+        return 200, job.to_wire()
 
     @_versioned_handler
     def health(self) -> tuple[int, dict[str, Any]]:
         return 200, {
             "status": "ok",
-            "workers": self.config.workers,
+            "workers": self.jobs.workers,
+            "processes": self.config.processes,
             "queue_depth": self.jobs.depth(),
             "queue_capacity": self.config.queue_capacity,
             "jobs": self.jobs.state_counts(),
@@ -567,59 +552,16 @@ class MappingService:
         gauges: dict[str, int | float] = {
             "repro_service_queue_depth": self.jobs.depth(),
             "repro_service_queue_capacity": self.config.queue_capacity,
-            "repro_service_workers": self.config.workers,
+            "repro_service_workers": self.jobs.workers,
+            "repro_service_processes": self.config.processes,
             "repro_service_uptime_seconds": round(
                 time.monotonic() - self.started_at, 3
             ),
         }
         for name, value in self.cache.stats().items():
             gauges[f"repro_service_result_cache_{name}"] = value
-        gauges.update(
-            perf_gauges(
-                perf_counters.global_counters().snapshot().items()
-            )
-        )
-        text = self.metrics.render(gauges)
-        if (
-            self.config.worker_index is not None
-            and self.config.metrics_dir is not None
-        ):
-            text = self._pool_metrics(text)
-        return text
-
-    def _pool_metrics(self, own_text: str) -> str:
-        """Aggregate this worker's metrics with its pool siblings'.
-
-        Every series gets a ``worker`` label; the fresh labeled snapshot
-        is published for siblings, then their last-published snapshots
-        are appended, plus a ``pool_worker_up`` gauge per slot. A scrape
-        of *any* worker therefore sees the whole pool — siblings at
-        their last snapshot, this worker live.
-        """
-        from repro.service import pool
-
-        index = self.config.worker_index
-        assert index is not None and self.config.metrics_dir is not None
-        labeled = service_metrics.label_series(own_text, worker=str(index))
-        service_metrics.write_snapshot_file(
-            pool.snapshot_path(self.config.metrics_dir, index), labeled
-        )
-        lines = [labeled.rstrip("\n")]
-        size = self.config.pool_size or (index + 1)
-        for sibling in range(size):
-            up = 1 if sibling == index else 0
-            if sibling != index:
-                series = service_metrics.read_snapshot_series(
-                    pool.snapshot_path(self.config.metrics_dir, sibling)
-                )
-                if series:
-                    up = 1
-                    lines.extend(series)
-            lines.append(
-                f'repro_service_pool_worker_up{{worker="{sibling}"}} {up}'
-            )
-        lines.append(f"repro_service_pool_size {size}")
-        return "\n".join(lines) + "\n"
+        gauges.update(perf_gauges(self.metrics.perf_totals().items()))
+        return self.metrics.render(gauges)
 
     def close(self) -> None:
         self.jobs.stop()

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.baseline.logical_relations import compute_logical_relations
+from repro.datasets.registry import dataset_names, load_dataset
+from repro.evaluation.measures import constraint_closure
 from repro.exceptions import QueryError
+from repro.perf import counters as perf_counters
 from repro.queries import (
     ChaseEngine,
     InclusionDependency,
@@ -145,3 +149,68 @@ class TestChase:
         assert offering.terms[0] == enrol.terms[0]
         assert offering.terms[1] == enrol.terms[1]
         assert isinstance(offering.terms[2], Variable)
+
+
+class TestDepthCap:
+    """A chase stopped at ``max_depth`` with work left is counted."""
+
+    @staticmethod
+    def _depth_hits(run):
+        with perf_counters.scope() as frame:
+            run()
+        return frame.snapshot().get("chase_depth_hits", 0)
+
+    def test_cyclic_schema_at_depth_one_is_counted(self):
+        schema = RelationalSchema("s")
+        schema.add_table(Table("a", ["aid", "b_ref"], ["aid"]))
+        schema.add_table(Table("b", ["bid", "a_ref"], ["bid"]))
+        schema.add_ric(ReferentialConstraint.parse("a.b_ref -> b.bid"))
+        schema.add_ric(ReferentialConstraint.parse("b.a_ref -> a.aid"))
+        engine = ChaseEngine(dependencies(schema), max_depth=1)
+        hits = self._depth_hits(
+            lambda: engine.chase([table_seed_atom(schema, "a")])
+        )
+        assert hits >= 1
+
+    def test_a_finished_atom_at_the_cap_is_not_counted(self):
+        schema = bookstore_schema()
+        engine = ChaseEngine(dependencies(schema), max_depth=1)
+        atoms = []
+        hits = self._depth_hits(
+            lambda: atoms.extend(
+                engine.chase([table_seed_atom(schema, "writes")])
+            )
+        )
+        assert sorted(a.predicate for a in atoms) == [
+            "book", "person", "writes"
+        ]
+        assert hits == 0
+
+    def test_paper_chases_never_reach_the_cap(self, monkeypatch):
+        """The gold mappings' constraint closures and every dataset
+        pair's logical relations chase to their fixpoint."""
+        chases = []
+        real_chase = ChaseEngine.chase
+
+        def counted(engine, *args, **kwargs):
+            chases.append(engine)
+            return real_chase(engine, *args, **kwargs)
+
+        def run_all_chases():
+            for name in dataset_names():
+                pair = load_dataset(name)
+                for side in (pair.source.schema, pair.target.schema):
+                    compute_logical_relations(side)
+                for case in pair.cases:
+                    for gold in case.benchmark:
+                        constraint_closure(
+                            gold.source_query, pair.source.schema
+                        )
+                        constraint_closure(
+                            gold.target_query, pair.target.schema
+                        )
+
+        monkeypatch.setattr(ChaseEngine, "chase", counted)
+        hits = self._depth_hits(run_all_chases)
+        assert len(chases) > 100
+        assert hits == 0

@@ -7,7 +7,6 @@ event.
 """
 
 import gc
-import json
 import sys
 import threading
 import time
@@ -227,101 +226,3 @@ def test_concurrent_requests_keep_the_tables_consistent():
         }
     finally:
         service.close()
-
-
-def test_pool_workers_publish_retained_jobs_for_their_siblings(tmp_path, gate):
-    jobs_dir = str(tmp_path / "jobs")
-    (tmp_path / "jobs").mkdir()
-    (tmp_path / "jobs" / "job-w0-00000001.json").write_text("{}")
-
-    def worker(index):
-        return JobQueue(
-            workers=1,
-            capacity=4,
-            cache=ResultCache(),
-            metrics=ServiceMetrics(),
-            history=1,
-            worker_index=index,
-            jobs_dir=jobs_dir,
-        )
-
-    first, second = worker(0), worker(1)
-    try:
-        # A new process in slot 0 removes its predecessor's records.
-        assert first.record("job-w0-00000001") is None
-        job_a, _ = first.submit(scenario_from_wire(CASE_A), use_cache=False)
-        job_b, _ = second.submit(scenario_from_wire(CASE_B), use_cache=False)
-        assert (job_a.job_id, job_b.job_id) == (
-            "job-w0-00000001",
-            "job-w1-00000001",
-        )
-        first.retain(job_a)
-        assert second.record(job_a.job_id)["state"] == "queued"
-
-        gate.set()
-        assert job_a.wait(60)
-        _until(lambda: second.record(job_a.job_id)["state"] == "done")
-        assert second.record(job_a.job_id) == job_a.to_wire()
-
-        # Never retained: not published. Aged out: withdrawn.
-        assert first.record(job_b.job_id) is None
-        second.retain(job_b)
-        assert job_b.wait(60)
-        later, _ = first.submit(scenario_from_wire(CASE_C), use_cache=False)
-        first.retain(later)
-        assert second.record(job_a.job_id) is None
-        assert second.record(later.job_id)["job_id"] == later.job_id
-        assert first.record("../jobs/job-w1-00000001") is None
-    finally:
-        first.stop()
-        second.stop()
-
-
-def test_published_records_end_in_their_final_state(tmp_path):
-    """Retention and completion both publish, from different threads, in
-    either order: the file left behind must be the finished record."""
-    queue = JobQueue(
-        workers=4,
-        capacity=64,
-        cache=ResultCache(),
-        metrics=ServiceMetrics(),
-        worker_index=0,
-        jobs_dir=str(tmp_path),
-    )
-    retained = []
-    lock = threading.Lock()
-
-    def client(index):
-        for case in (CASE_A, CASE_B, CASE_C):
-            job, _ = queue.submit(scenario_from_wire(case), use_cache=False)
-            queue.retain(job)
-            with lock:
-                retained.append(job)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=client, args=(index,))
-            for index in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(120)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    try:
-        assert len(retained) == 18
-        for job in retained:
-            assert job.wait(120)
-        # A job leaves the unfinished set only after its last publish.
-        _until(lambda: not queue._unfinished)
-        for job in retained:
-            path = tmp_path / f"{job.job_id}.json"
-            record = json.loads(path.read_text(encoding="utf-8"))
-            assert record == job.to_wire()
-            assert record["state"] == "done"
-    finally:
-        queue.stop()

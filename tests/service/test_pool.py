@@ -1,10 +1,10 @@
-"""The pre-fork process pool: serving, coherence, metrics, shutdown.
+"""The compute-process pool behind ``serve --processes N``.
 
-The supervisor forks real processes, so the end-to-end tests drive
-``python -m repro serve --processes N`` in a subprocess (forking from
-inside the threaded pytest process would be fragile) and talk HTTP to
-it. The pure pieces — metric labeling, snapshot files, config
-validation — are tested in-process.
+One HTTP process owns the job table, the result cache, coalescing and
+the metrics; discoveries run in N compute processes. The end-to-end
+tests drive ``python -m repro serve --processes 2 --workers 1`` in a
+subprocess and talk HTTP to it; crash isolation, the job timeout and
+the perf counters run a :class:`ReproServer` in-process.
 """
 
 import json
@@ -19,81 +19,26 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.service.metrics import (
-    label_series,
-    parse_exposition,
-    read_snapshot_series,
-    write_snapshot_file,
+import repro.service.server as server_mod
+from repro.service.client import ServiceClient
+from repro.service.metrics import parse_exposition
+from repro.service.server import ReproServer, ServiceConfig
+from tests.discovery.test_batch_faults import (
+    SlowScenario,
+    WorkerKillerScenario,
 )
-from repro.service.pool import PreForkSupervisor, snapshot_path
-from repro.service.server import ServiceConfig
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
-class TestLabelSeries:
-    def test_adds_label_to_bare_series(self):
-        text = "repro_service_pool_size 2\n"
-        out = label_series(text, worker="1")
-        assert out == 'repro_service_pool_size{worker="1"} 2\n'
-
-    def test_merges_into_existing_label_block(self):
-        text = 'repro_service_requests_total{endpoint="health"} 3\n'
-        out = label_series(text, worker="0")
-        assert (
-            out
-            == 'repro_service_requests_total{endpoint="health",worker="0"} 3\n'
-        )
-
-    def test_comments_and_blank_lines_pass_through(self):
-        text = "# TYPE x counter\n\nx 1\n"
-        out = label_series(text, worker="2")
-        assert out.splitlines()[0] == "# TYPE x counter"
-        assert out.splitlines()[2] == 'x{worker="2"} 1'
-
-    def test_labeled_document_still_parses(self):
-        text = 'a 1\nb{c="d"} 2.5\n'
-        values = parse_exposition(label_series(text, worker="7"))
-        assert values['a{worker="7"}'] == 1.0
-        assert values['b{c="d",worker="7"}'] == 2.5
-
-    def test_no_labels_is_identity(self):
-        text = "a 1\n"
-        assert label_series(text) == text
-
-
-class TestSnapshotFiles:
-    def test_round_trip(self, tmp_path):
-        path = snapshot_path(str(tmp_path), 3)
-        assert write_snapshot_file(path, "# TYPE a counter\na 1\nb 2\n")
-        assert read_snapshot_series(path) == ["a 1", "b 2"]
-
-    def test_missing_file_reads_empty(self, tmp_path):
-        assert read_snapshot_series(snapshot_path(str(tmp_path), 9)) == []
-
-    def test_write_failure_returns_false(self):
-        assert (
-            write_snapshot_file("/proc/definitely/not/writable", "x")
-            is False
-        )
-
-
 class TestConfigValidation:
-    def test_worker_index_must_fit_pool(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ServiceConfig(worker_index=2, pool_size=2)
-
-    def test_negative_worker_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ServiceConfig(worker_index=-1)
-
     def test_empty_cache_dir(self):
         with pytest.raises(ValueError, match="cache_dir"):
             ServiceConfig(cache_dir="")
 
-    def test_supervisor_needs_a_worker(self):
+    def test_processes_must_be_positive(self):
         with pytest.raises(ValueError, match="processes"):
-            PreForkSupervisor(processes=0)
+            ServiceConfig(processes=0)
 
 
 def _post(url: str, path: str, payload: dict, timeout: float = 60.0):
@@ -143,21 +88,25 @@ def _start_server(processes: int, cache_dir: str):
     return proc, banner.split("listening on ", 1)[1].split(" ", 1)[0]
 
 
-@pytest.fixture(scope="module")
-def pool_server(tmp_path_factory):
-    """One two-worker pre-fork server with a shared cache directory."""
-    cache_dir = str(tmp_path_factory.mktemp("pool-cache"))
-    proc, url = _start_server(2, cache_dir)
-    yield proc, url, cache_dir
+def _stop(proc):
     if proc.poll() is None:
-        # SIGTERM lets the supervisor stop its workers; a SIGKILL
-        # would leave them running without a parent.
+        # SIGTERM drains like SIGINT: the server stops its compute
+        # processes before it exits.
         proc.terminate()
         try:
             proc.wait(timeout=30)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def pool_server(tmp_path_factory):
+    """One server with two compute processes and a cache directory."""
+    cache_dir = str(tmp_path_factory.mktemp("pool-cache"))
+    proc, url = _start_server(2, cache_dir)
+    yield proc, url, cache_dir
+    _stop(proc)
 
 
 def test_single_process_server_drains_on_sigint(tmp_path):
@@ -173,25 +122,174 @@ def test_single_process_server_drains_on_sigint(tmp_path):
             proc.wait(timeout=10)
 
 
+def test_identical_cold_requests_coalesce_across_processes(tmp_path):
+    """Eight concurrent identical cold requests run one discovery: the
+    one HTTP process coalesces them, whichever compute process runs it."""
+    proc, url = _start_server(2, str(tmp_path))
+    try:
+        body = {
+            "scenario": {"dataset": "DBLP", "case": "dblp-book-publisher"},
+            "options": {"max_path_edges": 9},
+        }
+        with ThreadPoolExecutor(max_workers=8) as executor:
+            answers = list(
+                executor.map(
+                    lambda _: _post(url, "/discover", body), range(8)
+                )
+            )
+        assert [answer["status"] for answer in answers] == ["ok"] * 8
+        values = parse_exposition(_get(url, "/metrics"))
+        assert values["repro_service_discovery_invocations_total"] == 1.0
+    finally:
+        _stop(proc)
+
+
+def _live_parents():
+    """``{pid: parent pid}`` of every process that has not exited."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat", encoding="ascii") as f:
+                    state, parent = f.read().rsplit(")", 1)[1].split()[:2]
+            except (OSError, ValueError):
+                continue
+            if state != "Z":
+                parents[int(entry)] = int(parent)
+    return parents
+
+
+def _descendants(pid):
+    """Every live process below ``pid``."""
+    parents = _live_parents()
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {
+            child for child, parent in parents.items() if parent in frontier
+        }
+        found |= frontier
+    return found
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads the process tree from /proc"
+)
+def test_a_killed_server_leaves_no_compute_process(tmp_path):
+    proc, url = _start_server(2, str(tmp_path))
+    try:
+        assert json.loads(_get(url, "/health"))["processes"] == 2
+        deadline = time.monotonic() + 30
+        while len(_descendants(proc.pid)) < 3:  # forkserver + 2 workers
+            assert time.monotonic() < deadline, _descendants(proc.pid)
+            time.sleep(0.05)
+        pool = _descendants(proc.pid)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    deadline = time.monotonic() + 30
+    while pool & set(_live_parents()):
+        assert time.monotonic() < deadline, "compute processes outlived it"
+        time.sleep(0.05)
+
+
+DBLP = {"dataset": "DBLP", "case": "dblp-article-in-journal"}
+HOTEL = {"dataset": "Hotel", "case": "hotel-room-of-hotel"}
+
+
+def _hotel_runs_as(monkeypatch, scenario_class):
+    """Parse the Hotel case into ``scenario_class`` on its way in."""
+    parse = server_mod.discover_request_from_wire
+
+    def parse_hotel_as(payload):
+        scenario, options = parse(payload)
+        if scenario.scenario_id == "Hotel/hotel-room-of-hotel":
+            scenario = scenario_class(
+                scenario.scenario_id,
+                scenario.source,
+                scenario.target,
+                scenario.correspondences,
+                scenario.mapper_options,
+            )
+        return scenario, options
+
+    monkeypatch.setattr(
+        server_mod, "discover_request_from_wire", parse_hotel_as
+    )
+
+
+def test_a_crashed_compute_process_fails_only_its_job(monkeypatch):
+    """A scenario that kills its compute process answers a structured
+    ``WorkerCrashed`` 500; a fresh process takes its place and the next
+    request is answered. The scenario is not re-run in the HTTP process,
+    where it would succeed."""
+    _hotel_runs_as(monkeypatch, WorkerKillerScenario)
+    with ReproServer(ServiceConfig(workers=1, processes=2)) as server:
+        client = ServiceClient(server.url)
+        status, crashed = client.request(
+            "POST", "/discover", {"scenario": HOTEL}
+        )
+        assert status == 500, crashed
+        assert crashed["status"] == "error"
+        assert crashed["error"]["type"] == "WorkerCrashed"
+        assert crashed["error"]["scenario_id"] == "Hotel/hotel-room-of-hotel"
+        for _ in range(3):  # whichever process takes it
+            status, answer = client.request(
+                "POST", "/discover", {"scenario": DBLP, "use_cache": False}
+            )
+            assert status == 200 and answer["status"] == "ok", answer
+        assert server.service.metrics.value("jobs_failed_total") == 1
+        assert server.service.metrics.value("jobs_completed_total") == 3
+
+
+def test_the_job_timeout_stops_a_run_in_a_compute_process(monkeypatch):
+    _hotel_runs_as(monkeypatch, SlowScenario)
+    config = ServiceConfig(workers=1, processes=2, job_timeout_seconds=0.5)
+    with ReproServer(config) as server:
+        client = ServiceClient(server.url)
+        status, stopped = client.request(
+            "POST", "/discover", {"scenario": HOTEL}
+        )
+        assert status == 504, stopped
+        assert stopped["error"]["type"] == "ScenarioTimeout"
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_perf_counters_count_discoveries_in_any_process(processes):
+    """``repro_perf_*`` sums the counters each run reports, so a cold
+    discovery shows whether it ran on a job thread or in a compute
+    process."""
+    with ReproServer(ServiceConfig(workers=1, processes=processes)) as server:
+        client = ServiceClient(server.url)
+        body = {
+            "scenario": DBLP,
+            "use_cache": False,
+            # A never-seen option value misses every stage cache.
+            "options": {"max_path_edges": 20 + processes},
+        }
+        assert client.request("POST", "/discover", body)[0] == 200
+        values = client.metrics_values()
+        assert values["repro_service_processes"] == processes
+        assert values["repro_perf_dijkstra_sweeps"] >= 1
+
+
 class TestPreForkServing:
-    SCENARIO = {"dataset": "DBLP", "case": "dblp-article-in-journal"}
+    """``serve --processes 2 --workers 1`` end to end."""
+
+    SCENARIO = DBLP
 
     def test_health_and_discover(self, pool_server):
         _, url, _ = pool_server
         health = json.loads(_get(url, "/health"))
         assert health["status"] == "ok"
+        assert (health["processes"], health["workers"]) == (2, 2)
         result = _post(url, "/discover", {"scenario": self.SCENARIO})
         assert result["status"] == "ok"
         assert result["result"]["mapping"]["candidates"]
 
     def test_disk_tier_is_the_coherence_point(self, pool_server):
-        """A scenario computed once is served warm by *every* worker.
-
-        Which worker accepts each connection is the kernel's choice, so
-        assert on the architecture instead: the first discovery writes
-        its stage artifacts and result payload into the shared cache
-        directory, where any sibling (or a restart) finds them.
-        """
+        """The cache directory holds what a restart or a batch run reads
+        back: the compute process writes the stage artifacts, the HTTP
+        process the result payload."""
         _, url, cache_dir = pool_server
         _post(url, "/discover", {"scenario": self.SCENARIO})
         entries = [
@@ -206,33 +304,38 @@ class TestPreForkServing:
         }
         assert "rank" in stages  # the full-hit artifact
         assert "service_result" in stages  # the result-cache tier
-        # Repeats are cache hits wherever they land.
         repeat = _post(url, "/discover", {"scenario": self.SCENARIO})
         assert repeat["status"] == "ok"
+        assert repeat["cached"] is True
 
     def test_metrics_aggregate_across_workers(self, pool_server):
+        """One scrape counts the discoveries of both compute processes."""
         _, url, _ = pool_server
-        _get(url, "/metrics")  # ensure at least one scrape happened
-        time.sleep(2.5)  # > SNAPSHOT_INTERVAL: every worker publishes
-        deadline = time.monotonic() + 10.0
-        while True:
-            values = parse_exposition(_get(url, "/metrics"))
-            up = [
-                values.get(f'repro_service_pool_worker_up{{worker="{i}"}}')
-                for i in range(2)
+        before = parse_exposition(_get(url, "/metrics"))
+        bodies = [
+            {
+                "scenario": {"dataset": "Mondial", "case": case},
+                "use_cache": False,
+                "options": {"max_path_edges": 30 + serial},
+            }
+            for serial, case in enumerate(
+                ("mondial-city-in-country", "mondial-city-in-country")
+            )
+        ]
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            statuses = [
+                answer["status"]
+                for answer in executor.map(
+                    lambda body: _post(url, "/discover", body), bodies
+                )
             ]
-            if up == [1.0, 1.0]:
-                break
-            if time.monotonic() >= deadline:
-                pytest.fail(f"workers never all up: {up}")
-            time.sleep(0.5)
-        assert values.get("repro_service_pool_size") == 2.0
-        workers_seen = {
-            series.split('worker="', 1)[1].split('"', 1)[0]
-            for series in values
-            if 'worker="' in series
-        }
-        assert workers_seen == {"0", "1"}
+        assert statuses == ["ok", "ok"]
+        after = parse_exposition(_get(url, "/metrics"))
+        name = "repro_service_discovery_invocations_total"
+        assert after[name] - before.get(name, 0.0) == 2.0
+        assert after["repro_service_processes"] == 2.0
+        assert after["repro_service_workers"] == 2.0
+        assert not any('worker="' in series for series in after)
 
     def test_concurrent_clients_are_all_answered(self, pool_server):
         """Sixteen clients, five requests each, over seven cases; every
@@ -271,9 +374,8 @@ class TestPreForkServing:
         assert statuses == ["ok"] * 80
 
     def test_every_poll_finds_its_own_async_job(self, pool_server):
-        """Each worker keeps its own job table, and the kernel hands a
-        poll to any worker: ids must not collide across the pool, and a
-        sibling must answer for a job it does not hold."""
+        """Async jobs computed in either compute process are polled from
+        the one job table: ids never collide and every poll answers."""
         _, url, _ = pool_server
         cases = (
             "dblp-author-of-publication",

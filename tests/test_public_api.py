@@ -205,6 +205,14 @@ REMOVED = (
     ("repro.discovery.compatibility", None, "clear_profile_cache"),
     ("repro.cm", "CMReasoner", "shared"),
     ("repro.perf", "GraphIndex", "shortest_paths"),
+    ("repro.service", None, "pool"),
+    ("repro.service", None, "PreForkSupervisor"),
+    ("repro.service.metrics", None, "label_series"),
+    ("repro.service.metrics", None, "write_snapshot_file"),
+    ("repro.service.metrics", None, "read_snapshot_series"),
+    ("repro.service.server", "ServiceConfig", "worker_index"),
+    ("repro.service.server", "ServiceConfig", "pool_size"),
+    ("repro.service.server", "ServiceConfig", "metrics_dir"),
 )
 
 

@@ -137,6 +137,8 @@ class ConceptualModel:
         self.name = name
         self._classes: dict[str, CMClass] = {}
         self._relationships: dict[str, Relationship] = {}
+        # Role relationships by reified class, in insertion order.
+        self._roles: dict[str, list[Relationship]] = {}
         self._isa: set[tuple[str, str]] = set()
         self._disjoint: list[frozenset[str]] = []
         self._covers: list[tuple[str, frozenset[str]]] = []
@@ -215,6 +217,8 @@ class ConceptualModel:
             is_role,
         )
         self._relationships[name] = rel
+        if is_role:
+            self._roles.setdefault(domain, []).append(rel)
         return rel
 
     def add_reified_relationship(
@@ -285,11 +289,7 @@ class ConceptualModel:
         cls = self.cm_class(reified_name)
         if not cls.reified:
             raise ConceptualModelError(f"{reified_name!r} is not reified")
-        return tuple(
-            rel
-            for rel in self._relationships.values()
-            if rel.is_role and rel.domain == reified_name
-        )
+        return tuple(self._roles.get(reified_name, ()))
 
     # ------------------------------------------------------------------
     # ISA, disjointness, covers

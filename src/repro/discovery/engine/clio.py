@@ -7,8 +7,9 @@ behind the *same* unified entry points as the semantic engine — library
 format (``{"options": {"engine": "clio"}}``). The baseline itself is
 reused unchanged; this module only adapts it to the engine protocol: one
 ``clio`` stage (:data:`~repro.discovery.engine.stages.CLIO_STAGE_NAMES`)
-with one span, a content-addressed fingerprint, and a
-cacheable :class:`~repro.discovery.engine.artifacts.RankedResult`.
+with one span, a content-addressed fingerprint (timed under its own
+``fingerprint`` span), and a cacheable
+:class:`~repro.discovery.engine.artifacts.RankedResult`.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ def run_clio(
     # which imports this engine package.
     from repro.baseline.clio import RICBasedMapper
 
-    fingerprint = clio_fingerprint(
-        source_semantics, target_semantics, correspondences
-    )
+    with tracer.span("fingerprint"):
+        fingerprint = clio_fingerprint(
+            source_semantics, target_semantics, correspondences
+        )
     fingerprints = {"clio": fingerprint}
     cache = None if tracer.records_tree else stage_cache()
     with tracer.span("clio") as span:

@@ -11,7 +11,9 @@ interaction.
 One clock: each instrumented site opens exactly one span on the run's
 :class:`~repro.trace.Recorder` — a stage span per name in
 :data:`STAGE_NAMES` (``source_search`` once per target CSG) plus the
-finer ``functional_csgs``, ``lossy_extension`` and ``csg_pair`` spans.
+finer ``functional_csgs``, ``lossy_extension`` and ``csg_pair`` spans,
+and a ``fingerprint`` span around the content hashing of the stage and
+unit keys.
 The recorder's per-name totals and self times are the
 ``time_<name>_s`` / ``self_<name>_s`` keys of ``DiscoveryResult.stats``,
 the trace's span names, and the service's phase labels, so the three
@@ -215,7 +217,8 @@ class SemanticEngine:
     def run(
         self, notes: list[str], eliminations: list[str]
     ) -> EngineOutcome:
-        fingerprints = self.stage_fingerprints()
+        with self._tracer.span("fingerprint"):
+            fingerprints = self.stage_fingerprints()
         cache = self._cache()
         if cache is not None:
             ranked = cache.get("rank", fingerprints["rank"])
@@ -292,7 +295,8 @@ class SemanticEngine:
                 target=str(target_csg.anchor),
                 origin=target_csg.origin,
             ) as span:
-                unit_key = self._unit_fingerprint(target_csg, relevant)
+                with self._tracer.span("fingerprint"):
+                    unit_key = self._unit_fingerprint(target_csg, relevant)
                 unit = (
                     cache.get(UNIT_STAGE, unit_key)
                     if cache is not None

@@ -28,7 +28,8 @@ they survive pickling, process boundaries, and interpreter restarts.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.discovery.csg import CSG
@@ -50,31 +51,75 @@ def semantics_content_key(semantics: "SchemaSemantics") -> str:
     semantic types — via ``model_to_dict``), and every s-tree; it is
     cached on the object because semantics are immutable after
     construction.
+
+    The digest is the SHA-256 of ``repr`` of the tuple ``(schema name,
+    tables, RICs, model dict, trees)``, but that text is fed to the hash
+    piece by piece (one table, one model entry, one s-tree at a time),
+    so a wide schema never holds its whole spec string in memory.
     """
     cached = getattr(semantics, "_batch_content_key", None)
     if cached is not None:
         return cached
     from repro.cm.serialize import model_to_dict
 
+    digest = hashlib.sha256()
+
+    def feed(text: str) -> None:
+        digest.update(text.encode("utf-8"))
+
     schema = semantics.schema
-    spec = repr(
+    _feed_repr(
+        feed,
         (
             schema.name,
-            tuple(
+            (
                 (table.name, table.columns, table.primary_key)
                 for table in schema
             ),
-            tuple(str(ric) for ric in schema.rics),
+            (str(ric) for ric in schema.rics),
             model_to_dict(semantics.model),
-            tuple(
+            (
                 (name, semantics.tree(name).describe())
                 for name in semantics.tables_with_semantics()
             ),
-        )
+        ),
+        # Deep enough to feed one table, model entry or tree at a time.
+        depth=3,
     )
-    key = hashlib.sha256(spec.encode("utf-8")).hexdigest()
+    key = digest.hexdigest()
     semantics._batch_content_key = key  # type: ignore[attr-defined]
     return key
+
+
+def _feed_repr(feed: Callable[[str], None], value: Any, depth: int) -> None:
+    """Pass ``repr(value)`` to ``feed`` in pieces.
+
+    Tuples, lists and dicts are split into their items down to ``depth``
+    container levels; anything deeper is fed as one ``repr``. A
+    generator within ``depth`` stands for the tuple of what it yields,
+    so large sequences are produced and hashed one item at a time.
+    """
+    kind = type(value)
+    if depth <= 0 or kind not in (tuple, list, dict, GeneratorType):
+        feed(repr(value))
+        return
+    if kind is dict:
+        feed("{")
+        for count, (key, item) in enumerate(value.items()):
+            feed(f"{', ' if count else ''}{key!r}: ")
+            _feed_repr(feed, item, depth - 1)
+        feed("}")
+        return
+    opening, closing = ("[", "]") if kind is list else ("(", ")")
+    feed(opening)
+    count = 0
+    for count, item in enumerate(value, 1):
+        if count > 1:
+            feed(", ")
+        _feed_repr(feed, item, depth - 1)
+    if count == 1 and kind is not list:
+        feed(",")  # a one-item tuple prints as ``(x,)``
+    feed(closing)
 
 
 def discovery_fingerprint(

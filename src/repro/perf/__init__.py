@@ -28,9 +28,7 @@ __all__ = _lazy_package(
     {
         "repro.perf.counters": (
             "PerfCounters",
-            "global_counters",
             "record",
-            "reset",
             "scope",
         ),
         "repro.perf.index": ("GraphIndex",),

@@ -5,23 +5,19 @@ run's span recorder (:class:`repro.trace.Recorder`), which supplies the
 ``time_<name>_s`` and ``self_<name>_s`` keys of
 ``DiscoveryResult.stats``; the counters below supply the rest.
 
-Counters are recorded into a stack of *frames*. The root frame lives for
-the whole process and is shared by every thread; :func:`scope` pushes a
+Counters are recorded into a stack of *frames*: :func:`scope` pushes a
 fresh frame onto the **calling thread's** stack, so one ``discover()``
 call (or one batch run) reports exactly the events it caused even when
 other threads — e.g. the ``repro.service`` worker pool — are running
 their own scoped discoveries concurrently. Recording walks the calling
-thread's stack (at most a few frames deep) plus one locked increment on
-the shared root, so the hot-path cost stays at a few dict increments.
+thread's stack (at most a few frames deep), so the hot-path cost stays
+at a few dict increments and takes no lock. An event recorded outside
+every scope is counted nowhere.
 
-Thread-safety contract:
-
-* scoped frames are thread-confined — a frame only ever sees events
-  recorded by the thread that opened the scope;
-* the root frame aggregates across all threads; its mutations and
-  :meth:`PerfCounters.snapshot` both run under a per-instance lock, so
-  a reader can snapshot while workers record (the service's
-  ``/metrics`` sums each run's scoped counters instead).
+Frames are thread-confined: a frame only ever sees events recorded by
+the thread that opened the scope, so no frame needs a lock. Totals
+across runs are the caller's to keep (the service's ``/metrics`` sums
+each run's ``DiscoveryResult.stats``).
 
 Counter names used across the codebase:
 
@@ -73,45 +69,22 @@ from typing import Iterator
 
 
 class PerfCounters:
-    """One frame of named counters.
+    """One frame of named counters, confined to the thread that opened it."""
 
-    Instances are cheap thread-confined scratchpads by default; the
-    module's shared root frame is the one instance that multiple
-    threads hit concurrently, so every cross-thread touch point
-    (increment, snapshot, clear) takes the per-instance lock.
-    Reading ``counts`` directly is fine for thread-confined frames
-    (scoped frames, test fixtures) but unsynchronised for the root —
-    use :meth:`snapshot` for a consistent view of it.
-    """
-
-    __slots__ = ("counts", "_lock")
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
         self.counts: Counter[str] = Counter()
-        self._lock = threading.Lock()
-
-    def add(self, name: str, amount: int = 1) -> None:
-        """Locked increment — safe for frames shared across threads."""
-        with self._lock:
-            self.counts[name] += amount
 
     def snapshot(self) -> dict[str, int]:
         """A JSON-friendly view of the counters, sorted by name."""
-        with self._lock:
-            counts = dict(self.counts)
-        return {name: int(value) for name, value in sorted(counts.items())}
-
-    def clear(self) -> None:
-        """Drop every counter (locked)."""
-        with self._lock:
-            self.counts.clear()
+        return {
+            name: int(value) for name, value in sorted(self.counts.items())
+        }
 
     def __repr__(self) -> str:
         return f"PerfCounters({dict(self.counts)})"
 
-
-#: Process-lifetime aggregate, shared by every thread.
-_ROOT = PerfCounters()
 
 _SCOPES = threading.local()
 
@@ -126,8 +99,7 @@ def _scope_stack() -> list[PerfCounters]:
 
 
 def record(name: str, amount: int = 1) -> None:
-    """Increment ``name`` in the root and every active frame of this thread."""
-    _ROOT.add(name, amount)
+    """Increment ``name`` in every active frame of this thread."""
     for frame in _scope_stack():
         frame.counts[name] += amount
 
@@ -142,13 +114,3 @@ def scope() -> Iterator[PerfCounters]:
         yield frame
     finally:
         stack.remove(frame)
-
-
-def global_counters() -> PerfCounters:
-    """The process-lifetime root frame (shared across threads)."""
-    return _ROOT
-
-
-def reset() -> None:
-    """Clear the root frame (scoped frames are unaffected)."""
-    _ROOT.clear()

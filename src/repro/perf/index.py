@@ -5,7 +5,7 @@ from a CM graph — functional adjacency, full (non-attribute) adjacency,
 the class-node list, and the reified-node set — into plain dicts and
 tuples, and lazily caches the distance oracle's tables (backward
 distances and lossy lower bounds) keyed by kind, node and
-``CostModel``.
+``CostModel`` (and, for the lossy bounds, the search horizon).
 
 Correctness rests on *invalidation by immutability*: a ``CMGraph`` is
 fully built in its constructor and never mutated afterwards, so an index
@@ -33,7 +33,6 @@ class GraphIndex:
         "reified_nodes",
         "adjacency",
         "functional_adjacency",
-        "_reverse",
         "_reverse_functional",
         "_oracle",
         "__weakref__",
@@ -53,13 +52,16 @@ class GraphIndex:
             )
             for node in self.class_nodes
         }
-        # Lazily-built reverse adjacencies (distance-oracle support).
-        self._reverse: dict[str, tuple["CMEdge", ...]] | None = None
+        # Lazily-built reverse functional adjacency (distance-oracle
+        # support).
         self._reverse_functional: dict[str, tuple["CMEdge", ...]] | None = None
         # Distance-oracle tables, namespaced by kind:
         # ("bd", target, CostModel)    → node → min functional cost node→target
-        # ("lossy", end, CostModel)    → lower-bound tables for the
-        #                                branch-and-bound lossy search.
+        # ("lossy", end, CostModel, horizon)
+        #                              → lower-bound tables for the
+        #                                branch-and-bound lossy search,
+        #                                over the nodes within
+        #                                ``horizon`` hops of ``end``.
         # Invalidation by immutability: the graph is never mutated, the
         # index dies with it, and :meth:`clear_registry`
         # (called by ``perf.clear_caches``) drops every shared index.
@@ -87,25 +89,13 @@ class GraphIndex:
         """Non-attribute outgoing edges (precomputed, already sorted)."""
         return self.adjacency[node]
 
-    def reverse_edges(self) -> dict[str, tuple["CMEdge", ...]]:
-        """``node → incoming edges`` over the full non-attribute adjacency.
-
-        Built on first request; the edges kept are the *forward* edges
-        (so their cost under a :class:`CostModel` is the cost of
-        traversing them forward), grouped by their target node.
-        """
-        reverse = self._reverse
-        if reverse is None:
-            grouped: dict[str, list["CMEdge"]] = {}
-            for edges in self.adjacency.values():
-                for edge in edges:
-                    grouped.setdefault(edge.target, []).append(edge)
-            reverse = {node: tuple(edges) for node, edges in grouped.items()}
-            self._reverse = reverse
-        return reverse
-
     def reverse_functional_edges(self) -> dict[str, tuple["CMEdge", ...]]:
-        """``node → incoming functional edges`` (see :meth:`reverse_edges`)."""
+        """``node → incoming functional edges``, built on first request.
+
+        The edges kept are the *forward* edges (so their cost under a
+        :class:`CostModel` is the cost of traversing them forward),
+        grouped by their target node.
+        """
         reverse = self._reverse_functional
         if reverse is None:
             grouped: dict[str, list["CMEdge"]] = {}

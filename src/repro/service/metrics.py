@@ -166,22 +166,6 @@ class ServiceMetrics:
         with self._lock:
             return tuple(sorted(self._phase_count))
 
-    def snapshot(self) -> dict[str, int | float]:
-        """A flat dict of every counter (labels folded into the name)."""
-        with self._lock:
-            data: dict[str, int | float] = {}
-            for (name, labels), value in sorted(self._counters.items()):
-                data[f"{name}{_render_labels(labels)}"] = value
-            for endpoint in sorted(self._latency_count):
-                data[f"request_seconds_count{{endpoint={endpoint}}}"] = (
-                    self._latency_count[endpoint]
-                )
-            for phase in sorted(self._phase_count):
-                data[f"phase_seconds_count{{phase={phase}}}"] = (
-                    self._phase_count[phase]
-                )
-        return data
-
     # ------------------------------------------------------------------
     # Prometheus exposition
     # ------------------------------------------------------------------

@@ -93,3 +93,66 @@ class TestRoundTrip:
         cm2 = model_from_dict(model_to_dict(cm))
         assert cm2.is_reified("Sell")
         assert {r.name for r in cm2.roles_of("Sell")} == {"seller", "sold"}
+
+
+def _scanned_roles(model, reified_name):
+    """Roles found by scanning every relationship, in insertion order."""
+    return tuple(
+        rel
+        for rel in model.relationships.values()
+        if rel.is_role and rel.domain == reified_name
+    )
+
+
+def _models():
+    from repro.datasets import synthetic
+    from repro.datasets.registry import load_all_datasets
+
+    for pair in load_all_datasets():
+        yield pair.source.model
+        yield pair.target.model
+    for family in ("chain", "isa_fan", "reified_web"):
+        source, target, _ = synthetic.scale_point(family, 60)[1]
+        yield source.model
+        yield target.model
+
+
+class TestRoleIndex:
+    def test_roles_match_a_scan_of_every_relationship(self):
+        reified = 0
+        for model in _models():
+            for cls in model.classes.values():
+                if cls.reified:
+                    reified += 1
+                    assert model.roles_of(cls.name) == _scanned_roles(
+                        model, cls.name
+                    )
+        assert reified > 0
+
+    def test_model_to_dict_unchanged_by_the_index(self, monkeypatch):
+        from repro.cm.model import ConceptualModel
+
+        models = list(_models())
+        indexed = [model_to_dict(model) for model in models]
+        monkeypatch.setattr(ConceptualModel, "roles_of", _scanned_roles)
+        assert indexed == [model_to_dict(model) for model in models]
+
+    def test_interleaved_roles_keep_insertion_order(self):
+        from repro.cm import ConceptualModel
+
+        cm = ConceptualModel("interleaved")
+        for name in ("P", "Q"):
+            cm.add_class(name, attributes=[name.lower()], key=[name.lower()])
+        cm.add_class("R1", reified=True)
+        cm.add_class("R2", reified=True)
+        cm.add_relationship("b", "R1", "P", "1..1", is_role=True)
+        cm.add_relationship("x", "R2", "Q", "1..1", is_role=True)
+        cm.add_relationship("plain", "R1", "Q")
+        cm.add_relationship("a", "R1", "Q", "1..1", is_role=True)
+        assert [r.name for r in cm.roles_of("R1")] == ["b", "a"]
+        assert [r.name for r in cm.roles_of("R2")] == ["x"]
+        spec = model_to_dict(cm)
+        assert [list(entry["roles"]) for entry in spec["reified"]] == [
+            ["b", "a"],
+            ["x"],
+        ]

@@ -134,6 +134,7 @@ class TestStageVocabulary:
             assert not thread.is_alive()
         assert _span_stat_names(results["clio"].stats, "time_") == {
             "discover",
+            "fingerprint",
             "clio",
         }
         assert "clio" not in _span_stat_names(

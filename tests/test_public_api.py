@@ -213,6 +213,12 @@ REMOVED = (
     ("repro.service.server", "ServiceConfig", "worker_index"),
     ("repro.service.server", "ServiceConfig", "pool_size"),
     ("repro.service.server", "ServiceConfig", "metrics_dir"),
+    ("repro.perf", None, "global_counters"),
+    ("repro.perf", None, "reset"),
+    ("repro.perf.counters", "PerfCounters", "add"),
+    ("repro.perf.counters", "PerfCounters", "clear"),
+    ("repro.service.metrics", "ServiceMetrics", "snapshot"),
+    ("repro.perf", "GraphIndex", "reverse_edges"),
 )
 
 

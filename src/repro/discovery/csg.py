@@ -217,6 +217,7 @@ def extend_partial_trees(
     cost_model: CostModel,
     extra_bases: Sequence[CSG] = (),
     max_bases: int = 8,
+    max_edges: int = 6,
 ) -> list[CSG]:
     """Partial functional trees grown by lossy attachments (Section 3.3).
 
@@ -224,7 +225,8 @@ def extend_partial_trees(
     whatever subset they functionally reach) plus any ``extra_bases``
     (e.g. Case A.1's anchored partial trees); bases of maximal coverage
     are extended first and the first coverage tier that fully connects
-    the marked nodes wins.
+    the marked nodes wins. ``max_edges`` caps each lossy path
+    (``DiscoveryOptions.max_path_edges``).
     """
     marked = sorted(set(marked_classes))
     bases: list[CSG] = list(extra_bases)
@@ -256,7 +258,7 @@ def extend_partial_trees(
         if not missing:
             continue
         for extended in extend_with_lossy_paths(
-            semantics, base, missing, cost_model
+            semantics, base, missing, cost_model, max_edges=max_edges
         ):
             signature = frozenset(str(edge) for edge in extended.tree.edges)
             if signature in result_signatures:

@@ -370,6 +370,7 @@ class SemanticEngine:
                 marked_sources,
                 cost_model,
                 extra_bases=tuple(functional),
+                max_edges=self.options.max_path_edges,
             )
             span.set("found", len(extended))
         for source_csg in extended:

@@ -93,7 +93,9 @@ def align_queries(
 
     The source and target queries are produced independently; this renames
     each target head variable to the source head variable at the same
-    position (and freshens any clashing target body variable).
+    position (and freshens any clashing target body variable). The
+    renaming applies in one step, so heads that swap names
+    (``ans(x, y)`` against ``ans(y, x)``) align positionally.
     """
     if len(source.head_terms) != len(target.head_terms):
         raise QueryError("cannot align queries of different head arity")
@@ -115,4 +117,4 @@ def align_queries(
                 fresh = Variable(f"{variable.name}_t{counter}")
                 counter += 1
             renaming[variable] = fresh
-    return SourceToTargetTGD(source, target.substitute(renaming))
+    return SourceToTargetTGD(source, target.rename(renaming))

@@ -559,8 +559,11 @@ class ComposeRequest:
     first: Any
     second: Any
     prune: bool
-    max_solutions_per_candidate: int
     invert: bool
+
+
+#: Every top-level key of a ``POST /compose`` body.
+_COMPOSE_KEYS = frozenset({"version", "first", "second", "prune", "invert"})
 
 
 def compose_request_from_wire(payload: Mapping[str, Any]) -> ComposeRequest:
@@ -570,6 +573,18 @@ def compose_request_from_wire(payload: Mapping[str, Any]) -> ComposeRequest:
     if not isinstance(payload, Mapping):
         raise WireFormatError("request body must be a JSON object")
     check_wire_version(payload)
+    unknown = sorted(set(payload) - _COMPOSE_KEYS)
+    if unknown:
+        message = (
+            f"unknown key(s) {unknown}; known: {sorted(_COMPOSE_KEYS)}"
+        )
+        if "max_solutions_per_candidate" in unknown:
+            message += (
+                "; 'max_solutions_per_candidate' was removed: composition "
+                "shares the rewriting limit and counts a cut-short "
+                "enumeration in rewrite_limit_hits"
+            )
+        raise WireFormatError(message)
     sets = []
     for key in ("first", "second"):
         if key not in payload:
@@ -589,21 +604,8 @@ def compose_request_from_wire(payload: Mapping[str, Any]) -> ComposeRequest:
     invert = payload.get("invert", False)
     if not isinstance(invert, bool):
         raise WireFormatError("'invert' must be a boolean")
-    max_solutions = payload.get("max_solutions_per_candidate", 32)
-    if (
-        not isinstance(max_solutions, int)
-        or isinstance(max_solutions, bool)
-        or max_solutions < 1
-    ):
-        raise WireFormatError(
-            "'max_solutions_per_candidate' must be a positive integer"
-        )
     return ComposeRequest(
-        first=sets[0],
-        second=sets[1],
-        prune=prune,
-        max_solutions_per_candidate=max_solutions,
-        invert=invert,
+        first=sets[0], second=sets[1], prune=prune, invert=invert
     )
 
 

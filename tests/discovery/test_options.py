@@ -4,7 +4,9 @@ import pickle
 
 import pytest
 
+import repro.perf as perf
 from repro.datasets.paper_examples import partof_example
+from repro.datasets.registry import load_dataset
 from repro.discovery import (
     DEFAULT_OPTIONS,
     DiscoveryOptions,
@@ -227,3 +229,28 @@ class TestScenarioIntegration:
             options=DiscoveryOptions(max_path_edges=4),
         )
         assert scenario_fingerprint(bare) != scenario_fingerprint(tuned)
+
+
+class TestMaxPathEdges:
+    """``max_path_edges`` caps the source-side lossy-path search."""
+
+    @staticmethod
+    def _run(max_path_edges):
+        perf.clear_caches()
+        pair = load_dataset("3Sdb")
+        (case,) = [c for c in pair.cases if c.case_id == "sdb-sample-gene"]
+        return SemanticMapper(
+            pair.source,
+            pair.target,
+            case.correspondences,
+            options=DiscoveryOptions(max_path_edges=max_path_edges),
+        ).discover()
+
+    def test_short_cap_narrows_the_lossy_search(self):
+        default, short = self._run(6), self._run(2)
+        assert (
+            short.stats["lossy_paths_expanded"]
+            < default.stats["lossy_paths_expanded"]
+        )
+        assert len(default.candidates) == 1
+        assert short.candidates == []

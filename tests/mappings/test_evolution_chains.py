@@ -12,10 +12,13 @@ sweep, across both evolution families and including 3-hop chains
   certain answers as data exchanged through the direct mapping;
 * semantic deduplication of the unpruned composed set drops only
   candidates equivalent to a kept one;
-* re-discovering a structurally identical hop reports no churn.
+* re-discovering a structurally identical hop reports no churn;
+* the serialized raw and pruned compositions match pinned digests.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.discovery import Scenario, rediscover
 from repro.mappings import certain_rows, compose, equivalent, exchange
 from repro.mappings.diff import diff_candidates
 from repro.mappings.expression import deduplicate_candidates
+from repro.mappings.serialize import dump_mapping_set
 
 #: Rows generated per table for the certain-answer check.
 ROWS_PER_TABLE = 3
@@ -43,6 +47,57 @@ SWEEP = (
     ("isa_fan", 4, 3, 2),
     ("isa_fan", 2, 2, 3),
 )
+
+
+#: SHA-256 of ``dump_mapping_set`` of each chain's raw and pruned
+#: composition, recorded from the earlier composition code (which
+#: unfolded premises with an enumerator of its own).
+COMPOSED_DIGESTS = {
+    "chain-L2-S2-H2": (
+        "ceeb314f62ee30b36acfa258a1119e9ab019d53479729a3ecdbdfc66a6ab2ffc",
+        "ceeb314f62ee30b36acfa258a1119e9ab019d53479729a3ecdbdfc66a6ab2ffc",
+    ),
+    "chain-L3-S2-H2": (
+        "eada1bbc1c33d72a1b12080f67d30e054152586227679512ae4a0f634382d25c",
+        "eada1bbc1c33d72a1b12080f67d30e054152586227679512ae4a0f634382d25c",
+    ),
+    "chain-L3-S3-H2": (
+        "cf218c9781be82b15277807acf38ba6432f5b24d55ddaa523246c39205101b81",
+        "cf218c9781be82b15277807acf38ba6432f5b24d55ddaa523246c39205101b81",
+    ),
+    "chain-L4-S3-H2": (
+        "a015b782c438c667b580a78ffe1c1f0a031df786277b05995997c7520ef8d180",
+        "a015b782c438c667b580a78ffe1c1f0a031df786277b05995997c7520ef8d180",
+    ),
+    "chain-L5-S4-H2": (
+        "a9f6f989f230d6e86c3a9344ff5a9336c20b1d40818567cf1747f62a85c55fa7",
+        "a9f6f989f230d6e86c3a9344ff5a9336c20b1d40818567cf1747f62a85c55fa7",
+    ),
+    "chain-L2-S2-H3": (
+        "ceeb314f62ee30b36acfa258a1119e9ab019d53479729a3ecdbdfc66a6ab2ffc",
+        "ceeb314f62ee30b36acfa258a1119e9ab019d53479729a3ecdbdfc66a6ab2ffc",
+    ),
+    "isa_fan-L2-S2-H2": (
+        "0cd90c9dc3ac85b0773723951b97ff79058197ad45d8cc3027f8554116290262",
+        "0cd90c9dc3ac85b0773723951b97ff79058197ad45d8cc3027f8554116290262",
+    ),
+    "isa_fan-L3-S2-H2": (
+        "28c850c13179e82f9b42ed1f426831ab79cb65eaa22d4d3a10a80e9baa285bc8",
+        "28c850c13179e82f9b42ed1f426831ab79cb65eaa22d4d3a10a80e9baa285bc8",
+    ),
+    "isa_fan-L3-S3-H2": (
+        "b3bff20d76626b92bfe36139f8a19bbab5c4b7b4743c461fef1d92eba521a692",
+        "b3bff20d76626b92bfe36139f8a19bbab5c4b7b4743c461fef1d92eba521a692",
+    ),
+    "isa_fan-L4-S3-H2": (
+        "b93c8cf2cae2aa32361972e9878b1189e5c84b7d1608d4eab8fbf04e5effa4ea",
+        "b93c8cf2cae2aa32361972e9878b1189e5c84b7d1608d4eab8fbf04e5effa4ea",
+    ),
+    "isa_fan-L2-S2-H3": (
+        "0cd90c9dc3ac85b0773723951b97ff79058197ad45d8cc3027f8554116290262",
+        "0cd90c9dc3ac85b0773723951b97ff79058197ad45d8cc3027f8554116290262",
+    ),
+}
 
 
 def _chain_id(point) -> str:
@@ -76,6 +131,15 @@ def evolved(request):
         composed = compose(composed, result.mappings)
     direct = Scenario.create(f"{chain.chain_id}/direct", *chain.direct()).run()
     return chain, raw, composed, direct, churn
+
+
+def test_composition_output_is_pinned(evolved, request):
+    _, raw, composed, _, _ = evolved
+    point = request.node.callspec.params["evolved"]
+    assert tuple(
+        hashlib.sha256(dump_mapping_set(mapping).encode()).hexdigest()
+        for mapping in (raw, composed)
+    ) == COMPOSED_DIGESTS[_chain_id(point)]
 
 
 def test_composed_is_equivalent_to_direct(evolved):

@@ -76,3 +76,16 @@ class TestAlignQueries:
         target = parse_query("ans(v1) :- s(v1, w)")
         tgd = align_queries(source, target)
         assert tgd.target.head_terms == (Variable("v1"),)
+
+    def test_swapped_head_names_align_positionally(self):
+        source = parse_query("ans(x, y) :- a(x, y)")
+        target = parse_query("ans(y, x) :- m(y, x)")
+        tgd = align_queries(source, target)
+        assert tgd.target == parse_query("ans(x, y) :- m(x, y)")
+
+    def test_renaming_chain_keeps_variables_apart(self):
+        """``{y: x, x: x_t}`` renames once: y and x stay two variables."""
+        source = parse_query("ans(x) :- a(x, z)")
+        target = parse_query("ans(y) :- m(y, x)")
+        tgd = align_queries(source, target)
+        assert tgd.target == parse_query("ans(x) :- m(x, x_t)")

@@ -155,6 +155,20 @@ class TestConjunctiveQuery:
         q = self.make_query().rename_apart("_1")
         assert {v.name for v in q.variables()} == {"x_1", "y_1", "z_1"}
 
+    def test_rename_apart_keeps_suffixed_names_apart(self):
+        """``{x: x_1, x_1: x_1_1}`` applies in one step; chasing it would
+        merge ``x`` and ``x_1``."""
+        x_1 = Variable("x_1")
+        q = ConjunctiveQuery([x], [db_atom("p", x, x_1)]).rename_apart("_1")
+        assert str(q) == "ans(x_1) :- T:p(x_1, x_1_1)"
+
+    def test_rename_swaps_inside_skolem_terms(self):
+        q = ConjunctiveQuery(
+            [x, y], [Atom("p", [x, SkolemTerm("f", (x, y))]), Atom("q", [y])]
+        ).rename({x: y, y: x})
+        assert q.head_terms == (y, x)
+        assert q.body[0] == Atom("p", [y, SkolemTerm("f", (y, x))])
+
     def test_predicates_and_atoms_with(self):
         q = self.make_query()
         assert q.predicates() == {"T:r", "T:s"}

@@ -183,6 +183,18 @@ class TestRewriteEdgeCases:
         assert len(results[0].body) == 1
         assert results[0].body[0].bare_predicate == "person"
 
+    def test_suffixed_view_variables_stay_apart(self):
+        """Renaming a view apart for occurrence 0 maps ``x`` to ``x_0``
+        and ``x_0`` to ``x_0_0`` in one step: chasing that renaming
+        would merge both columns into ``x_0_0``."""
+        x_0 = Variable("x_0")
+        view = LAVView("t", [x, x_0], [cm_atom("P", x, x_0)])
+        query = ConjunctiveQuery([v1, v2], [cm_atom("P", v1, v2)])
+        (result,) = rewrite_query(query, [view])
+        assert str(result) == str(
+            ConjunctiveQuery([v1, v2], [db_atom("t", v1, v2)])
+        )
+
     def test_required_table_not_mentioned_filters_all(self):
         query = ConjunctiveQuery([v1], [cm_atom("Person", v1)])
         results = rewrite_query(

@@ -323,7 +323,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shape = f"{config.processes} process(es) x {shape}"
     server = ReproServer(config)
     # SIGTERM drains like Ctrl-C, so the compute processes stop too.
+    # SIGINT is set as well: a non-interactive shell starts background
+    # jobs with it ignored, and ``kill -INT`` must still stop the server.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     print(
         f"repro service listening on {server.url} "
         f"({shape}, queue {config.queue_capacity}, "

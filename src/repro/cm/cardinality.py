@@ -52,10 +52,13 @@ class Cardinality:
         """Parse UML-style text: ``"0..*"``, ``"1..1"``, ``"0..1"``, ``"*"``.
 
         A bare number ``"1"`` means ``1..1``; a bare ``"*"`` means ``0..*``.
+        The four common bounds come back as the module's shared constants
+        (:data:`ONE_ONE` and its siblings), so a model parsed from text
+        holds one object per distinct bound, not one per relationship end.
         """
         text = text.strip()
         if text == "*":
-            return cls(0, MANY)
+            return ZERO_MANY
         if ".." in text:
             low_text, high_text = (part.strip() for part in text.split("..", 1))
         else:
@@ -65,12 +68,14 @@ class Cardinality:
         except ValueError:
             raise CardinalityError(f"bad lower bound in {text!r}") from None
         if high_text == "*":
-            return cls(lower, MANY)
-        try:
-            upper = int(high_text)
-        except ValueError:
-            raise CardinalityError(f"bad upper bound in {text!r}") from None
-        return cls(lower, upper)
+            upper = MANY
+        else:
+            try:
+                upper = int(high_text)
+            except ValueError:
+                raise CardinalityError(f"bad upper bound in {text!r}") from None
+        shared = _CONSTANTS.get((lower, upper))
+        return cls(lower, upper) if shared is None else shared
 
     @property
     def is_functional(self) -> bool:
@@ -112,6 +117,10 @@ ONE_ONE = Cardinality(1, 1)
 ZERO_ONE = Cardinality(0, 1)
 ZERO_MANY = Cardinality(0, MANY)
 ONE_MANY = Cardinality(1, MANY)
+_CONSTANTS = {
+    (card.lower, card.upper): card
+    for card in (ONE_ONE, ZERO_ONE, ZERO_MANY, ONE_MANY)
+}
 
 
 class ConnectionCategory(enum.Enum):

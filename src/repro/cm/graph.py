@@ -33,12 +33,6 @@ from repro.cm.model import ConceptualModel, ISA_LABEL, SemanticType
 #: Suffix marking inverse-direction edge labels, e.g. ``writes⁻``.
 INVERSE_MARK = "⁻"
 
-#: Node kinds, the first element of a ``CMGraph._nodes`` entry.
-_CLASS = "class"
-_ATTRIBUTE = "attribute"
-#: The entry read for a node the graph does not have.
-_NO_NODE = (None, None)
-
 
 def attribute_node_id(class_name: str, attribute: str) -> str:
     """The node id of an attribute node, ``"Class.attr"``."""
@@ -108,50 +102,71 @@ class CMEdge:
         return f"{self.source} ---{self.label}{arrow} {self.target}"
 
 
+def _attribute_cm_edge(class_name: str, attribute: str) -> CMEdge:
+    return CMEdge(
+        label=attribute,
+        source=class_name,
+        target=attribute_node_id(class_name, attribute),
+        kind=CMEdge.KIND_ATTRIBUTE,
+        forward_card=ONE_ONE,
+        backward_card=ZERO_MANY,
+        base_name=attribute,
+    )
+
+
 class CMGraph:
     """The compiled graph of a :class:`ConceptualModel`.
 
     Construction materializes both directions of every relationship and
     ISA link, so traversal code never needs to special-case inverses.
 
-    The graph is two insertion-ordered dicts. ``_nodes`` maps each node
-    to a ``(kind, extra)`` pair: ``("class", reified)`` for a class node,
-    ``("attribute", owner)`` for an attribute node; the pairs are shared
-    (one per reified flag, one per owning class). ``_out`` maps
-    ``source -> target -> (CMEdge, ...)``, the edges of one pair in the
-    order they were added. Attribute nodes have no out-edges and no
-    ``_out`` entry. A source's edges therefore iterate grouped by target,
-    targets in the order they were first linked from it.
+    The graph stores each fact once. :attr:`adjacency` maps every class
+    node to its relationship and ISA out-edges, one tuple sorted by
+    ``(label, target)`` — exactly what :meth:`edges_from` returns — and
+    :attr:`functional_adjacency` to the functional subset of that tuple
+    (the same tuple when every edge is functional). Both are shared, not
+    copied, with every reader (``GraphIndex`` among them): read them,
+    never mutate them. A later edge with the same
+    ``(source, label, target)`` replaces an earlier one. Node kinds,
+    attribute nodes and attribute edges are not stored: they are read
+    from :attr:`model` when asked, so a schema's thousands of attribute
+    edges cost nothing until someone looks at one.
+
+    Node ids are not escaped: the attribute node ``"A.b"`` and a class
+    named ``"A.b"`` share an id, and then the class declared last claims
+    it (the paper's compilation order writes each class's attribute
+    nodes right after the class). A relationship or ISA edge with an
+    attribute edge's label and target replaces that attribute edge.
     """
 
     def __init__(self, model: ConceptualModel) -> None:
         self.model = model
-        self._nodes: dict[str, tuple[str, bool | str]] = {}
-        self._out: dict[str, dict[str, tuple[CMEdge, ...]]] = {}
+        self.adjacency: dict[str, tuple[CMEdge, ...]] = {}
+        self.functional_adjacency: dict[str, tuple[CMEdge, ...]] = {}
         self._build()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        class_entries = {False: (_CLASS, False), True: (_CLASS, True)}
-        for cls in self.model.classes.values():
-            self._nodes[cls.name] = class_entries[bool(cls.reified)]
-            self._out[cls.name] = {}
-            owner_entry = (_ATTRIBUTE, cls.name)
-            for attr in cls.attributes:
-                node = attribute_node_id(cls.name, attr)
-                self._nodes[node] = owner_entry
-                edge = CMEdge(
-                    label=attr,
-                    source=cls.name,
-                    target=node,
-                    kind=CMEdge.KIND_ATTRIBUTE,
-                    forward_card=ONE_ONE,
-                    backward_card=ZERO_MANY,
-                    base_name=attr,
-                )
-                self._add_edge(edge)
+        grouped: dict[str, list[CMEdge]] = {
+            name: [] for name in self.model.class_names()
+        }
+        for edge in self._link_edges():
+            # The model checks both endpoints exist, so the source is a
+            # class node here.
+            grouped[edge.source].append(edge)
+        for node, edges in grouped.items():
+            latest = {(edge.label, edge.target): edge for edge in edges}
+            out = tuple(latest[key] for key in sorted(latest))
+            functional = tuple(edge for edge in out if edge.is_functional)
+            self.adjacency[node] = out
+            self.functional_adjacency[node] = (
+                out if len(functional) == len(out) else functional
+            )
+
+    def _link_edges(self) -> Iterator[CMEdge]:
+        """Relationship and ISA edges, both directions, in model order."""
         for rel in self.model.relationships.values():
             kind = CMEdge.KIND_ROLE if rel.is_role else CMEdge.KIND_RELATIONSHIP
             forward = CMEdge(
@@ -164,8 +179,8 @@ class CMGraph:
                 semantic_type=rel.semantic_type,
                 base_name=rel.name,
             )
-            self._add_edge(forward)
-            self._add_edge(forward.reversed())
+            yield forward
+            yield forward.reversed()
         for sub, sup in sorted(self.model.isa_links):
             forward = CMEdge(
                 label=ISA_LABEL,
@@ -176,28 +191,55 @@ class CMGraph:
                 backward_card=ZERO_ONE,
                 base_name=ISA_LABEL,
             )
-            self._add_edge(forward)
-            self._add_edge(forward.reversed())
+            yield forward
+            yield forward.reversed()
 
-    def _add_edge(self, edge: CMEdge) -> None:
-        # The model checks both endpoints exist, so the source is a class
-        # node here. A later edge with the same (source, label, target)
-        # replaces the earlier one in place.
-        targets = self._out[edge.source]
-        bucket = targets.get(edge.target, ())
-        for index, old in enumerate(bucket):
-            if old.label == edge.label:
-                bucket = bucket[:index] + (edge,) + bucket[index + 1 :]
-                break
-        else:
-            bucket += (edge,)
-        targets[edge.target] = bucket
+    def _attribute_edge(self, source: str, attribute: str) -> CMEdge | None:
+        """The edge ``source → source.attribute``, if the graph has it.
+
+        ``None`` when ``source`` is not a class, ``attribute`` is not one
+        of its attributes, or a relationship or ISA edge with the same
+        label and target replaced the attribute edge.
+        """
+        out = self.adjacency.get(source)
+        if out is None:
+            return None
+        if attribute not in self.model.cm_class(source).attributes:
+            return None
+        node = attribute_node_id(source, attribute)
+        if any(e.label == attribute and e.target == node for e in out):
+            return None
+        return _attribute_cm_edge(source, attribute)
 
     # ------------------------------------------------------------------
     # Nodes
     # ------------------------------------------------------------------
+    def _claimant(self, node: str) -> str | None:
+        """The class whose declaration wrote the id ``node``, or ``None``.
+
+        ``node`` itself for a class node, the owning class for an
+        attribute node. When several declarations write one id, the last
+        declared class wins.
+        """
+        if "." not in node:  # no attribute node id lacks a dot
+            return node if node in self.adjacency else None
+        model = self.model
+        claims = [node] if node in self.adjacency else []
+        dot = node.find(".")
+        while dot != -1:
+            owner = node[:dot]
+            if (
+                owner in self.adjacency
+                and node[dot + 1 :] in model.cm_class(owner).attributes
+            ):
+                claims.append(owner)
+            dot = node.find(".", dot + 1)
+        if len(claims) > 1:
+            claims.sort(key=model.class_names().index)
+        return claims[-1] if claims else None
+
     def has_node(self, node: str) -> bool:
-        return node in self._nodes
+        return self._claimant(node) is not None
 
     def class_nodes(self) -> tuple[str, ...]:
         """Class node names, in model declaration order."""
@@ -206,33 +248,63 @@ class CMGraph:
     def attribute_nodes(self) -> tuple[str, ...]:
         return tuple(
             sorted(
-                n for n, (kind, _) in self._nodes.items() if kind == _ATTRIBUTE
+                {
+                    node
+                    for cls in self.model.classes.values()
+                    for attribute in cls.attributes
+                    if self.is_attribute_node(
+                        node := attribute_node_id(cls.name, attribute)
+                    )
+                }
             )
         )
 
     def is_class_node(self, node: str) -> bool:
-        return self._nodes.get(node, _NO_NODE)[0] == _CLASS
+        return self._claimant(node) == node
 
     def is_attribute_node(self, node: str) -> bool:
-        return self._nodes.get(node, _NO_NODE)[0] == _ATTRIBUTE
+        return self._claimant(node) not in (None, node)
 
     def is_reified(self, node: str) -> bool:
         """True for class nodes standing for reified relationships."""
-        kind, reified = self._nodes.get(node, _NO_NODE)
-        return kind == _CLASS and reified
+        return self.is_class_node(node) and self.model.cm_class(node).reified
 
     def attribute_owner(self, attr_node: str) -> str:
         """The class node owning an attribute node."""
-        if not self.is_attribute_node(attr_node):
+        owner = self._claimant(attr_node)
+        if owner in (None, attr_node):
             raise ConceptualModelError(f"{attr_node!r} is not an attribute node")
-        return self._nodes[attr_node][1]
+        return owner
 
     # ------------------------------------------------------------------
     # Edges
     # ------------------------------------------------------------------
     def edges(self) -> Iterator[CMEdge]:
-        """All directed edges (both directions of every relationship)."""
-        for targets in self._out.values():
+        """All directed edges (both directions of every relationship).
+
+        Grouped by source node in declaration order; within a source, by
+        target in the order it was first linked (attribute nodes first),
+        then by declaration. Only rendering and tests read this, so the
+        order is replayed from the model on each call rather than stored.
+        """
+        out: dict[str, dict[str, list[CMEdge]]] = {
+            name: {
+                attribute_node_id(name, attribute): [
+                    _attribute_cm_edge(name, attribute)
+                ]
+                for attribute in self.model.cm_class(name).attributes
+            }
+            for name in self.model.class_names()
+        }
+        for edge in self._link_edges():
+            bucket = out[edge.source].setdefault(edge.target, [])
+            for index, old in enumerate(bucket):
+                if old.label == edge.label:
+                    bucket[index] = edge
+                    break
+            else:
+                bucket.append(edge)
+        for targets in out.values():
             for bucket in targets.values():
                 yield from bucket
 
@@ -242,25 +314,29 @@ class CMGraph:
         functional_only: bool = False,
         include_attributes: bool = False,
     ) -> tuple[CMEdge, ...]:
-        """Outgoing edges of ``node``, deterministically ordered.
+        """Outgoing edges of ``node``, sorted by ``(label, target)``.
 
         Attribute edges are excluded by default because connection
         discovery runs over class nodes only.
         """
-        targets = self._out.get(node)
-        if targets is None:
-            if node in self._nodes:
+        table = self.functional_adjacency if functional_only else self.adjacency
+        out = table.get(node)
+        if out is None:
+            if self.has_node(node):
                 return ()
             raise ConceptualModelError(f"CM graph has no node {node!r}")
-        result = []
-        for bucket in targets.values():
-            for edge in bucket:
-                if edge.is_attribute and not include_attributes:
-                    continue
-                if functional_only and not edge.is_functional:
-                    continue
-                result.append(edge)
-        return tuple(sorted(result, key=lambda e: (e.label, e.target)))
+        if include_attributes:
+            attributes = (
+                self._attribute_edge(node, attribute)
+                for attribute in self.model.cm_class(node).attributes
+            )
+            out = tuple(
+                sorted(
+                    out + tuple(e for e in attributes if e is not None),
+                    key=lambda e: (e.label, e.target),
+                )
+            )
+        return out
 
     def edge(self, source: str, label: str, target: str | None = None) -> CMEdge:
         """Look up the edge with ``label`` leaving ``source``.
@@ -269,14 +345,15 @@ class CMGraph:
         has several sub- or superclasses the ``target`` argument must
         disambiguate; an ambiguous lookup without it is an error.
         """
-        targets = self._out.get(source, {})
-        if target is None:
-            buckets = targets.values()
-        else:
-            buckets = (targets.get(target, ()),)
         matches = [
-            edge for bucket in buckets for edge in bucket if edge.label == label
+            edge
+            for edge in self.adjacency.get(source, ())
+            if edge.label == label and target in (None, edge.target)
         ]
+        if target in (None, attribute_node_id(source, label)):
+            attribute = self._attribute_edge(source, label)
+            if attribute is not None:
+                matches.append(attribute)
         if not matches:
             raise ConceptualModelError(
                 f"no edge labeled {label!r} leaving node {source!r}"
@@ -290,9 +367,19 @@ class CMGraph:
         return matches[0]
 
     def edges_between(self, source: str, target: str) -> tuple[CMEdge, ...]:
-        """All directed edges from ``source`` to ``target``."""
-        bucket = self._out.get(source, {}).get(target, ())
-        return tuple(sorted(bucket, key=lambda e: e.label))
+        """All directed edges from ``source`` to ``target``, by label."""
+        between = [
+            edge
+            for edge in self.adjacency.get(source, ())
+            if edge.target == target
+        ]
+        prefix = source + "."
+        if target.startswith(prefix):
+            attribute = self._attribute_edge(source, target[len(prefix) :])
+            if attribute is not None:
+                between.append(attribute)
+                between.sort(key=lambda e: e.label)
+        return tuple(between)
 
     def attribute_edge(self, class_name: str, attribute: str) -> CMEdge:
         """The edge from a class node to one of its attribute nodes."""
@@ -307,9 +394,8 @@ class CMGraph:
 
     def size(self) -> tuple[int, int]:
         """(number of class nodes, number of attribute nodes)."""
-        classes = sum(1 for kind, _ in self._nodes.values() if kind == _CLASS)
-        attributes = len(self._nodes) - classes
-        return classes, attributes
+        classes = sum(map(self.is_class_node, self.class_nodes()))
+        return classes, len(self.attribute_nodes())
 
     def describe(self) -> str:
         """Multi-line dump of nodes and forward edges."""

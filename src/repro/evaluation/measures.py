@@ -24,7 +24,7 @@ from repro.queries.conjunctive import (
     VariableFactory,
 )
 from repro.queries.homomorphism import are_equivalent
-from repro.queries.normalize import chase_with_keys, key_positions_of_schema
+from repro.queries.normalize import KeyPositions, chase_with_keys
 from repro.relational.schema import RelationalSchema
 
 
@@ -51,7 +51,7 @@ def constraint_closure(
         boolean.body, VariableFactory("_cc")
     )
     chased = ConjunctiveQuery([], atoms, query.name)
-    keyed = chase_with_keys(chased, key_positions_of_schema(schema))
+    keyed = chase_with_keys(chased, KeyPositions(schema))
     return keyed if keyed is not None else chased
 
 

@@ -1,11 +1,12 @@
-"""Immutable per-``CMGraph`` indexes for the discovery search.
+"""Per-``CMGraph`` indexes and cached tables for the discovery search.
 
-A :class:`GraphIndex` snapshots everything the tree/path search reads
-from a CM graph — functional adjacency, full (non-attribute) adjacency,
-the class-node list, and the reified-node set — into plain dicts and
-tuples, and lazily caches the distance oracle's tables (backward
-distances and lossy lower bounds) keyed by kind, node and
-``CostModel`` (and, for the lossy bounds, the search horizon).
+A :class:`GraphIndex` holds what the tree/path search reads from a CM
+graph: the class-node list, the reified-node set, and the graph's own
+full and functional adjacency (references to the graph's tables, not
+copies). It lazily builds the reverse functional map and caches the
+distance oracle's tables (backward distances and lossy lower bounds)
+keyed by kind, node and ``CostModel`` (and, for the lossy bounds, the
+search horizon).
 
 Correctness rests on *invalidation by immutability*: a ``CMGraph`` is
 fully built in its constructor and never mutated afterwards, so an index
@@ -26,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class GraphIndex:
-    """Precomputed adjacency and cached search tables for one CM graph."""
+    """Shared adjacency and cached search tables for one CM graph."""
 
     __slots__ = (
         "class_nodes",
@@ -43,15 +44,10 @@ class GraphIndex:
         self.reified_nodes: frozenset[str] = frozenset(
             node for node in self.class_nodes if graph.is_reified(node)
         )
-        self.adjacency: dict[str, tuple["CMEdge", ...]] = {
-            node: graph.edges_from(node) for node in self.class_nodes
-        }
-        self.functional_adjacency: dict[str, tuple["CMEdge", ...]] = {
-            node: tuple(
-                edge for edge in self.adjacency[node] if edge.is_functional
-            )
-            for node in self.class_nodes
-        }
+        # The graph's own tables, shared: ``edges_from`` and
+        # ``functional_edges_from`` of every class node.
+        self.adjacency = graph.adjacency
+        self.functional_adjacency = graph.functional_adjacency
         # Lazily-built reverse functional adjacency (distance-oracle
         # support).
         self._reverse_functional: dict[str, tuple["CMEdge", ...]] | None = None
@@ -86,7 +82,7 @@ class GraphIndex:
         cls._REGISTRY.clear()
 
     def out_edges(self, node: str) -> tuple["CMEdge", ...]:
-        """Non-attribute outgoing edges (precomputed, already sorted)."""
+        """Non-attribute outgoing edges (the graph's, already sorted)."""
         return self.adjacency[node]
 
     def reverse_functional_edges(self) -> dict[str, tuple["CMEdge", ...]]:

@@ -11,7 +11,7 @@ atom a human would write.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.queries.conjunctive import (
     Atom,
@@ -26,17 +26,48 @@ from repro.queries.conjunctive import (
 from repro.relational.schema import RelationalSchema
 
 
-def key_positions_of_schema(
-    schema: RelationalSchema,
-) -> dict[str, tuple[int, ...]]:
-    """``table name → primary-key column positions`` for a schema."""
-    positions: dict[str, tuple[int, ...]] = {}
-    for table in schema:
-        if table.primary_key:
-            positions[table.name] = tuple(
-                table.columns.index(column) for column in table.primary_key
+class KeyPositions(Mapping[str, tuple[int, ...]]):
+    """``table name → primary-key column positions`` of a schema's keyed
+    tables, each computed the first time that table is looked up.
+
+    A rewrite looks up only the tables its candidates mention, so a wide
+    schema never pays for the positions of all its tables. Truth testing
+    counts the keyed tables once and is O(1) after that.
+    """
+
+    __slots__ = ("_schema", "_positions", "_size")
+
+    def __init__(self, schema: RelationalSchema) -> None:
+        self._schema = schema
+        # Table name → its key positions, ``()`` for an unkeyed table.
+        self._positions: dict[str, tuple[int, ...]] = {}
+        self._size: int | None = None
+
+    def get(self, table: str, default=None):
+        positions = self._positions.get(table)
+        if positions is None:
+            if not self._schema.has_table(table):
+                return default
+            found = self._schema.table(table)
+            positions = tuple(
+                found.columns.index(column) for column in found.primary_key
             )
-    return positions
+            self._positions[table] = positions
+        return positions or default
+
+    def __getitem__(self, table: str) -> tuple[int, ...]:
+        positions = self.get(table)
+        if positions is None:
+            raise KeyError(table)
+        return positions
+
+    def __iter__(self) -> Iterator[str]:
+        return (table.name for table in self._schema if table.primary_key)
+
+    def __len__(self) -> int:
+        if self._size is None:
+            self._size = sum(1 for _ in self)
+        return self._size
 
 
 def chase_with_keys(

@@ -24,6 +24,7 @@ paper assumes for schemas developed from a conceptual model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.exceptions import SemanticsError
 from repro.cm.graph import CMGraph
@@ -117,6 +118,7 @@ class Er2RelDesigner:
         trees: dict[str, SemanticTree] = {}
         skipped: list[str] = []
         pending_rics: list[ReferentialConstraint] = []
+        merged = self._merged_relationships()
 
         for class_name in self.model.class_names():
             cm_class = self.model.cm_class(class_name)
@@ -126,7 +128,9 @@ class Er2RelDesigner:
             if not key:
                 skipped.append(f"class {class_name}: no (inherited) key")
                 continue
-            table, tree, rics = self._entity_table(class_name, key)
+            table, tree, rics = self._entity_table(
+                class_name, key, merged.get(class_name, ())
+            )
             schema.add_table(table)
             trees[table.name] = tree
             pending_rics.extend(rics)
@@ -173,7 +177,10 @@ class Er2RelDesigner:
     # Entity tables
     # ------------------------------------------------------------------
     def _entity_table(
-        self, class_name: str, key: tuple[str, ...]
+        self,
+        class_name: str,
+        key: tuple[str, ...],
+        merged: Sequence[Relationship],
     ) -> tuple[Table, SemanticTree, list[ReferentialConstraint]]:
         cm_class = self.model.cm_class(class_name)
         builder = _TreeBuilder(self.graph, class_name)
@@ -207,7 +214,7 @@ class Er2RelDesigner:
             builder.map_column(attribute, builder.root, attribute)
 
         if self.merge_functional:
-            for relationship in self._merged_relationships(class_name):
+            for relationship in merged:
                 target_key = effective_key(self.model, relationship.range)
                 if not target_key:
                     continue
@@ -248,15 +255,15 @@ class Er2RelDesigner:
         table = Table(table_name_for(class_name), columns, list(key))
         return table, builder.build(), rics
 
-    def _merged_relationships(self, class_name: str) -> list[Relationship]:
-        """Functional, non-role relationships leaving ``class_name``."""
-        result = []
-        for relationship in self.model.relationships.values():
-            if relationship.is_role:
-                continue
-            if relationship.domain == class_name and relationship.is_functional:
-                result.append(relationship)
-        return sorted(result, key=lambda r: r.name)
+    def _merged_relationships(self) -> dict[str, list[Relationship]]:
+        """Functional, non-role relationships by domain, each by name."""
+        merged: dict[str, list[Relationship]] = {}
+        for relationship in sorted(
+            self.model.relationships.values(), key=lambda r: r.name
+        ):
+            if relationship.is_functional and not relationship.is_role:
+                merged.setdefault(relationship.domain, []).append(relationship)
+        return merged
 
     def _keyed_ancestor(self, class_name: str) -> str | None:
         """Closest ancestor declaring its own key, or ``None``."""

@@ -18,7 +18,7 @@ from repro.exceptions import SemanticsError
 from repro.cm.graph import CMGraph
 from repro.cm.model import ConceptualModel
 from repro.queries.conjunctive import CM_PREFIX, Variable
-from repro.queries.normalize import key_positions_of_schema
+from repro.queries.normalize import KeyPositions
 from repro.queries.rewrite import LAVView
 from repro.relational.schema import Column, RelationalSchema
 from repro.semantics.encoder import encode_and_merge
@@ -40,7 +40,7 @@ class SchemaSemantics:
         self._validate()
         self._views: dict[str, LAVView] = {}
         self._tables_by_predicate: dict[str, tuple[str, ...]] | None = None
-        self._key_positions: dict[str, tuple[int, ...]] | None = None
+        self._key_positions: KeyPositions | None = None
 
     def _validate(self) -> None:
         for table_name, tree in self._trees.items():
@@ -125,17 +125,23 @@ class SchemaSemantics:
                 )
                 for bare in names:
                     index.setdefault(bare, []).append(name)
-            self._tables_by_predicate = {
-                key: tuple(tables) for key, tables in index.items()
-            }
+            # Many predicates share one table set (a class and its
+            # attributes, say): store one tuple per distinct set.
+            shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+            by_predicate: dict[str, tuple[str, ...]] = {}
+            for key, tables in index.items():
+                found = tuple(tables)
+                by_predicate[key] = shared.setdefault(found, found)
+            self._tables_by_predicate = by_predicate
         if not predicate.startswith(CM_PREFIX):
             return ()
         return self._tables_by_predicate.get(predicate[len(CM_PREFIX) :], ())
 
     def key_positions(self) -> Mapping[str, tuple[int, ...]]:
-        """``table name → primary-key column positions`` (do not mutate)."""
+        """``table name → primary-key column positions``, each table's
+        computed on first lookup."""
         if self._key_positions is None:
-            self._key_positions = key_positions_of_schema(self.schema)
+            self._key_positions = KeyPositions(self.schema)
         return self._key_positions
 
     def _build_view(self, table_name: str) -> LAVView:

@@ -20,7 +20,7 @@ from repro.datasets.registry import load_all_datasets
 from repro.discovery import find_target_csgs, translate, translate_csg
 from repro.discovery.mapper import SemanticMapper
 from repro.queries import rewrite
-from repro.queries.normalize import key_positions_of_schema
+from repro.queries.normalize import KeyPositions
 from repro.queries.rewrite import rewrite_query
 from repro.semantics.lav import SchemaSemantics
 
@@ -105,7 +105,7 @@ def test_demand_driven_rewrites_equal_eager(runs, request):
             semantics.views(),
             required,
             limit,
-            key_positions_of_schema(semantics.schema),
+            KeyPositions(semantics.schema),
         )
         assert _shape(result) == _shape(eager), str(query)
 

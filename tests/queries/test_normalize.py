@@ -1,7 +1,7 @@
 """Unit tests for key-based query normalization (egd chase)."""
 
 from repro.queries.conjunctive import Constant, Variable
-from repro.queries.normalize import chase_with_keys, key_positions_of_schema
+from repro.queries.normalize import KeyPositions, chase_with_keys
 from repro.queries.parser import parse_query
 from repro.relational import RelationalSchema, Table
 
@@ -18,7 +18,7 @@ class TestKeyPositions:
                 Table("enrol", ["sid", "cid", "mark"], ["sid", "cid"]),
             ],
         )
-        assert key_positions_of_schema(schema) == {
+        assert KeyPositions(schema) == {
             "employee": (0,),
             "enrol": (0, 1),
         }

@@ -64,11 +64,11 @@ def test_view_bodies_rewrite_soundly(dataset, side):
 @pytest.mark.parametrize("dataset", ["Hotel", "3Sdb"])
 def test_view_query_recovers_identity(dataset):
     """Rewriting a view's own body must admit the one-atom table plan."""
-    from repro.queries.normalize import key_positions_of_schema
+    from repro.queries.normalize import KeyPositions
 
     pair = load_dataset(dataset)
     semantics = pair.source
-    keys = key_positions_of_schema(semantics.schema)
+    keys = KeyPositions(semantics.schema)
     for view in semantics.views():
         query = ConjunctiveQuery(view.head, view.body, "q")
         rewritings = rewrite_query(

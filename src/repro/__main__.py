@@ -104,10 +104,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.datasets.registry import dataset_names, load_dataset
-    from repro.validation import (
-        validate_correspondences,
-        validate_semantics,
-    )
+    from repro.exceptions import ReproError
+    from repro.validation import ValidationReport, validate_correspondences
 
     names = args.names or list(dataset_names())
     unknown = [name for name in names if name not in dataset_names()]
@@ -120,10 +118,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     errors = 0
     warnings = 0
     for name in names:
-        pair = load_dataset(name)
-        report = validate_semantics(pair.source)
-        report.extend(validate_semantics(pair.target))
-        for mapping_case in pair.cases:
+        report = ValidationReport()
+        try:
+            pair = load_dataset(name)
+            cases = pair.cases
+        except ReproError as error:
+            # Building a pair's semantics checks its s-trees: a pair
+            # that fails to build is one error, not a traceback.
+            report.error("dataset.build", str(error), name)
+            cases = ()
+        for mapping_case in cases:
             case_report = validate_correspondences(
                 mapping_case.correspondences, pair.source, pair.target
             )
@@ -139,7 +143,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         errors += len(report.errors)
         warnings += len(report.warnings)
         if report.ok and not report.warnings:
-            print(f"{name}: ok ({len(pair.cases)} case(s))")
+            print(f"{name}: ok ({len(cases)} case(s))")
         else:
             status = "FAILED" if not report.ok else "ok with warnings"
             print(f"{name}: {status}")
@@ -322,17 +326,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if config.processes > 1:
         shape = f"{config.processes} process(es) x {shape}"
     server = ReproServer(config)
-    # SIGTERM drains like Ctrl-C, so the compute processes stop too.
-    # SIGINT is set as well: a non-interactive shell starts background
-    # jobs with it ignored, and ``kill -INT`` must still stop the server.
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    print(
-        f"repro service listening on {server.url} "
-        f"({shape}, queue {config.queue_capacity}, "
-        f"cache {config.cache_entries} entries{extra}); Ctrl-C to stop",
-        flush=True,
-    )
+    try:
+        # SIGTERM drains like Ctrl-C, so the compute processes stop too.
+        # SIGINT is set as well: a non-interactive shell starts
+        # background jobs with it ignored, and ``kill -INT`` must still
+        # stop the server.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        print(
+            f"repro service listening on {server.url} "
+            f"({shape}, queue {config.queue_capacity}, "
+            f"cache {config.cache_entries} entries{extra}); Ctrl-C to stop",
+            flush=True,
+        )
+    except KeyboardInterrupt:
+        # No serve loop runs yet, so there is none to stop.
+        server.close()
+        return 0
     server.serve_forever()
     return 0
 
@@ -654,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = commands.add_parser(
         "validate",
-        help="pre-flight-check dataset pairs: semantics, RICs, "
-        "correspondences",
+        help="pre-flight-check dataset pairs: each pair builds, each "
+        "case's correspondences fit its semantics",
     )
     validate.add_argument(
         "names",

@@ -1,9 +1,9 @@
 """The end-to-end semantic mapping discovery pipeline (Section 3).
 
-:class:`SemanticMapper` is a thin orchestrator: it validates inputs,
-resolves the run's tracer and cache directory, and delegates the algorithm
-to the staged engine (:mod:`repro.discovery.engine`), which runs it as
-six explicit stages:
+:class:`SemanticMapper` is a thin orchestrator: it validates the
+correspondences, resolves the run's tracer and cache directory, and
+delegates the algorithm to the staged engine
+(:mod:`repro.discovery.engine`), which runs it as six explicit stages:
 
 1. **lift** the correspondences to marked class nodes in both CM graphs;
 2. **target_csgs** — find target CSGs (Case A: a single pre-selected
@@ -56,6 +56,7 @@ from repro.mappings.expression import MappingCandidate, MappingSet
 from repro.perf import counters as perf_counters
 from repro.semantics.lav import SchemaSemantics
 from repro.trace.tracer import Recorder, Tracer
+from repro.validation import validate_correspondences
 
 
 @dataclass
@@ -151,15 +152,15 @@ class SemanticMapper:
         switches, the lossy-path length cap, engine selection,
         explain/trace recording, the cache directory).
 
-        Inputs are validated up front through :mod:`repro.validation`;
-        ill-formed semantics or dangling correspondences raise
-        :class:`~repro.exceptions.ValidationError` with structured
-        diagnostics instead of failing mid-search.
+        The semantics were checked when they were built (a
+        :class:`SchemaSemantics` with a malformed s-tree does not
+        exist); the correspondences are checked here, through
+        :func:`repro.validation.validate_correspondences`: a dangling or
+        unliftable one raises :class:`~repro.exceptions.ValidationError`
+        with structured diagnostics instead of failing mid-search.
         """
-        from repro.validation import validate_pair
-
-        validate_pair(
-            source_semantics, target_semantics, correspondences
+        validate_correspondences(
+            correspondences, source_semantics, target_semantics
         ).raise_if_errors()
         self.options = options if options is not None else DEFAULT_OPTIONS
         self.source_semantics = source_semantics

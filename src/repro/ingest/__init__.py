@@ -16,7 +16,7 @@ ready-to-discover :class:`~repro.discovery.batch.Scenario`:
   backend into a :class:`~repro.relational.schema.RelationalSchema`,
   with virt-graph style pattern recognition (edge tables, ``_id`` FK
   hints, natural-key indexes, soft deletes) surfaced as structured
-  :class:`~repro.ingest.introspect.IngestDiagnostic` records;
+  :class:`~repro.validation.Diagnostic` records;
 * :mod:`repro.ingest.recover` — run the heuristic semantics recoverer
   against the CM and fold uninterpreted tables/columns into a
   :class:`~repro.validation.ValidationReport` (reported, never dropped);
@@ -74,7 +74,6 @@ __all__ = _lazy_package(
         ),
         "repro.ingest.introspect": (
             "CatalogIntrospector",
-            "IngestDiagnostic",
             "IntrospectionResult",
             "introspect_backend",
             "introspect_sqlite",

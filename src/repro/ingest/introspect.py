@@ -11,13 +11,15 @@ library consumes. Two backends ship: live SQLite databases
 ``mysqldump`` SQL text (:mod:`repro.ingest.backends.pgdump`).
 
 Everything the introspector *notices* but does not *decide* is surfaced
-as a structured :class:`IngestDiagnostic`, never a guess baked into the
-schema (the virt-graph ontology-discovery convention): two foreign keys
-into the same table suggest an edge/relationship table, an ``_id``
-suffix on an unconstrained column suggests an undeclared foreign key,
-a unique non-key index is a natural-key candidate, a missing primary
-key is worth a warning. Downstream consumers (the CLI report, the
-``POST /introspect`` response) render these for human review.
+as a structured :class:`~repro.validation.Diagnostic`, never a guess
+baked into the schema (the virt-graph ontology-discovery convention):
+two foreign keys into the same table suggest an edge/relationship
+table, an ``_id`` suffix on an unconstrained column suggests an
+undeclared foreign key, a unique non-key index is a natural-key
+candidate, a missing primary key is worth a warning. A finding's
+``location`` is ``"table"`` or ``"table.column"``. Downstream consumers
+(the CLI report, the ``POST /introspect`` response) render these for
+human review.
 
 Untrusted SQL (the service accepts schema dumps over the wire) is
 either *parsed* without execution (the pgdump backend) or executed
@@ -41,10 +43,10 @@ from repro.ingest.backends import (
 )
 from repro.relational.constraints import ReferentialConstraint
 from repro.relational.schema import RelationalSchema, Table
+from repro.validation import ERROR, INFO, WARNING, Diagnostic
 
 __all__ = [
     "CatalogIntrospector",
-    "IngestDiagnostic",
     "IntrospectionResult",
     "connect_memory_from_sql",
     "introspect_backend",
@@ -52,40 +54,8 @@ __all__ = [
     "open_database",
 ]
 
-#: Diagnostic severities, mild to fatal (mirrors :mod:`repro.validation`).
-INFO = "info"
-WARNING = "warning"
-ERROR = "error"
-
 _IDENTIFIER_FIX_RE = re.compile(r"[\s.]+")
 _ID_SUFFIX_RE = re.compile(r"(.+?)_?id$", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class IngestDiagnostic:
-    """One structured introspection finding.
-
-    ``code`` is a stable dotted identifier (``"pattern.edge-table"``,
-    ``"table.no-primary-key"``, ...) for programmatic filtering;
-    ``location`` is ``"table"`` or ``"table.column"``.
-    """
-
-    severity: str
-    code: str
-    message: str
-    location: str = ""
-
-    def __str__(self) -> str:
-        where = f" [{self.location}]" if self.location else ""
-        return f"{self.severity}: {self.code}{where}: {self.message}"
-
-    def to_wire(self) -> dict[str, str]:
-        return {
-            "severity": self.severity,
-            "code": self.code,
-            "message": self.message,
-            "location": self.location,
-        }
 
 
 @dataclass
@@ -93,7 +63,7 @@ class IntrospectionResult:
     """A database catalog read back as a schema plus structured findings."""
 
     schema: RelationalSchema
-    diagnostics: tuple[IngestDiagnostic, ...] = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
     #: Declared column types, ``{table: {column: type text}}`` (may be "").
     column_types: dict[str, dict[str, str]] = field(default_factory=dict)
     #: Unique non-primary-key indexes: ``{table: ((col, ...), ...)}``.
@@ -121,14 +91,14 @@ class IntrospectionResult:
     catalog_fingerprint: str = ""
 
     @property
-    def errors(self) -> tuple[IngestDiagnostic, ...]:
+    def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == ERROR)
 
     @property
-    def warnings(self) -> tuple[IngestDiagnostic, ...]:
+    def warnings(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == WARNING)
 
-    def findings(self, code_prefix: str) -> tuple[IngestDiagnostic, ...]:
+    def findings(self, code_prefix: str) -> tuple[Diagnostic, ...]:
         """Diagnostics whose code starts with ``code_prefix``."""
         return tuple(
             d for d in self.diagnostics if d.code.startswith(code_prefix)
@@ -159,7 +129,7 @@ class CatalogIntrospector:
     ) -> None:
         self.backend = backend
         self.schema_name = schema_name
-        self.diagnostics: list[IngestDiagnostic] = []
+        self.diagnostics: list[Diagnostic] = []
         #: original name → sanitized name, per table.
         self._renames: dict[str, dict[str, str]] = {}
         self._original_tables: dict[str, str] = {}
@@ -170,7 +140,7 @@ class CatalogIntrospector:
         self, severity: str, code: str, message: str, location: str = ""
     ) -> None:
         self.diagnostics.append(
-            IngestDiagnostic(severity, code, message, location)
+            Diagnostic(severity, code, message, location)
         )
 
     # -- identifiers -----------------------------------------------------

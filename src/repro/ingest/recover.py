@@ -4,10 +4,11 @@ Bridges :mod:`repro.ingest.introspect` to
 :func:`repro.semantics.recover.recover_semantics`: run the heuristic
 recoverer over a live-introspected schema against the shared CM, then
 fold everything it could not interpret — skipped tables, unmapped
-columns — into a :class:`repro.validation.ValidationReport` alongside
-the structural validation of whatever semantics *were* recovered.
-Tables without semantics are reported, never silently dropped; whether
-they are fatal is the caller's policy (``strict``).
+columns — into a :class:`repro.validation.ValidationReport`. The
+recovered semantics need no structural re-check: building a
+:class:`~repro.semantics.lav.SchemaSemantics` enforces the s-tree
+contract. Tables without semantics are reported, never silently
+dropped; whether they are fatal is the caller's policy (``strict``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.exceptions import IngestError
 from repro.semantics.lav import SchemaSemantics
 from repro.semantics.recover import RecoveryReport, recover_semantics
 from repro.semantics.stree import SemanticTree
-from repro.validation import ValidationReport, validate_semantics
+from repro.validation import ERROR, WARNING, ValidationReport
 
 from repro.ingest.introspect import IntrospectionResult
 
@@ -70,12 +71,9 @@ def recover_introspected(
     table-skipped`` diagnostic and every column it could not map an
     ``ingest.recover.column-unmapped`` one — warnings by default, errors
     under ``strict`` (where any uninterpreted table also raises
-    :class:`IngestError`). The recovered semantics themselves are run
-    through :func:`repro.validation.validate_semantics`, so a recovery
-    bug that produced a malformed s-tree surfaces here rather than deep
-    inside discovery. ``reuse`` offers unchanged tables' previous
+    :class:`IngestError`). ``reuse`` offers unchanged tables' previous
     s-trees (incremental re-ingestion) — adopted verbatim when they
-    still fit the schema.
+    still fit the schema and the model.
     """
     schema = introspection.schema
     recovery = recover_semantics(schema, model, reuse)
@@ -90,7 +88,7 @@ def recover_introspected(
             diagnostic.message,
             diagnostic.location or schema.name,
         )
-    severity = "error" if strict else "warning"
+    severity = ERROR if strict else WARNING
     for skipped in recovery.skipped_tables:
         table_name = skipped.split(":", 1)[0]
         report.add(
@@ -108,15 +106,10 @@ def recover_introspected(
             "touching it cannot be lifted",
             f"{schema.name}.{qualified}",
         )
-    report.extend(validate_semantics(recovery.semantics))
     side = RecoveredSide(introspection, recovery, report)
     if strict and not report.ok:
-        errors = report.errors
-        summary = "; ".join(str(d) for d in errors[:3])
-        if len(errors) > 3:
-            summary += f"; ... ({len(errors) - 3} more)"
         raise IngestError(
             f"semantics recovery for schema {schema.name!r} left "
-            f"{len(errors)} error(s): {summary}"
+            f"{len(report.errors)} error(s): {report.error_summary()}"
         )
     return side

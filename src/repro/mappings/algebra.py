@@ -411,7 +411,8 @@ def compose(
     walk as :func:`~repro.queries.rewrite.rewrite_query`, with its limit
     (``rewrite_limit_hits`` counts a premise cut short, in the caller's
     ``perf_counters.scope()``) and its checks of a deadline the caller
-    arms, and each rewriting unfolded into a composed
+    arms (``POST /compose`` arms the server's job timeout), and each
+    rewriting unfolded into a composed
     candidate whose premise is over S and conclusion over U. Exported
     values that only a labeled null would carry through T become
     existentials of the composed tgd (noted on the candidate), matching

@@ -14,19 +14,66 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.exceptions import SemanticsError
+from repro.exceptions import ConceptualModelError, SemanticsError
 from repro.cm.graph import CMGraph
 from repro.cm.model import ConceptualModel
 from repro.queries.conjunctive import CM_PREFIX, Variable
 from repro.queries.normalize import KeyPositions
 from repro.queries.rewrite import LAVView
-from repro.relational.schema import Column, RelationalSchema
+from repro.relational.schema import Column, RelationalSchema, Table
 from repro.semantics.encoder import encode_and_merge
 from repro.semantics.stree import SemanticTree
 
 
+def check_tree(graph: CMGraph, table: Table, tree: SemanticTree) -> None:
+    """Raise :class:`SemanticsError` unless ``tree`` is an s-tree of
+    ``table`` in ``graph`` (Section 2).
+
+    The tree may map only columns ``table`` has; every node must be a
+    class node of ``graph``; every tree edge must be an edge of
+    ``graph`` itself, not one of another graph that happens to share
+    its label; and every column's attribute must belong to its node's
+    class.
+    """
+    unknown = set(tree.columns).difference(table.columns)
+    if unknown:
+        raise SemanticsError(
+            f"s-tree of {table.name!r} maps unknown columns {sorted(unknown)}"
+        )
+    for node in tree.nodes():
+        if not graph.is_class_node(node.cm_node):
+            raise SemanticsError(
+                f"s-tree of {table.name!r} uses unknown class "
+                f"{node.cm_node!r}"
+            )
+    for edge in tree.edges:
+        try:
+            found = graph.edge(
+                edge.parent.cm_node, edge.cm_edge.label, edge.child.cm_node
+            )
+        except ConceptualModelError:
+            found = None
+        if found != edge.cm_edge:
+            raise SemanticsError(
+                f"s-tree of {table.name!r}: {edge} is not an edge of the "
+                f"CM graph"
+            )
+    for column, (node, attribute) in tree.columns.items():
+        if attribute not in graph.model.cm_class(node.cm_node).attributes:
+            raise SemanticsError(
+                f"s-tree of {table.name!r} maps column {column!r} to "
+                f"{node}.{attribute}, but class {node.cm_node!r} has no "
+                f"attribute {attribute!r}"
+            )
+
+
 class SchemaSemantics:
-    """The semantics of a whole relational schema over one CM graph."""
+    """The semantics of a whole relational schema over one CM graph.
+
+    Construction enforces the s-tree contract (:func:`check_tree`) for
+    every table, so a built :class:`SchemaSemantics` needs no later
+    re-validation.
+    """
 
     def __init__(
         self,
@@ -37,26 +84,15 @@ class SchemaSemantics:
         self.schema = schema
         self.graph = graph
         self._trees: dict[str, SemanticTree] = dict(trees)
-        self._validate()
+        for table_name, tree in self._trees.items():
+            if not schema.has_table(table_name):
+                raise SemanticsError(
+                    f"s-tree recorded for unknown table {table_name!r}"
+                )
+            check_tree(graph, schema.table(table_name), tree)
         self._views: dict[str, LAVView] = {}
         self._tables_by_predicate: dict[str, tuple[str, ...]] | None = None
         self._key_positions: KeyPositions | None = None
-
-    def _validate(self) -> None:
-        for table_name, tree in self._trees.items():
-            table = self.schema.table(table_name)
-            unknown = set(tree.columns) - set(table.columns)
-            if unknown:
-                raise SemanticsError(
-                    f"s-tree of {table_name!r} maps unknown columns "
-                    f"{sorted(unknown)}"
-                )
-            for node in tree.nodes():
-                if not self.graph.is_class_node(node.cm_node):
-                    raise SemanticsError(
-                        f"s-tree of {table_name!r} uses unknown class "
-                        f"{node.cm_node!r}"
-                    )
 
     @property
     def model(self) -> ConceptualModel:

@@ -35,7 +35,7 @@ from repro.exceptions import SemanticsError
 from repro.relational.schema import RelationalSchema, Table
 from repro.semantics.encoder import effective_key
 from repro.semantics.er2rel import _TreeBuilder
-from repro.semantics.lav import SchemaSemantics
+from repro.semantics.lav import SchemaSemantics, check_tree
 from repro.semantics.stree import SemanticTree
 
 _NORM_RE = re.compile(r"[^a-z0-9]+")
@@ -102,15 +102,18 @@ class SemanticsRecoverer:
     def _reusable_tree(self, table: Table) -> SemanticTree | None:
         """The previous s-tree for ``table`` when it still fits.
 
-        A reused tree must only map columns the current table still has
-        — the caller (incremental re-ingestion) only offers trees for
-        tables whose catalog fingerprint is unchanged, but the check
-        keeps a stale offer from corrupting the semantics.
+        The caller (incremental re-ingestion) only offers trees for
+        tables whose catalog fingerprint is unchanged, but the model may
+        have changed since: a tree that no longer passes
+        :func:`~repro.semantics.lav.check_tree` against the current
+        table and graph is re-derived instead of adopted.
         """
         tree = self.reuse.get(table.name)
         if tree is None:
             return None
-        if not set(tree.columns) <= set(table.columns):
+        try:
+            check_tree(self.graph, table, tree)
+        except SemanticsError:
             return None
         return tree
 

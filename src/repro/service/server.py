@@ -19,7 +19,8 @@ Endpoints
     Pure mapping algebra: compose an S→T mapping-set document with a
     T→U one into a direct S→U set (optionally also inverted). Runs
     synchronously on the handler thread — no schemas ship and no
-    discovery job is queued. See ``docs/lifecycle.md``.
+    discovery job is queued — under the job timeout, whose expiry gets
+    504. See ``docs/lifecycle.md``.
 ``POST /validate``
     Pre-flight a scenario through :mod:`repro.validation` without
     running it; always 200 with the diagnostic list (400 only for
@@ -53,6 +54,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
+from repro.deadline import deadline
 from repro.discovery.batch import BatchPolicy
 from repro.discovery.engine import persist
 from repro.exceptions import (
@@ -138,9 +140,7 @@ def _side_to_wire(side: Any) -> dict[str, Any]:
         "tables": len(semantics.schema),
         "recovered": len(semantics.tables_with_semantics()),
         "coverage": round(side.recovery.coverage(), 4),
-        "introspection": [
-            d.to_wire() for d in side.introspection.diagnostics
-        ],
+        "introspection": diagnostics_to_wire(side.introspection.diagnostics),
     }
 
 
@@ -455,10 +455,18 @@ class MappingService:
                 "status": "bad-request",
                 "error": _error_payload("WireFormatError", str(error)),
             }
-        with perf_counters.scope() as counters:
-            composed = compose(
-                request.first, request.second, prune=request.prune
-            )
+        try:
+            with perf_counters.scope() as counters, deadline(
+                self.config.job_timeout_seconds, "compose"
+            ):
+                composed = compose(
+                    request.first, request.second, prune=request.prune
+                )
+        except ScenarioTimeout as error:
+            return 504, {
+                "status": "error",
+                "error": _error_payload("ScenarioTimeout", str(error)),
+            }
         self.metrics.inc("compositions_total")
         for name, value in counters.snapshot().items():
             self.metrics.add_perf(name, value)
@@ -801,11 +809,18 @@ class ReproServer:
             self.shutdown()
 
     def shutdown(self) -> None:
+        """Stop the serve loop, then :meth:`close`."""
         self._httpd.shutdown()
-        self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self.close()
+
+    def close(self) -> None:
+        """Release the socket and stop the workers, stopping no serve
+        loop: for a server whose loop never started, which
+        :meth:`shutdown` would wait for forever."""
+        self._httpd.server_close()
         self.service.close()
 
     def __enter__(self) -> "ReproServer":

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.cm.graph import CMGraph
 from repro.cm.serialize import model_from_dict, model_to_dict
@@ -61,7 +61,7 @@ from repro.relational.constraints import ReferentialConstraint
 from repro.relational.schema import RelationalSchema, Table
 from repro.semantics.lav import SchemaSemantics
 from repro.semantics.stree import SemanticTree
-from repro.validation import ValidationReport
+from repro.validation import Diagnostic
 
 #: The wire-format major version this module speaks.
 WIRE_VERSION = 1
@@ -660,8 +660,11 @@ def failure_to_wire(failure: ScenarioFailure) -> dict[str, Any]:
     }
 
 
-def diagnostics_to_wire(report: ValidationReport) -> list[dict[str, str]]:
-    """Serialize a validation report's diagnostics, in discovery order."""
+def diagnostics_to_wire(
+    diagnostics: Iterable[Diagnostic],
+) -> list[dict[str, str]]:
+    """Serialize diagnostics (a :class:`ValidationReport` or any
+    sequence of :class:`Diagnostic`), in order."""
     return [
         {
             "severity": diagnostic.severity,
@@ -669,5 +672,5 @@ def diagnostics_to_wire(report: ValidationReport) -> list[dict[str, str]]:
             "message": diagnostic.message,
             "location": diagnostic.location,
         }
-        for diagnostic in report
+        for diagnostic in diagnostics
     ]

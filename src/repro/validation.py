@@ -1,24 +1,26 @@
-"""Pre-flight validation of discovery inputs with structured diagnostics.
+"""Structured diagnostics, and the pre-flight check of correspondences.
 
-Every check a :class:`~repro.discovery.mapper.SemanticMapper` run would
-otherwise fail on deep inside Steiner search or LAV rewriting is made
-explicit here, *before* execution: correspondences must reference
-existing columns, s-trees must be subgraphs of their CM graph with
-correctly owned attributes, and RICs must name real tables and columns.
-Problems come back as :class:`Diagnostic` records inside a
-:class:`ValidationReport` instead of a stack trace, so the three callers
-— :class:`SemanticMapper.__init__`, the evaluation harness, and the
-``python -m repro validate`` subcommand — can render, count, or raise on
-them uniformly.
+Discovery inputs are checked where they are built: a
+:class:`~repro.semantics.lav.SchemaSemantics` with a malformed s-tree,
+or a :class:`~repro.relational.schema.RelationalSchema` with a RIC
+naming unknown columns, cannot be constructed. What no constructor sees
+is whether a correspondence set fits the semantics it is paired with;
+:func:`validate_correspondences` checks that *before* execution, so a
+dangling correspondence does not fail deep inside discovery. Problems
+come back as :class:`Diagnostic` records inside a
+:class:`ValidationReport` instead of a stack trace; ingestion reports
+its findings as the same records.
 
 Severities
 ----------
-``error``
-    The input cannot run: discovery would raise.
+``info``
+    Advisory (an ingestion pattern, such as a likely edge table).
 ``warning``
     The input runs, but is probably not what the caller meant (e.g. an
     empty correspondence set, which makes ``discover()`` raise
     :class:`~repro.exceptions.DiscoveryError` by design).
+``error``
+    The input cannot run: discovery would raise.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.correspondences import CorrespondenceSet
-from repro.exceptions import ConceptualModelError, SchemaError, ValidationError
-from repro.relational.schema import RelationalSchema
-from repro.semantics.lav import SchemaSemantics
+from repro.exceptions import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.correspondences import CorrespondenceSet
     from repro.discovery.batch import Scenario
+    from repro.semantics.lav import SchemaSemantics
 
 #: Diagnostic severities, mild to fatal.
+INFO = "info"
 WARNING = "warning"
 ERROR = "error"
 
@@ -44,8 +46,9 @@ class Diagnostic:
     """One validation finding.
 
     ``code`` is a stable dotted identifier (``"correspondence.source-column"``,
-    ``"stree.edge"``, ...) meant for programmatic filtering; ``location``
-    names the schema/table/scenario the finding is about.
+    ``"pattern.edge-table"``, ...) meant for programmatic filtering;
+    ``location`` names the schema/table/column/scenario the finding is
+    about.
     """
 
     severity: str
@@ -98,14 +101,19 @@ class ValidationReport:
         """Raise :class:`ValidationError` when any error diagnostic exists."""
         errors = self.errors
         if errors:
-            summary = "; ".join(str(d) for d in errors[:3])
-            if len(errors) > 3:
-                summary += f"; ... ({len(errors) - 3} more)"
             raise ValidationError(
-                f"{len(errors)} validation error(s): {summary}",
+                f"{len(errors)} validation error(s): {self.error_summary()}",
                 diagnostics=self.diagnostics,
             )
         return self
+
+    def error_summary(self) -> str:
+        """The first three errors on one line, then how many more."""
+        errors = self.errors
+        summary = "; ".join(str(d) for d in errors[:3])
+        if len(errors) > 3:
+            summary += f"; ... ({len(errors) - 3} more)"
+        return summary
 
     def render(self) -> str:
         """Human-readable multi-line rendering (empty string when clean)."""
@@ -119,119 +127,12 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Schema-level checks
-# ---------------------------------------------------------------------------
-def validate_schema(schema: RelationalSchema) -> ValidationReport:
-    """Check that every RIC names real tables/columns with equal arity.
-
-    :class:`RelationalSchema` enforces this on ``add_ric``, but schemas
-    are mutable and loaders may assemble them through other paths, so the
-    harness re-verifies rather than trusting construction-time checks.
-    """
-    report = ValidationReport()
-    for ric in schema.rics:
-        for table_name, cols in (
-            (ric.child_table, ric.child_columns),
-            (ric.parent_table, ric.parent_columns),
-        ):
-            if not schema.has_table(table_name):
-                report.error(
-                    "ric.table",
-                    f"RIC {ric} references unknown table {table_name!r}",
-                    schema.name,
-                )
-                continue
-            table = schema.table(table_name)
-            for col in cols:
-                if col not in table.columns:
-                    report.error(
-                        "ric.column",
-                        f"RIC {ric} references unknown column "
-                        f"{table_name}.{col}",
-                        schema.name,
-                    )
-        if len(ric.child_columns) != len(ric.parent_columns):
-            report.error(
-                "ric.arity",
-                f"RIC {ric} pairs {len(ric.child_columns)} child columns "
-                f"with {len(ric.parent_columns)} parent columns",
-                schema.name,
-            )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Semantics-level checks
-# ---------------------------------------------------------------------------
-def validate_semantics(semantics: SchemaSemantics) -> ValidationReport:
-    """Check that every s-tree is a subgraph of its CM graph.
-
-    Per table: the mapped columns must exist in the table, every tree
-    node must be a class node of the CM graph, every tree edge must be an
-    actual CM edge, and every column's attribute must belong to its
-    node's class.
-    """
-    report = ValidationReport().extend(validate_schema(semantics.schema))
-    graph = semantics.graph
-    for table_name in semantics.tables_with_semantics():
-        tree = semantics.tree(table_name)
-        location = f"{semantics.schema.name}.{table_name}"
-        try:
-            table = semantics.schema.table(table_name)
-        except SchemaError:
-            report.error(
-                "stree.table",
-                f"s-tree recorded for unknown table {table_name!r}",
-                location,
-            )
-            continue
-        unknown = sorted(set(tree.columns) - set(table.columns))
-        if unknown:
-            report.error(
-                "stree.columns",
-                f"s-tree maps columns missing from the table: {unknown}",
-                location,
-            )
-        for node in tree.nodes():
-            if not graph.is_class_node(node.cm_node):
-                report.error(
-                    "stree.node",
-                    f"tree node {node} is not a class node of the CM graph",
-                    location,
-                )
-        for edge in tree.edges:
-            try:
-                graph.edge(
-                    edge.parent.cm_node, edge.cm_edge.label, edge.child.cm_node
-                )
-            except ConceptualModelError as exc:
-                report.error(
-                    "stree.edge",
-                    f"tree edge {edge} is not a CM graph edge: {exc}",
-                    location,
-                )
-        for column, (node, attribute) in sorted(tree.columns.items()):
-            if not semantics.model.has_class(node.cm_node):
-                continue  # already reported as stree.node
-            owner = semantics.model.cm_class(node.cm_node)
-            if attribute not in owner.attributes:
-                report.error(
-                    "stree.attribute",
-                    f"column {column!r} maps to {node}.{attribute}, but "
-                    f"class {node.cm_node!r} has no attribute "
-                    f"{attribute!r}",
-                    location,
-                )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Correspondence-level checks
 # ---------------------------------------------------------------------------
 def validate_correspondences(
-    correspondences: CorrespondenceSet,
-    source: SchemaSemantics,
-    target: SchemaSemantics,
+    correspondences: "CorrespondenceSet",
+    source: "SchemaSemantics",
+    target: "SchemaSemantics",
 ) -> ValidationReport:
     """Check that every correspondence can be lifted through the semantics.
 
@@ -278,26 +179,10 @@ def validate_correspondences(
     return report
 
 
-# ---------------------------------------------------------------------------
-# Whole-input checks
-# ---------------------------------------------------------------------------
-def validate_pair(
-    source: SchemaSemantics,
-    target: SchemaSemantics,
-    correspondences: CorrespondenceSet,
-) -> ValidationReport:
-    """Validate a full discovery input: both semantics + correspondences."""
-    report = ValidationReport()
-    report.extend(validate_semantics(source))
-    report.extend(validate_semantics(target))
-    report.extend(validate_correspondences(correspondences, source, target))
-    return report
-
-
 def validate_scenario(scenario: "Scenario") -> ValidationReport:
     """Validate one batch :class:`Scenario`, tagging its id as location."""
-    report = validate_pair(
-        scenario.source, scenario.target, scenario.correspondences
+    report = validate_correspondences(
+        scenario.correspondences, scenario.source, scenario.target
     )
     tagged = ValidationReport()
     for diagnostic in report:

@@ -182,3 +182,36 @@ class TestOneTableDrift:
         text = report.describe()
         assert "re-recovered" in text
         assert "guest" in text
+
+
+class TestModelDrift:
+    def test_tree_over_a_lost_relationship_is_rebuilt(self, hotel, cold):
+        """The catalog is unchanged, but the model lost ``mainAmenity``:
+        the room tree that used it no longer fits and is re-derived, not
+        adopted (nor a crash); every other tree is still reused."""
+        from repro.cm.serialize import model_from_dict, model_to_dict
+
+        pair, paths = hotel
+        document = model_to_dict(pair.source.model)
+        document["relationships"] = [
+            rel
+            for rel in document["relationships"]
+            if rel["name"] != "mainAmenity"
+        ]
+        report = reingest_pair(
+            cold,
+            paths["source"],
+            paths["target"],
+            model_from_dict(document),
+            pair.target.model,
+        )
+        assert report.source_drift.dirty == ()
+        assert "room" not in report.source_drift.reused
+        assert set(report.source_drift.reused) == set(
+            cold.source.semantics.tables_with_semantics()
+        ) - {"room"}
+        semantics = report.ingested.source.semantics
+        assert semantics.has_tree("room")
+        assert "mainAmenity" not in {
+            edge.cm_edge.label for edge in semantics.tree("room").edges
+        }

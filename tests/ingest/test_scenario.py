@@ -199,7 +199,12 @@ class TestDiagnosticsNeverSilent:
             "CREATE TABLE mystery (blob1 TEXT PRIMARY KEY);"
         )
         try:
-            with pytest.raises(IngestError):
+            # The summary is ValidationReport.error_summary's.
+            with pytest.raises(
+                IngestError,
+                match=r"left 1 error\(s\): error: "
+                r"ingest\.recover\.table-skipped \[\w+\.mystery\]",
+            ):
                 recover_introspected(
                     introspect_sqlite(connection), cm, strict=True
                 )

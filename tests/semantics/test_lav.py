@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.cm.model import ISA_LABEL
+from repro.cm.graph import CMGraph
+from repro.cm.model import ISA_LABEL, ConceptualModel
 from repro.datasets.registry import load_all_datasets
 from repro.exceptions import SemanticsError
 from repro.queries.conjunctive import CM_PREFIX
 from repro.relational import Column, RelationalSchema, Table
 from repro.semantics import SchemaSemantics, SemanticTree
+from repro.semantics.lav import check_tree
+from repro.semantics.stree import STreeNode
 
 
 @pytest.fixture
@@ -45,8 +48,74 @@ class TestValidation:
     def test_unknown_table_rejected(self, books_graph):
         schema = RelationalSchema("s")
         tree = SemanticTree.build(books_graph, "Person")
-        with pytest.raises(Exception):
+        with pytest.raises(SemanticsError, match="unknown table"):
             SchemaSemantics(schema, books_graph, {"person": tree})
+
+    @staticmethod
+    def _writes_tree(model):
+        return SemanticTree.build(
+            CMGraph(model),
+            "Person",
+            edges=[("Person", "writes", "Book")],
+            columns={"pname": "Person.pname", "bid": "Book.bid"},
+        )
+
+    @staticmethod
+    def _person_book_model(name):
+        cm = ConceptualModel(name)
+        cm.add_class("Person", attributes=["pname"], key=["pname"])
+        cm.add_class("Book", attributes=["bid"], key=["bid"])
+        return cm
+
+    @staticmethod
+    def _writes_schema():
+        return RelationalSchema(
+            "s", [Table("writes", ["pname", "bid"], ["pname", "bid"])]
+        )
+
+    def test_foreign_tree_edge_rejected(self):
+        """An s-tree built against a richer CM than its schema's graph."""
+        rich = self._person_book_model("rich")
+        rich.add_relationship("writes", "Person", "Book", "0..*", "1..*")
+        poor = self._person_book_model("poor")  # no 'writes'
+        with pytest.raises(SemanticsError, match="not an edge of the CM"):
+            SchemaSemantics(
+                self._writes_schema(),
+                CMGraph(poor),
+                {"writes": self._writes_tree(rich)},
+            )
+
+    def test_edge_with_other_cardinalities_rejected(self):
+        """Same label and endpoints is not enough: the edge must be the
+        graph's own, cardinalities included."""
+        many = self._person_book_model("many")
+        many.add_relationship("writes", "Person", "Book", "0..*", "1..*")
+        one = self._person_book_model("one")
+        one.add_relationship("writes", "Person", "Book", "0..*", "1..1")
+        with pytest.raises(SemanticsError, match="not an edge of the CM"):
+            SchemaSemantics(
+                self._writes_schema(),
+                CMGraph(one),
+                {"writes": self._writes_tree(many)},
+            )
+
+    def test_attribute_of_another_class_rejected(self, books_graph):
+        """A tree built directly, not through ``SemanticTree.build``."""
+        schema = RelationalSchema("s", [Table("person", ["pname"], ["pname"])])
+        person = STreeNode("Person")
+        tree = SemanticTree(person, columns={"pname": (person, "bid")})
+        with pytest.raises(SemanticsError, match="no attribute 'bid'"):
+            SchemaSemantics(schema, books_graph, {"person": tree})
+
+    def test_registered_trees_pass(self):
+        for pair in load_all_datasets():
+            for semantics in (pair.source, pair.target):
+                for name in semantics.tables_with_semantics():
+                    check_tree(
+                        semantics.graph,
+                        semantics.schema.table(name),
+                        semantics.tree(name),
+                    )
 
 
 class TestViews:

@@ -15,7 +15,7 @@ import repro.perf as perf
 from repro.datasets import synthetic
 from repro.exceptions import ScenarioTimeout
 from repro.service.client import ServiceClient
-from repro.service.server import ReproServer, ServiceConfig
+from repro.service.server import MappingService, ReproServer, ServiceConfig
 from repro.service.wire import semantics_to_wire
 
 LIMIT = 0.3
@@ -73,3 +73,54 @@ def test_timed_out_job_is_a_504_and_the_worker_serves_on(server):
     assert answer["result"]["mapping"]["candidates"]
     assert server.service.metrics.value("jobs_failed_total") == 1
     assert server.service.metrics.value("jobs_completed_total") == 1
+
+
+def _mapping_document(source: str, target: str, covered: str) -> dict:
+    from repro.correspondences import Correspondence
+    from repro.mappings import MappingCandidate, MappingSet
+    from repro.mappings.serialize import mapping_set_to_dict
+    from repro.queries.parser import parse_query
+
+    return mapping_set_to_dict(
+        MappingSet.of(
+            [
+                MappingCandidate(
+                    parse_query(source),
+                    parse_query(target),
+                    (Correspondence.parse(covered),),
+                )
+            ]
+        )
+    )
+
+
+@pytest.mark.parametrize("limit, expected", [(1e-9, 504), (None, 200)])
+def test_compose_runs_under_the_job_timeout(limit, expected):
+    """``/compose`` runs on the handler thread, under the same limit a
+    discovery job gets: the rewriting walk checks it, and a composition
+    it stops answers 504 with the usual error payload."""
+    request = {
+        "first": _mapping_document(
+            "ans(n) :- person(n)", "ans(n) :- emp(n)",
+            "person.name <-> emp.name",
+        ),
+        "second": _mapping_document(
+            "ans(n) :- emp(n)", "ans(n) :- worker(n)",
+            "emp.name <-> worker.name",
+        ),
+    }
+    service = MappingService(
+        ServiceConfig(workers=1, job_timeout_seconds=limit)
+    )
+    try:
+        status, payload = service.handle_compose(request)
+    finally:
+        service.close()
+    assert status == expected, payload
+    if expected == 504:
+        assert payload["status"] == "error"
+        assert payload["error"]["type"] == ScenarioTimeout.__name__
+        assert "scenario 'compose' exceeded" in payload["error"]["message"]
+        assert service.metrics.value("compositions_total") == 0
+    else:
+        assert payload["composed"] == 1

@@ -45,3 +45,49 @@ def test_a_server_started_with_sigint_ignored_exits_on_sigint():
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+#: Runs ``repro serve`` with two compute processes and a stdout whose
+#: banner write raises ``KeyboardInterrupt``, as a SIGINT landing during
+#: the banner does; then reports the exit code and the live children.
+_BANNER_INTERRUPTED = """\
+import multiprocessing
+import sys
+
+from repro.__main__ import main
+
+
+class InterruptedBanner:
+    def write(self, text):
+        if "listening on" in text:
+            raise KeyboardInterrupt
+        return sys.__stdout__.write(text)
+
+    def flush(self):
+        sys.__stdout__.flush()
+
+
+if __name__ == "__main__":
+    sys.stdout = InterruptedBanner()
+    code = main(["serve", "--port", "0", "--processes", "2"])
+    alive = len(multiprocessing.active_children())
+    print(f"exit {code}, {alive} child(ren) alive", file=sys.stderr)
+    sys.exit(code)
+"""
+
+
+def test_an_interrupt_during_the_banner_exits_cleanly(tmp_path):
+    script = tmp_path / "interrupted_banner.py"
+    script.write_text(_BANNER_INTERRUPTED, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "exit 0, 0 child(ren) alive" in proc.stderr

@@ -178,6 +178,20 @@ class TestValidateCommand:
         assert main(["validate", "Ghost"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
 
+    def test_pair_that_fails_to_build_is_an_error(self, capsys, monkeypatch):
+        from repro.datasets import registry
+        from repro.exceptions import SemanticsError
+
+        def broken(name):
+            raise SemanticsError(f"s-tree of {name!r} is broken")
+
+        monkeypatch.setattr(registry, "load_dataset", broken)
+        assert main(["validate", "Hotel"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("Hotel: FAILED")
+        assert "error: dataset.build [Hotel]: s-tree of 'Hotel'" in out
+        assert "1 error(s)" in out
+
     def test_conflicting_evaluate_modes_rejected(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "--fail-fast", "--keep-going"])

@@ -219,6 +219,11 @@ REMOVED = (
     ("repro.perf.counters", "PerfCounters", "clear"),
     ("repro.service.metrics", "ServiceMetrics", "snapshot"),
     ("repro.perf", "GraphIndex", "reverse_edges"),
+    ("repro.validation", None, "validate_pair"),
+    ("repro.validation", None, "validate_semantics"),
+    ("repro.validation", None, "validate_schema"),
+    ("repro.ingest", None, "IngestDiagnostic"),
+    ("repro.ingest.introspect", None, "IngestDiagnostic"),
 )
 
 

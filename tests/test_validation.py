@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cm.model import ConceptualModel
 from repro.correspondences import CorrespondenceSet
 from repro.datasets.paper_examples import (
     bookstore_example,
@@ -16,18 +15,12 @@ from repro.datasets.paper_examples import (
 )
 from repro.discovery import Scenario, SemanticMapper
 from repro.exceptions import ValidationError
-from repro.relational.constraints import ReferentialConstraint
 from repro.relational.schema import Table
-from repro.semantics.lav import SchemaSemantics
-from repro.semantics.stree import SemanticTree
 from repro.validation import (
     Diagnostic,
     ValidationReport,
     validate_correspondences,
-    validate_pair,
     validate_scenario,
-    validate_schema,
-    validate_semantics,
 )
 
 
@@ -61,9 +54,20 @@ class TestValidationReport:
         report.error("e.two", "second")
         with pytest.raises(ValidationError) as exc_info:
             report.raise_if_errors()
-        assert "2 validation error(s)" in str(exc_info.value)
+        assert "2 validation error(s): error: e.one: first; " in str(
+            exc_info.value
+        )
         assert len(exc_info.value.diagnostics) == 2
         assert isinstance(exc_info.value.diagnostics[0], Diagnostic)
+
+    def test_error_summary_shows_three_then_counts(self):
+        report = ValidationReport()
+        for index in range(5):
+            report.error(f"e.{index}", "bad")
+        assert report.error_summary() == (
+            "error: e.0: bad; error: e.1: bad; error: e.2: bad; "
+            "... (2 more)"
+        )
 
     def test_warnings_do_not_raise(self):
         report = ValidationReport()
@@ -76,8 +80,8 @@ class TestValidationReport:
 # ---------------------------------------------------------------------------
 class TestValidInputsPass:
     def test_bookstore_pair_is_clean(self, bookstore):
-        report = validate_pair(
-            bookstore.source, bookstore.target, bookstore.correspondences
+        report = validate_correspondences(
+            bookstore.correspondences, bookstore.source, bookstore.target
         )
         assert report.ok
         assert not report.warnings
@@ -134,68 +138,6 @@ class TestCorrespondenceChecks:
             d.code == "correspondence.source-column"
             for d in exc_info.value.diagnostics
         )
-
-
-class TestSchemaChecks:
-    def test_ric_naming_missing_table_is_error(self, bookstore):
-        schema = bookstore.source.schema
-        bogus = ReferentialConstraint("ghost", ["x"], "person", ["pname"])
-        schema._rics.append(bogus)  # simulate loader corruption
-        try:
-            report = validate_schema(schema)
-            assert [d.code for d in report.errors] == ["ric.table"]
-        finally:
-            schema._rics.remove(bogus)
-
-    def test_ric_naming_missing_column_is_error(self, bookstore):
-        schema = bookstore.source.schema
-        bogus = ReferentialConstraint("person", ["ghost"], "person", ["pname"])
-        schema._rics.append(bogus)
-        try:
-            report = validate_schema(schema)
-            assert [d.code for d in report.errors] == ["ric.column"]
-        finally:
-            schema._rics.remove(bogus)
-
-    def test_clean_schema_passes(self, bookstore):
-        assert validate_schema(bookstore.source.schema).ok
-
-
-class TestSTreeChecks:
-    def _semantics_with_foreign_edge(self):
-        """An s-tree built against a richer CM than its schema's graph."""
-        rich = ConceptualModel("rich")
-        rich.add_class("Person", attributes=["pname"], key=["pname"])
-        rich.add_class("Book", attributes=["bid"], key=["bid"])
-        rich.add_relationship("writes", "Person", "Book", "0..*", "1..*")
-        poor = ConceptualModel("poor")
-        poor.add_class("Person", attributes=["pname"], key=["pname"])
-        poor.add_class("Book", attributes=["bid"], key=["bid"])
-        # no 'writes' relationship in the poor model
-        from repro.cm.graph import CMGraph
-
-        tree = SemanticTree.build(
-            CMGraph(rich),
-            "Person",
-            edges=[("Person", "writes", "Book")],
-            columns={"pname": "Person.pname", "bid": "Book.bid"},
-        )
-        from repro.relational.schema import RelationalSchema
-
-        schema = RelationalSchema(
-            "s", [Table("writes", ["pname", "bid"], ["pname", "bid"])]
-        )
-        return SchemaSemantics(schema, CMGraph(poor), {"writes": tree})
-
-    def test_stree_edge_outside_cm_graph_is_error(self):
-        semantics = self._semantics_with_foreign_edge()
-        report = validate_semantics(semantics)
-        assert not report.ok
-        assert "stree.edge" in [d.code for d in report.errors]
-
-    def test_clean_semantics_pass(self, bookstore):
-        assert validate_semantics(bookstore.source).ok
-        assert validate_semantics(bookstore.target).ok
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,10 @@ __all__ = [
             "repro.mappings.exchange": ("exchange",),
             # Lifecycle algebra
             "repro.mappings.algebra": (
-                "InversionResult",
                 "compose",
                 "contains",
                 "equivalent",
                 "implies",
-                "invert",
             ),
         },
     ),

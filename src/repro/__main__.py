@@ -90,16 +90,14 @@ def _find_case(pair, case_id: str):
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.evaluation.harness import main as harness_main
+    from repro.evaluation.harness import print_evaluation
 
-    argv = ["--workers", str(args.workers)]
-    if args.details:
-        argv.append("--details")
-    if not args.fail_fast:
-        argv.append("--keep-going")
-    if args.timeout is not None:
-        argv.extend(["--timeout", str(args.timeout)])
-    return harness_main(argv)
+    return print_evaluation(
+        workers=args.workers,
+        fail_fast=args.fail_fast,
+        timeout_seconds=args.timeout,
+        details=args.details,
+    )
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -501,7 +499,7 @@ def _cmd_introspect(args: argparse.Namespace) -> int:
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     from repro.exceptions import ReproError
-    from repro.mappings import compose, invert
+    from repro.mappings import compose
     from repro.mappings.serialize import dump_mapping_set, load_mapping_set
     from repro.perf import counters as perf_counters
     from repro.queries.rewrite import REWRITE_LIMIT
@@ -533,10 +531,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         print(f"  {candidate.to_tgd(f'C{index}')}")
         if candidate.notes:
             print(f"    [{candidate.notes}]")
-    if args.invert:
-        inversion = invert(composed)
-        print("\ninversion:")
-        print(inversion.render())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(dump_mapping_set(composed))
@@ -631,8 +625,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    evaluate = commands.add_parser("evaluate", help="rerun the evaluation")
-    evaluate.add_argument("--details", action="store_true")
+    evaluate = commands.add_parser(
+        "evaluate",
+        help="rerun the evaluation",
+        description="Rerun the paper's evaluation (Table 1, Figures 6-7).",
+    )
+    evaluate.add_argument(
+        "--details",
+        action="store_true",
+        help="also print per-case precision/recall",
+    )
     evaluate.add_argument(
         "--workers",
         type=int,
@@ -941,12 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep redundant unfoldings (skip semantic dedup and "
         "logical minimization)",
-    )
-    compose_cmd.add_argument(
-        "--invert",
-        action="store_true",
-        help="also print the (quasi-)inverse of the composed set with "
-        "its loss report",
     )
     compose_cmd.set_defaults(handler=_cmd_compose)
 

@@ -13,8 +13,9 @@ the same cache entry. This module owns the hashing conventions:
 * :func:`scenario_fingerprint` — everything that determines one
   ``scenario.run()`` output (both semantics, the ordered correspondence
   list, the mapper options);
-* :func:`csg_content_key` — one CSG's structure (root, edges, marked
-  nodes, origin), mirroring the translation-memo key;
+* :func:`csg_structure_key` — one CSG's structure (root, edges, marked
+  nodes), the translation-memo key; :func:`csg_content_key` adds its
+  origin for the engine;
 * :func:`stage_fingerprint` — the per-stage chaining hash of the staged
   engine: a stage's fingerprint covers its name, its upstream stage
   fingerprints, and the options subset it reads, so an edit invalidates
@@ -167,12 +168,10 @@ def scenario_fingerprint(scenario) -> str:
     )
 
 
-def csg_content_key(csg: "CSG") -> tuple:
-    """One CSG's structural identity: root, edges, marked nodes, origin.
+def csg_structure_key(csg: "CSG") -> tuple:
+    """One CSG's structure: root, edges, marked nodes.
 
-    The same shape the translation memo keys on, plus ``origin``
-    (Case A.1 / A.2 / lossy / ...), which feeds candidate notes and
-    ranking and therefore belongs to the engine's unit identity.
+    Translation reads nothing else, so the translation memo keys on it.
     """
     return (
         str(csg.tree.root),
@@ -187,8 +186,16 @@ def csg_content_key(csg: "CSG") -> tuple:
             for edge in csg.tree.edges
         ),
         tuple((name, str(node)) for name, node in csg.marked),
-        csg.origin,
     )
+
+
+def csg_content_key(csg: "CSG") -> tuple:
+    """One CSG's structural identity: its structure key plus ``origin``.
+
+    ``origin`` (Case A.1 / A.2 / lossy / ...) feeds candidate notes and
+    ranking and therefore belongs to the engine's unit identity.
+    """
+    return (*csg_structure_key(csg), csg.origin)
 
 
 def stage_fingerprint(stage: str, *parts: Any) -> str:

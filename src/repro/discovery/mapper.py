@@ -106,7 +106,7 @@ class DiscoveryResult:
         """The candidates as a first-class, provenance-stamped set.
 
         This is the artifact downstream consumers should hold on to:
-        :func:`repro.mappings.algebra.compose` / ``invert`` /
+        :func:`repro.mappings.algebra.compose` / ``implies`` /
         ``diff_candidates`` accept it, it serializes via the versioned
         ``repro-mappings/1`` format, and it carries the scenario
         fingerprint the result caches key on.

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from repro.correspondences import LiftedCorrespondence
 from repro.discovery.csg import CSG
+from repro.discovery.fingerprint import csg_structure_key
 from repro.exceptions import DiscoveryError
 from repro.perf import counters as perf_counters
 from repro.queries.conjunctive import ConjunctiveQuery, Term
@@ -90,23 +91,6 @@ def clear_translation_cache() -> None:
     _TRANSLATION_CACHE.clear()
 
 
-def _csg_cache_key(csg: CSG) -> tuple:
-    return (
-        str(csg.tree.root),
-        tuple(
-            (
-                str(edge.parent),
-                edge.cm_edge.source,
-                edge.cm_edge.label,
-                edge.cm_edge.target,
-                str(edge.child),
-            )
-            for edge in csg.tree.edges
-        ),
-        tuple((name, str(node)) for name, node in csg.marked),
-    )
-
-
 def translate_csg(
     csg: CSG,
     covered: Sequence[LiftedCorrespondence],
@@ -131,7 +115,7 @@ def translate_csg(
     key = (
         side,
         bool(require_correspondence_tables),
-        _csg_cache_key(csg),
+        csg_structure_key(csg),
         tuple(covered),
     )
     hit = store.get(key)

@@ -25,7 +25,7 @@ process exits non-zero to reflect the partial failure. See
 
 from __future__ import annotations
 
-import argparse
+import sys
 from dataclasses import dataclass, field, replace
 
 from repro.datasets.registry import (
@@ -244,11 +244,17 @@ def run_all(
     ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Command-line entry: print Table 1, Figure 6, and Figure 7.
+def print_evaluation(
+    *,
+    workers: int = 1,
+    fail_fast: bool = True,
+    timeout_seconds: float | None = None,
+    details: bool = False,
+) -> int:
+    """Rerun the evaluation and print Table 1, Figure 6, and Figure 7.
 
-    Exits 0 on a clean run and 1 when ``--keep-going`` recorded any
-    per-case failures.
+    The body of ``repro evaluate``. Returns 0 on a clean run and 1 when
+    a ``fail_fast=False`` run recorded any per-case failures.
     """
     from repro.evaluation.report import (
         render_failures,
@@ -258,53 +264,17 @@ def main(argv: list[str] | None = None) -> int:
         render_case_details,
     )
 
-    parser = argparse.ArgumentParser(
-        description="Rerun the paper's evaluation (Table 1, Figures 6-7)."
-    )
-    parser.add_argument(
-        "--details",
-        action="store_true",
-        help="also print per-case precision/recall",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan dataset pairs out over N worker processes",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--fail-fast",
-        dest="fail_fast",
-        action="store_true",
-        default=True,
-        help="abort on the first failing case (default)",
-    )
-    mode.add_argument(
-        "--keep-going",
-        dest="fail_fast",
-        action="store_false",
-        help="record failing cases and keep evaluating; exit 1 at the end",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-case wall-clock limit for the semantic method",
-    )
-    args = parser.parse_args(argv)
     results = run_all(
-        workers=args.workers,
-        fail_fast=args.fail_fast,
-        timeout_seconds=args.timeout,
+        workers=workers,
+        fail_fast=fail_fast,
+        timeout_seconds=timeout_seconds,
     )
     print(render_table1(results))
     print()
     print(render_figure6(results))
     print()
     print(render_figure7(results))
-    if args.details:
+    if details:
         print()
         print(render_case_details(results))
     failed = sum(len(r.failures) for r in results)
@@ -313,6 +283,13 @@ def main(argv: list[str] | None = None) -> int:
         print(render_failures(results))
         return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro.evaluation.harness [options]``: ``repro evaluate``."""
+    from repro.__main__ import main as cli_main
+
+    return cli_main(["evaluate", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,6 +29,7 @@ import abc
 from dataclasses import dataclass
 
 from repro.discovery.fingerprint import content_hash
+from repro.validation import Diagnostic
 
 #: The shared type-category vocabulary. Each backend maps its dialect's
 #: declared types into these categories; the correspondence matcher
@@ -121,10 +122,9 @@ class CatalogBackend(abc.ABC):
     def type_category(self, declared_type: str) -> str:
         """Map a declared column type into :data:`TYPE_CATEGORIES`."""
 
-    def diagnostics(self) -> tuple[tuple[str, str, str, str], ...]:
-        """Backend-level findings as ``(severity, code, message,
-        location)`` tuples — e.g. dump statements the parser had to
-        skip. The core folds these into the introspection diagnostics.
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """Backend-level findings — e.g. dump statements the parser had
+        to skip. The core folds these into the introspection diagnostics.
         """
         return ()
 

@@ -30,6 +30,7 @@ from repro.ingest.backends.base import (
     ColumnDef,
     ForeignKeyDef,
 )
+from repro.validation import ERROR, INFO, WARNING, Diagnostic
 
 #: Leading bytes of a SQLite database file — a common operator mistake
 #: is pointing ``--backend pgdump`` at a ``.db`` file.
@@ -309,13 +310,15 @@ class DumpParser:
     def __init__(self) -> None:
         self.tables: dict[str, _TableAcc] = {}
         self.order: list[str] = []
-        self.diagnostics: list[tuple[str, str, str, str]] = []
+        self.diagnostics: list[Diagnostic] = []
 
     # -- diagnostics -----------------------------------------------------
     def _diag(
         self, severity: str, code: str, message: str, location: str = ""
     ) -> None:
-        self.diagnostics.append((severity, code, message, location))
+        self.diagnostics.append(
+            Diagnostic(severity, code, message, location)
+        )
 
     # -- entry point -----------------------------------------------------
     def parse(self, text: str) -> None:
@@ -326,7 +329,7 @@ class DumpParser:
                 raise
             except Exception as error:  # defensive: never crash on input
                 self._diag(
-                    "warning",
+                    WARNING,
                     "dump.statement-unparsed",
                     f"could not parse statement "
                     f"{statement[:80]!r}...: {error}",
@@ -348,7 +351,7 @@ class DumpParser:
         else:
             first = statement.split(None, 2)[:2]
             self._diag(
-                "info",
+                INFO,
                 "dump.statement-skipped",
                 f"unrecognized statement {' '.join(first)!r} skipped "
                 f"(the parser models tables, constraints, indexes, and "
@@ -361,7 +364,7 @@ class DumpParser:
         name, rest = _take_identifier(rest)
         if name is None:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.statement-unparsed",
                 f"CREATE TABLE without a parseable name: "
                 f"{statement[:80]!r}",
@@ -370,7 +373,7 @@ class DumpParser:
         rest = rest.lstrip()
         if not rest.startswith("("):
             self._diag(
-                "warning",
+                WARNING,
                 "dump.statement-unparsed",
                 "CREATE TABLE without a column list",
                 name,
@@ -379,7 +382,7 @@ class DumpParser:
         body = self._parenthesized(rest)
         if name in self.tables:
             self._diag(
-                "error",
+                ERROR,
                 "dump.table-redefined",
                 f"table {name!r} is defined more than once in the dump; "
                 f"the later definition is ignored",
@@ -449,7 +452,7 @@ class DumpParser:
             return  # MySQL non-unique index clauses: no catalog content
         if upper.startswith(("CHECK", "EXCLUDE", "LIKE", "PERIOD")):
             self._diag(
-                "info",
+                INFO,
                 "dump.constraint-ignored",
                 f"{item.split(None, 1)[0]} constraint"
                 f"{f' {constraint_name!r}' if constraint_name else ''} "
@@ -465,7 +468,7 @@ class DumpParser:
         name, rest = _take_identifier(item)
         if name is None:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.statement-unparsed",
                 f"unparseable column definition {item[:60]!r}",
                 table.name,
@@ -534,7 +537,7 @@ class DumpParser:
         reference = _REFERENCES_RE.search(item, paren)
         if children is None or reference is None:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.statement-unparsed",
                 f"unparseable FOREIGN KEY clause {item[:60]!r}",
                 table_name,
@@ -552,7 +555,7 @@ class DumpParser:
             parents = [None] * len(children)
         if len(parents) != len(children):
             self._diag(
-                "warning",
+                WARNING,
                 "dump.statement-unparsed",
                 f"FOREIGN KEY arity mismatch in {item[:60]!r}",
                 table_name,
@@ -570,7 +573,7 @@ class DumpParser:
             if not upper.startswith("ADD"):
                 if not _ALTER_NOOP_RE.match(clause):
                     self._diag(
-                        "info",
+                        INFO,
                         "dump.statement-skipped",
                         f"ALTER TABLE clause {clause[:40]!r} skipped",
                         name or "",
@@ -578,7 +581,7 @@ class DumpParser:
                 continue
             if table is None:
                 self._diag(
-                    "warning",
+                    WARNING,
                     "dump.alter-unknown-table",
                     f"ALTER TABLE for {name!r}, which the dump never "
                     f"created; constraint dropped",
@@ -614,7 +617,7 @@ class DumpParser:
                     table.foreign_keys.append(fk)
             else:
                 self._diag(
-                    "info",
+                    INFO,
                     "dump.constraint-ignored",
                     f"ADD {body.split(None, 1)[0] if body else '?'} "
                     f"constraint"
@@ -637,7 +640,7 @@ class DumpParser:
         table = self.tables.get(table_name) if table_name else None
         if table is None:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.alter-unknown-table",
                 f"CREATE UNIQUE INDEX on {table_name!r}, which the dump "
                 f"never created; index dropped",
@@ -661,7 +664,7 @@ class DumpParser:
         table = self.tables.get(name) if name else None
         if table is None:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.data-unknown-table",
                 f"{what} for table {name!r}, which the dump never "
                 f"created; rows dropped",
@@ -672,7 +675,7 @@ class DumpParser:
         missing = [c for c in names if c not in table.column_names()]
         if missing:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.data-unknown-columns",
                 f"{what} names unknown column(s) {missing}; rows dropped",
                 table.name,
@@ -719,7 +722,7 @@ class DumpParser:
                 bad += 1
         if bad:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.data-arity",
                 f"{bad} COPY row(s) had the wrong column count; dropped",
                 table.name,
@@ -737,7 +740,7 @@ class DumpParser:
         values_kw = re.match(r"VALUES?\s*", rest, re.IGNORECASE)
         if values_kw is None:
             self._diag(
-                "info",
+                INFO,
                 "dump.statement-skipped",
                 f"non-VALUES INSERT for {name!r} skipped",
                 name or "",
@@ -757,7 +760,7 @@ class DumpParser:
                 bad += 1
         if bad:
             self._diag(
-                "warning",
+                WARNING,
                 "dump.data-arity",
                 f"{bad} INSERT tuple(s) had the wrong column count; "
                 f"dropped",
@@ -961,7 +964,7 @@ class DumpBackend(CatalogBackend):
     def type_category(self, declared_type: str) -> str:
         return dump_type_category(declared_type)
 
-    def diagnostics(self) -> tuple[tuple[str, str, str, str], ...]:
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
         return tuple(self._parser.diagnostics)
 
 

@@ -175,8 +175,7 @@ class CatalogIntrospector:
         schema = RelationalSchema(self.schema_name)
         column_types: dict[str, dict[str, str]] = {}
         natural_keys: dict[str, tuple[tuple[str, ...], ...]] = {}
-        for severity, code, message, location in self.backend.diagnostics():
-            self._diag(severity, code, message, location)
+        self.diagnostics.extend(self.backend.diagnostics())
         table_names = list(self.backend.list_tables())
         if not table_names:
             self._diag(

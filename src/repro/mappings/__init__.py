@@ -21,13 +21,10 @@ __all__ = _lazy_package(
             "skolem_function",
         ),
         "repro.mappings.algebra": (
-            "InversionReport",
-            "InversionResult",
             "compose",
             "contains",
             "equivalent",
             "implies",
-            "invert",
             "minimize_mapping_set",
         ),
         "repro.mappings.sql": ("insert_sql", "select_sql"),

@@ -1,6 +1,6 @@
-"""The mapping lifecycle algebra: compose, invert, containment.
+"""The mapping lifecycle algebra: compose and containment.
 
-Discovered mappings stop being terminal artifacts here. Three operations
+Discovered mappings stop being terminal artifacts here. Two operations
 turn one-shot discovery into continuous mapping maintenance:
 
 * :func:`compose` — collapse a schema-evolution chain S→T→U into a
@@ -9,10 +9,6 @@ turn one-shot discovery into continuous mapping maintenance:
   walk of :mod:`repro.queries.rewrite`), and each chosen view is
   unfolded into its tgd's premise (cf. Arenas/Pérez/Reutter/Riveros on
   mapping composition and evolution, PAPERS.md).
-* :func:`invert` — a quasi-inverse in Fagin's sense where the tgds
-  permit one, with a structured :class:`InversionReport` of what is
-  lost (non-exported source attributes, null-joined positions) where
-  they do not.
 * :func:`implies` / :func:`contains` / :func:`equivalent` — logical
   containment between mappings (Calì–Torlone), decided by the chase:
   freeze the premise of the candidate to be derived into a canonical
@@ -28,8 +24,6 @@ iterable of candidates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.correspondences import Correspondence
 from repro.exceptions import QueryError
@@ -444,147 +438,3 @@ def compose(
         result = minimize_mapping_set(result.dedup())
     return result
 
-
-# ---------------------------------------------------------------------------
-# Inversion (quasi-inverse with a loss report)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InversionReport:
-    """What inverting one candidate preserves — and what it cannot.
-
-    ``exact`` holds when the candidate is lossless: every source
-    attribute is exported and the target side introduces no
-    existentials, so inverse∘mapping is the identity on the exported
-    columns. Otherwise ``lost_source_variables`` lists premise variables
-    the target never sees (the inverse reconstructs them as labeled
-    nulls) and ``null_joined_variables`` lists original target
-    existentials, which the inverse's premise must join on even though
-    exchange only ever fills them with nulls.
-    """
-
-    inverse: MappingCandidate | None
-    exact: bool
-    lost_source_variables: tuple[str, ...] = ()
-    null_joined_variables: tuple[str, ...] = ()
-    reason: str = ""
-
-    def render(self) -> str:
-        if self.inverse is None:
-            return f"not invertible: {self.reason}"
-        lines = ["exact inverse" if self.exact else "quasi-inverse"]
-        if self.lost_source_variables:
-            lines.append(
-                "  lost source attributes (restored as nulls): "
-                + ", ".join(self.lost_source_variables)
-            )
-        if self.null_joined_variables:
-            lines.append(
-                "  null-joined positions (were target existentials): "
-                + ", ".join(self.null_joined_variables)
-            )
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    """The outcome of :func:`invert` over a whole mapping."""
-
-    reports: tuple[InversionReport, ...]
-
-    @property
-    def mappings(self) -> MappingSet:
-        """The invertible part, as a target→source :class:`MappingSet`."""
-        return MappingSet.of(
-            report.inverse
-            for report in self.reports
-            if report.inverse is not None
-        )
-
-    @property
-    def exact(self) -> bool:
-        """True when every candidate inverted losslessly."""
-        return bool(self.reports) and all(
-            report.exact and report.inverse is not None
-            for report in self.reports
-        )
-
-    def __iter__(self):
-        return iter(self.reports)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def render(self) -> str:
-        return "\n".join(
-            f"[{index}] {report.render()}"
-            for index, report in enumerate(self.reports, 1)
-        )
-
-
-def invert(mapping: MappingLike) -> InversionResult:
-    """A (quasi-)inverse of the mapping, with a structured loss report.
-
-    Each candidate ⟨E₁, E₂, 𝓛⟩ flips to ⟨E₂, E₁, 𝓛⁻¹⟩: the target query
-    becomes the premise, the source query the conclusion, and every
-    covered correspondence reverses. Where the original tgd was lossy —
-    non-exported premise variables, or target existentials — the report
-    says exactly which attributes come back as nulls rather than
-    silently pretending a Fagin-style exact inverse exists.
-    """
-    reports: list[InversionReport] = []
-    for index, candidate in enumerate(candidates_of(mapping), 1):
-        tgd = _aligned_tgd(candidate, f"M{index}")
-        if tgd is None:
-            reports.append(
-                InversionReport(
-                    inverse=None,
-                    exact=False,
-                    reason="source and target export different arities",
-                )
-            )
-            continue
-        if not tgd.source.head_terms:
-            reports.append(
-                InversionReport(
-                    inverse=None,
-                    exact=False,
-                    reason="mapping exports nothing; no attribute flows "
-                    "back from the target",
-                )
-            )
-            continue
-        lost = tuple(
-            sorted(
-                variable.name
-                for variable in tgd.source.existential_variables()
-            )
-        )
-        null_joined = tuple(
-            sorted(
-                variable.name for variable in tgd.existential_variables()
-            )
-        )
-        inverse = MappingCandidate(
-            source_query=candidate.target_query,
-            target_query=candidate.source_query,
-            covered=tuple(
-                sorted(
-                    Correspondence(corr.target, corr.source)
-                    for corr in candidate.covered
-                )
-            ),
-            method="inverted",
-            notes=f"inverse of M{index}"
-            + ("" if not (lost or null_joined) else " (quasi)"),
-        )
-        reports.append(
-            InversionReport(
-                inverse=inverse,
-                exact=not lost and not null_joined,
-                lost_source_variables=lost,
-                null_joined_variables=null_joined,
-            )
-        )
-    return InversionResult(reports=tuple(reports))

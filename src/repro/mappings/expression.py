@@ -88,7 +88,7 @@ class MappingSet:
     makes it reusable downstream — the content-addressed fingerprint of
     the scenario it was discovered from and (when known) the scenario
     id. ``MappingSet`` is what :func:`repro.discover` hands back, what
-    :mod:`repro.mappings.algebra` composes and inverts, and what the
+    :mod:`repro.mappings.algebra` composes and compares, and what the
     versioned ``repro-mappings/1`` wire format serializes.
 
     The set iterates in rank order (best candidate first) and compares

@@ -17,10 +17,9 @@ Endpoints
     ``/discover``. See ``docs/ingestion.md``.
 ``POST /compose``
     Pure mapping algebra: compose an S→T mapping-set document with a
-    T→U one into a direct S→U set (optionally also inverted). Runs
-    synchronously on the handler thread — no schemas ship and no
-    discovery job is queued — under the job timeout, whose expiry gets
-    504. See ``docs/lifecycle.md``.
+    T→U one into a direct S→U set. Runs synchronously on the handler
+    thread — no schemas ship and no discovery job is queued — under the
+    job timeout, whose expiry gets 504. See ``docs/lifecycle.md``.
 ``POST /validate``
     Pre-flight a scenario through :mod:`repro.validation` without
     running it; always 200 with the diagnostic list (400 only for
@@ -55,7 +54,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.deadline import deadline
-from repro.discovery.batch import BatchPolicy
+from repro.discovery.batch import BatchPolicy, Scenario
 from repro.discovery.engine import persist
 from repro.exceptions import (
     QueueFullError,
@@ -69,6 +68,7 @@ from repro.service.jobs import ComputePool, JobQueue
 from repro.service.metrics import ServiceMetrics, perf_gauges
 from repro.service.wire import (
     WIRE_VERSION,
+    DiscoverOptions,
     compose_request_from_wire,
     diagnostics_to_wire,
     discover_request_from_wire,
@@ -261,6 +261,22 @@ class MappingService:
                     diagnostics=diagnostics_to_wire(report),
                 ),
             }
+        return self._submit_and_answer(scenario, options)
+
+    def _submit_and_answer(
+        self, scenario: Scenario, options: DiscoverOptions, **extra: Any
+    ) -> tuple[int, dict[str, Any]]:
+        """Queue one validated scenario and answer for it.
+
+        429 on a full queue, 202 for an async accept or a sync wait that
+        timed out, the job's failure status, or 200 with its result.
+        ``extra`` fields (the ``/introspect`` ``ingest`` summary) ride
+        along on every answer. A coalesced submit returns the *first*
+        submitter's job, so each answer echoes the caller's own
+        ``scenario_id`` over the job's: clients correlate by the id
+        they supplied.
+        """
+        scenario_id = scenario.scenario_id
         try:
             job, from_cache = self.jobs.submit(
                 scenario, use_cache=options.use_cache
@@ -268,18 +284,17 @@ class MappingService:
         except QueueFullError as error:
             return 429, {
                 "status": "rejected",
-                "scenario_id": scenario.scenario_id,
+                "scenario_id": scenario_id,
+                **extra,
                 "error": _error_payload("QueueFullError", str(error)),
             }
         if options.mode == "async":
-            # A coalesced submit returns the *first* submitter's Job, so
-            # echo the caller's own scenario_id over the job's — clients
-            # correlate by the id they supplied.
             self.jobs.retain(job)
             return 202, {
                 "status": "accepted",
                 **job.to_wire(),
-                "scenario_id": scenario.scenario_id,
+                "scenario_id": scenario_id,
+                **extra,
             }
         timeout = (
             options.timeout_seconds
@@ -295,19 +310,23 @@ class MappingService:
                     f"GET /jobs/{job.job_id}"
                 ),
                 **job.to_wire(),
+                "scenario_id": scenario_id,
+                **extra,
             }
         if job.state == "error":
             return _failed_job_status(job.error), {
                 "status": "error",
                 "job_id": job.job_id,
-                "scenario_id": job.scenario_id,
+                "scenario_id": scenario_id,
+                **extra,
                 "error": job.error,
             }
         return 200, {
             "status": "ok",
             "job_id": job.job_id,
-            "scenario_id": scenario.scenario_id,
+            "scenario_id": scenario_id,
             "cached": from_cache,
+            **extra,
             "result": job.result,
         }
 
@@ -383,61 +402,14 @@ class MappingService:
                     f"see ingest.diagnostics",
                 ),
             }
-        try:
-            job, from_cache = self.jobs.submit(
-                ingested.scenario, use_cache=request.options.use_cache
-            )
-        except QueueFullError as error:
-            return 429, {
-                "status": "rejected",
-                "scenario_id": request.scenario_id,
-                "error": _error_payload("QueueFullError", str(error)),
-            }
-        if request.options.mode == "async":
-            self.jobs.retain(job)
-            return 202, {
-                "status": "accepted",
-                **job.to_wire(),
-                "scenario_id": request.scenario_id,
-                "ingest": ingest_summary,
-            }
-        timeout = (
-            request.options.timeout_seconds
-            if request.options.timeout_seconds is not None
-            else self.config.request_timeout_seconds
+        status, response = self._submit_and_answer(
+            ingested.scenario, request.options, ingest=ingest_summary
         )
-        if not job.wait(timeout):
-            self.jobs.retain(job)
-            return 202, {
-                "status": "pending",
-                "detail": (
-                    f"job not finished after {timeout}s; poll "
-                    f"GET /jobs/{job.job_id}"
-                ),
-                **job.to_wire(),
-                "ingest": ingest_summary,
-            }
-        if job.state == "error":
-            return _failed_job_status(job.error), {
-                "status": "error",
-                "job_id": job.job_id,
-                "scenario_id": job.scenario_id,
-                "ingest": ingest_summary,
-                "error": job.error,
-            }
-        response = {
-            "status": "ok",
-            "job_id": job.job_id,
-            "scenario_id": request.scenario_id,
-            "cached": from_cache,
-            "ingest": ingest_summary,
-            "result": job.result,
-        }
-        if request.verify:
+        if status == 200 and request.verify:
             response["verification"] = _verify_result(
-                job.result, ingested
+                response["result"], ingested
             )
-        return 200, response
+        return status, response
 
     # ------------------------------------------------------------------
     # POST /compose
@@ -445,7 +417,7 @@ class MappingService:
     @_versioned_handler
     def handle_compose(self, payload: Any) -> tuple[int, dict[str, Any]]:
         """Compose two shipped mapping sets; pure algebra, no queueing."""
-        from repro.mappings.algebra import compose, invert
+        from repro.mappings.algebra import compose
         from repro.mappings.serialize import mapping_set_to_dict
 
         try:
@@ -470,7 +442,7 @@ class MappingService:
         self.metrics.inc("compositions_total")
         for name, value in counters.snapshot().items():
             self.metrics.add_perf(name, value)
-        response: dict[str, Any] = {
+        return 200, {
             "status": "ok",
             "mapping": mapping_set_to_dict(composed),
             "composed": len(composed),
@@ -480,27 +452,6 @@ class MappingService:
             },
             "rewrite_limit_hits": counters.counts["rewrite_limit_hits"],
         }
-        if request.invert:
-            inversion = invert(composed)
-            response["inversion"] = {
-                "exact": inversion.exact,
-                "mapping": mapping_set_to_dict(inversion.mappings),
-                "reports": [
-                    {
-                        "invertible": report.inverse is not None,
-                        "exact": report.exact,
-                        "lost_source_variables": list(
-                            report.lost_source_variables
-                        ),
-                        "null_joined_variables": list(
-                            report.null_joined_variables
-                        ),
-                        "reason": report.reason,
-                    }
-                    for report in inversion.reports
-                ],
-            }
-        return 200, response
 
     # ------------------------------------------------------------------
     # POST /validate

@@ -559,11 +559,18 @@ class ComposeRequest:
     first: Any
     second: Any
     prune: bool
-    invert: bool
 
 
 #: Every top-level key of a ``POST /compose`` body.
-_COMPOSE_KEYS = frozenset({"version", "first", "second", "prune", "invert"})
+_COMPOSE_KEYS = frozenset({"version", "first", "second", "prune"})
+
+#: Keys a ``POST /compose`` body no longer takes, with why each went.
+_REMOVED_COMPOSE_KEYS = {
+    "max_solutions_per_candidate": "composition shares the rewriting "
+    "limit and counts a cut-short enumeration in rewrite_limit_hits",
+    "invert": "a per-candidate inverse is no recovery when several tgds "
+    "write one target relation",
+}
 
 
 def compose_request_from_wire(payload: Mapping[str, Any]) -> ComposeRequest:
@@ -578,12 +585,11 @@ def compose_request_from_wire(payload: Mapping[str, Any]) -> ComposeRequest:
         message = (
             f"unknown key(s) {unknown}; known: {sorted(_COMPOSE_KEYS)}"
         )
-        if "max_solutions_per_candidate" in unknown:
-            message += (
-                "; 'max_solutions_per_candidate' was removed: composition "
-                "shares the rewriting limit and counts a cut-short "
-                "enumeration in rewrite_limit_hits"
-            )
+        for key in unknown:
+            if key in _REMOVED_COMPOSE_KEYS:
+                message += (
+                    f"; {key!r} was removed: {_REMOVED_COMPOSE_KEYS[key]}"
+                )
         raise WireFormatError(message)
     sets = []
     for key in ("first", "second"):
@@ -601,12 +607,7 @@ def compose_request_from_wire(payload: Mapping[str, Any]) -> ComposeRequest:
     prune = payload.get("prune", True)
     if not isinstance(prune, bool):
         raise WireFormatError("'prune' must be a boolean")
-    invert = payload.get("invert", False)
-    if not isinstance(invert, bool):
-        raise WireFormatError("'invert' must be a boolean")
-    return ComposeRequest(
-        first=sets[0], second=sets[1], prune=prune, invert=invert
-    )
+    return ComposeRequest(first=sets[0], second=sets[1], prune=prune)
 
 
 # ---------------------------------------------------------------------------

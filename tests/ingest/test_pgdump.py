@@ -114,7 +114,7 @@ class TestPostgresDialect:
         assert rows in ([("Compilers",)], [("Databases",)])
 
     def test_no_diagnostics_on_clean_dump(self, backend):
-        codes = {code for _, code, _, _ in backend.diagnostics()}
+        codes = {d.code for d in backend.diagnostics()}
         assert "dump.statement-unparsed" not in codes
 
 
@@ -198,7 +198,7 @@ class TestDiagnosticsAndErrors:
             "GRANT SELECT ON t TO public;\n"
             "FROBNICATE THE WHATSIT;\n"
         )
-        codes = {code for _, code, _, _ in backend.diagnostics()}
+        codes = {d.code for d in backend.diagnostics()}
         assert "dump.statement-skipped" in codes
 
     def test_data_for_unknown_table_reported(self):
@@ -206,7 +206,7 @@ class TestDiagnosticsAndErrors:
             "CREATE TABLE t (a integer);\n"
             "INSERT INTO ghost VALUES (1);\n"
         )
-        codes = {code for _, code, _, _ in backend.diagnostics()}
+        codes = {d.code for d in backend.diagnostics()}
         assert "dump.data-unknown-table" in codes
 
     def test_check_constraint_ignored_with_diagnostic(self):
@@ -214,7 +214,7 @@ class TestDiagnosticsAndErrors:
             "CREATE TABLE t (a integer, CHECK (a > 0));"
         )
         assert [c.name for c in backend.columns("t")] == ["a"]
-        codes = {code for _, code, _, _ in backend.diagnostics()}
+        codes = {d.code for d in backend.diagnostics()}
         assert "dump.constraint-ignored" in codes
 
 

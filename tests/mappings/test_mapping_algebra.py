@@ -1,7 +1,7 @@
 """Unit tests for the mapping lifecycle algebra.
 
-Covers the three operations — containment/equivalence, composition, and
-inversion — plus the MappingSet pruning helpers built on them.
+Covers the two operations — containment/equivalence and composition —
+plus the MappingSet pruning helpers built on them.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.mappings import (
     equivalent,
     exchange,
     implies,
-    invert,
     minimize_mapping_set,
 )
 from repro.mappings.expression import deduplicate_candidates
@@ -297,54 +296,6 @@ class TestCompose:
         first = candidate("ans(x) :- p(x)", "ans(x) :- m(x)")
         with pytest.raises(TypeError):
             compose(first, first, max_solutions_per_candidate=4)
-
-
-class TestInvert:
-    def test_exact_inverse(self):
-        forward = candidate(
-            "ans(a, b) :- p(a, b)",
-            "ans(a, b) :- q(a, b)",
-            covered=("p.a <-> q.a",),
-        )
-        result = invert(forward)
-        assert result.exact
-        (report,) = result.reports
-        assert report.inverse.source_query == forward.target_query
-        assert report.inverse.target_query == forward.source_query
-        assert [str(c) for c in report.inverse.covered] == [
-            "q.a ↔ p.a"
-        ]
-        assert report.inverse.method == "inverted"
-        assert "exact inverse" in result.render()
-
-    def test_quasi_inverse_reports_losses(self):
-        lossy = candidate(
-            "ans(a) :- p(a, hidden)", "ans(a) :- q(a, fresh)"
-        )
-        result = invert(lossy)
-        assert not result.exact
-        (report,) = result.reports
-        assert report.inverse is not None
-        assert report.lost_source_variables == ("hidden",)
-        assert report.null_joined_variables == ("fresh",)
-        assert "quasi" in report.inverse.notes
-        assert "restored as nulls" in result.render()
-
-    def test_exportless_candidate_refused(self):
-        boolean = candidate("ans() :- p(x)", "ans() :- q(y)")
-        result = invert(boolean)
-        assert not result.exact
-        (report,) = result.reports
-        assert report.inverse is None
-        assert "exports nothing" in report.reason
-        assert len(result.mappings) == 0
-
-    def test_inverse_of_inverse_is_original(self):
-        forward = candidate(
-            "ans(a, b) :- p(a, b)", "ans(a, b) :- q(a, b)"
-        )
-        twice = invert(invert(forward).mappings).mappings.best()
-        assert twice.same_mapping_as(forward)
 
 
 class TestSemanticDedup:

@@ -193,6 +193,60 @@ class TestDiscover:
             release.set()
             service.close()
 
+    def test_coalesced_sync_answers_echo_caller_scenario_id(
+        self, monkeypatch
+    ):
+        """Regression: a sync request coalesced onto another caller's
+        in-flight job echoed that caller's scenario_id in its pending
+        202 and in its error answer."""
+        import repro.service.jobs as jobs_mod
+
+        release = threading.Event()
+
+        def blocking_discover(scenarios, workers=1, policy=None):
+            release.wait(30)
+            raise RuntimeError("released by test")
+
+        monkeypatch.setattr(jobs_mod, "discover_many", blocking_discover)
+        service = MappingService(ServiceConfig(workers=1))
+        try:
+            status, accepted = service.handle_discover(
+                {"scenario": {**DBLP_CASE, "id": "a"}, "mode": "async"}
+            )
+            assert status == 202
+            status, pending = service.handle_discover(
+                {"scenario": {**DBLP_CASE, "id": "b"},
+                 "timeout_seconds": 0.05}
+            )
+            assert status == 202 and pending["status"] == "pending"
+            assert pending["job_id"] == accepted["job_id"]
+            assert pending["scenario_id"] == "b"
+
+            answers = {}
+            waiter = threading.Thread(
+                target=lambda: answers.update(
+                    c=service.handle_discover(
+                        {"scenario": {**DBLP_CASE, "id": "c"}}
+                    )
+                )
+            )
+            waiter.start()
+            deadline = time.monotonic() + 10
+            while (
+                service.metrics.value("cache_coalesced_total") < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            release.set()
+            waiter.join(30)
+            status, failed = answers["c"]
+            assert status == 500 and failed["status"] == "error"
+            assert failed["job_id"] == accepted["job_id"]
+            assert failed["scenario_id"] == "c"
+        finally:
+            release.set()
+            service.close()
+
 
 def _mapping_document(source, target, covered):
     from repro.correspondences import Correspondence
@@ -243,7 +297,7 @@ class TestCompose:
             "person.name ↔ worker.name"
         ]
 
-    def test_compose_with_inversion(self, client):
+    def test_invert_field_is_removed(self, client):
         status, payload = client.request(
             "POST",
             "/compose",
@@ -253,11 +307,11 @@ class TestCompose:
                 "invert": True,
             },
         )
-        assert status == 200
-        inversion = payload["inversion"]
-        assert inversion["exact"] is True
-        assert inversion["reports"][0]["invertible"] is True
-        assert inversion["mapping"]["format"] == "repro-mappings/1"
+        assert status == 400
+        assert payload["error"]["type"] == "WireFormatError"
+        message = payload["error"]["message"]
+        assert "'invert' was removed" in message
+        assert "inversion" not in payload
 
     def test_missing_mapping_set_400(self, client):
         status, payload = client.request(

@@ -483,6 +483,12 @@ class TestEvolveAndCompose:
         assert exit_info.value.code == 2
         assert "--max-solutions" in capsys.readouterr().err
 
+    def test_invert_flag_is_gone(self, capsys, evolved):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compose", evolved, evolved, "--invert"])
+        assert exit_info.value.code == 2
+        assert "--invert" in capsys.readouterr().err
+
     def test_compose_notes_a_truncated_walk(self, capsys, tmp_path):
         """4**5 unfoldings, each left out: the walk stops at the limit
         and the CLI says so on stderr."""

@@ -81,12 +81,10 @@ EXPECTED_ALL = {
     "exchange",
     "query_to_algebra",
     # Lifecycle algebra
-    "InversionResult",
     "compose",
     "contains",
     "equivalent",
     "implies",
-    "invert",
 }
 
 
@@ -224,6 +222,14 @@ REMOVED = (
     ("repro.validation", None, "validate_schema"),
     ("repro.ingest", None, "IngestDiagnostic"),
     ("repro.ingest.introspect", None, "IngestDiagnostic"),
+    ("repro", None, "invert"),
+    ("repro", None, "InversionResult"),
+    ("repro.mappings", None, "invert"),
+    ("repro.mappings", None, "InversionResult"),
+    ("repro.mappings", None, "InversionReport"),
+    ("repro.mappings.algebra", None, "invert"),
+    ("repro.mappings.algebra", None, "InversionResult"),
+    ("repro.mappings.algebra", None, "InversionReport"),
 )
 
 

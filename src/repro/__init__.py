@@ -155,7 +155,6 @@ __all__ = [
             ),
             # Discovery
             "repro.discovery.batch": (
-                "BatchPolicy",
                 "BatchResult",
                 "Scenario",
                 "discover_many",

@@ -30,6 +30,19 @@ import signal
 import sys
 
 
+def _at_least_one(text: str) -> int:
+    """``argparse`` type for a count that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_option_flags(parser: argparse.ArgumentParser) -> None:
     """The shared :class:`DiscoveryOptions` flags (``map``/``explain``)."""
     parser.add_argument(
@@ -637,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--workers",
-        type=int,
+        type=_at_least_one,
         default=1,
         help="fan dataset pairs out over N worker processes",
     )

@@ -42,8 +42,6 @@ __all__ = _lazy_package(
             "discover_mappings",
         ),
         "repro.discovery.batch": (
-            "BatchDiscovery",
-            "BatchPolicy",
             "BatchResult",
             "Scenario",
             "ScenarioFailure",

@@ -1,43 +1,33 @@
-"""Batch discovery: shared indexes, parallel fan-out, and fault isolation.
+"""Batch discovery: shared indexes and fault isolation.
 
 :func:`discover_many` runs a list of :class:`Scenario` specs through
-:class:`~repro.discovery.mapper.SemanticMapper`. In serial mode the
-shared-computation layer does the heavy lifting automatically: scenarios
-over the same schema pair hit the same :class:`~repro.perf.GraphIndex`,
-reasoner memos, and translation caches, so a whole-dataset run pays the
-per-graph costs once. With ``workers > 1`` scenarios fan out over a
-``concurrent.futures`` process pool; scenarios are grouped by schema
-pair (by *content*, so equal-but-distinct semantics objects share a
-worker) and each worker process shares its caches across the group's
-correspondence sets.
+:class:`~repro.discovery.mapper.SemanticMapper`, one after another in
+this process. The shared-computation layer does the heavy lifting
+automatically: scenarios over the same schema pair hit the same
+:class:`~repro.perf.GraphIndex`, reasoner memos, and translation caches,
+so a whole-dataset run pays the per-graph costs once.
+
+Work spreads over processes one level up, not here: ``repro evaluate
+--workers N`` fans dataset pairs out
+(:func:`repro.evaluation.harness.run_all`), and ``repro serve
+--processes N`` runs each job's :func:`_guarded_run` in a compute
+process (:class:`repro.service.jobs.ComputePool`).
 
 Fault isolation
 ---------------
 One bad scenario never kills the batch. Every scenario runs under a
 guard that captures
 
-* exceptions raised by ``discover()`` (including validation errors),
-* a configurable per-scenario wall-clock timeout
-  (:class:`~repro.exceptions.ScenarioTimeout`), and
-* worker-process deaths (``BrokenProcessPool`` →
-  :class:`~repro.exceptions.WorkerCrashed`), with a bounded serial
-  re-run for the groups the dead worker took down,
+* exceptions raised by ``discover()`` (including validation errors), and
+* a per-scenario wall-clock timeout
+  (:class:`~repro.exceptions.ScenarioTimeout`),
 
 as structured :class:`ScenarioFailure` records in
-:attr:`BatchResult.failures`. Every scenario is probed for picklability
-before any worker is spawned; unpicklable specs degrade to serial
-execution in the parent (or to a failure record, under
-``BatchPolicy(on_unpicklable="fail")``) with a note, while the rest of
-the batch still runs in parallel. See ``docs/robustness.md``.
-
-Parallel and serial modes produce identical results: each scenario runs
-the same deterministic ``discover()``, and outputs are re-ordered to the
-input order before returning.
+:attr:`BatchResult.failures`. See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -51,7 +41,7 @@ from repro.discovery.fingerprint import (
 )
 from repro.discovery.mapper import DiscoveryResult, SemanticMapper
 from repro.discovery.options import DiscoveryOptions
-from repro.exceptions import BatchError, ScenarioTimeout, WorkerCrashed
+from repro.exceptions import BatchError, ScenarioTimeout
 from repro.semantics.lav import SchemaSemantics
 
 #: How many innermost traceback frames a :class:`ScenarioFailure` keeps.
@@ -110,54 +100,13 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class BatchPolicy:
-    """Fault-handling knobs for one batch run.
-
-    Parameters
-    ----------
-    timeout_seconds:
-        Per-scenario wall-clock limit; ``None`` disables the limit.
-        Discovery's searches check it at their loop heads
-        (:mod:`repro.deadline`), so it stops a run the same way in the
-        parent, in a pool worker and on a service job thread.
-    retries:
-        How many serial re-runs a scenario gets after its worker process
-        died (the whole group is re-run in the parent, since a dead
-        worker takes every in-flight scenario of its group with it).
-        ``0`` turns worker deaths directly into failure records.
-    on_unpicklable:
-        ``"serial"`` (default) runs scenarios that fail the pickling
-        probe serially in the parent, keeping the rest of the batch
-        parallel; ``"fail"`` records them as failures instead.
-    """
-
-    timeout_seconds: float | None = None
-    retries: int = 1
-    on_unpicklable: str = "serial"
-
-    def __post_init__(self) -> None:
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds}"
-            )
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.on_unpicklable not in ("serial", "fail"):
-            raise ValueError(
-                "on_unpicklable must be 'serial' or 'fail', "
-                f"got {self.on_unpicklable!r}"
-            )
-
-
-@dataclass(frozen=True)
 class ScenarioFailure:
     """Structured record of one scenario that did not produce a result.
 
     ``error_type`` is the exception class name (``"ScenarioTimeout"``,
-    ``"WorkerCrashed"``, ``"ValidationError"``, ``"PicklingError"``, ...),
-    ``traceback_summary`` the innermost frames as ``file:line in func``
-    strings, and ``attempts`` how many times the scenario was tried
-    (> 1 after a worker-death retry).
+    ``"ValidationError"``, or ``"WorkerCrashed"`` from a service compute
+    process, ...), and ``traceback_summary`` the innermost frames as
+    ``file:line in func`` strings.
     """
 
     scenario_id: str
@@ -165,7 +114,6 @@ class ScenarioFailure:
     message: str
     traceback_summary: tuple[str, ...] = ()
     elapsed_seconds: float = 0.0
-    attempts: int = 1
 
     def describe(self) -> str:
         frames = (
@@ -175,7 +123,7 @@ class ScenarioFailure:
         )
         return (
             f"{self.scenario_id}: {self.error_type}: {self.message} "
-            f"(attempt {self.attempts}, {self.elapsed_seconds:.3f}s; {frames})"
+            f"({self.elapsed_seconds:.3f}s; {frames})"
         )
 
     def __str__(self) -> str:
@@ -183,10 +131,7 @@ class ScenarioFailure:
 
 
 def failure_from_exception(
-    scenario_id: str,
-    error: BaseException,
-    elapsed: float,
-    attempts: int = 1,
+    scenario_id: str, error: BaseException, elapsed: float
 ) -> ScenarioFailure:
     frames = tuple(
         f"{frame.filename.rsplit('/', 1)[-1]}:{frame.lineno} in {frame.name}"
@@ -200,7 +145,6 @@ def failure_from_exception(
         message=str(error),
         traceback_summary=frames,
         elapsed_seconds=round(elapsed, 6),
-        attempts=attempts,
     )
 
 
@@ -217,7 +161,6 @@ class BatchResult:
 
     results: list[tuple[str, DiscoveryResult]]
     stats: dict[str, int | float] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
     failures: list[ScenarioFailure] = field(default_factory=list)
 
     @property
@@ -253,48 +196,13 @@ class BatchResult:
         return len(self.results)
 
 
-# ---------------------------------------------------------------------------
-# Content identity of schema semantics (grouping key)
-# ---------------------------------------------------------------------------
-# Both helpers now live in ``repro.discovery.fingerprint`` (the staged
-# engine keys on the same content identities); re-exported here because
-# the batch module is their historical home and the service imports
-# ``scenario_fingerprint`` from it.
+# The benchmark's span table still wraps this name; it is
+# ``repro.discovery.fingerprint.semantics_content_key``.
 _semantics_content_key = semantics_content_key
 
 
-def _group_by_pair(
-    scenarios: Sequence[tuple[int, Scenario]] | Sequence[Scenario],
-) -> list[list[tuple[int, Scenario]]]:
-    """Partition scenarios by schema pair, keeping original positions.
-
-    Grouping keeps every scenario of one schema pair in one worker, so
-    the worker's graph indexes, reasoner memos, and translation caches
-    are shared across the pair's correspondence sets. Pairs are compared
-    by content (:func:`_semantics_content_key`), not object identity.
-    """
-    items: list[tuple[int, Scenario]]
-    if scenarios and not isinstance(scenarios[0], tuple):
-        items = list(enumerate(scenarios))  # type: ignore[arg-type]
-    else:
-        items = list(scenarios)  # type: ignore[assignment]
-    groups: dict[tuple[str, str], list[tuple[int, Scenario]]] = {}
-    for position, scenario in items:
-        key = (
-            _semantics_content_key(scenario.source),
-            _semantics_content_key(scenario.target),
-        )
-        groups.setdefault(key, []).append((position, scenario))
-    return list(groups.values())
-
-
-# ---------------------------------------------------------------------------
-# Guarded execution
-# ---------------------------------------------------------------------------
 def _guarded_run(
-    scenario: Scenario,
-    timeout_seconds: float | None,
-    attempts: int = 1,
+    scenario: Scenario, timeout_seconds: float | None
 ) -> tuple[str, object]:
     """Run one scenario under fault isolation.
 
@@ -309,51 +217,15 @@ def _guarded_run(
         elapsed = time.perf_counter() - start
         return (
             "error",
-            failure_from_exception(scenario.scenario_id, error, elapsed, attempts),
+            failure_from_exception(scenario.scenario_id, error, elapsed),
         )
     return ("ok", result)
 
 
-def _run_group(
-    group: list[tuple[int, Scenario]],
-    timeout_seconds: float | None = None,
-) -> list[tuple[int, str, str, object]]:
-    """Process-pool worker: run one schema pair's scenarios serially.
-
-    Each scenario is individually guarded, so one failure inside the
-    group still lets the rest of the group produce results. Rows are
-    ``(position, scenario_id, kind, payload)`` with ``kind`` in
-    ``{"ok", "error"}``.
-    """
-    rows: list[tuple[int, str, str, object]] = []
-    for position, scenario in group:
-        kind, payload = _guarded_run(scenario, timeout_seconds)
-        rows.append((position, scenario.scenario_id, kind, payload))
-    return rows
-
-
-def _pickling_error(scenario: Scenario) -> BaseException | None:
-    """Probe one scenario for picklability; return the failure, if any.
-
-    Pickling unpicklable payloads (locks, open files, bound local
-    closures) raises ``TypeError`` or ``AttributeError`` at least as
-    often as ``pickle.PicklingError``, so the probe catches broadly.
-    """
-    try:
-        pickle.dumps(scenario)
-    except Exception as error:
-        return error
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Aggregation
-# ---------------------------------------------------------------------------
 def _aggregate_stats(
     results: Iterable[tuple[str, DiscoveryResult]],
     total: int,
     failures: Sequence[ScenarioFailure],
-    retried: int = 0,
 ) -> dict[str, int | float]:
     """Sum the per-scenario stats: counters as ints, the ``time_`` and
     ``self_`` span seconds as floats."""
@@ -372,212 +244,52 @@ def _aggregate_stats(
     stats["timeouts"] = sum(
         1 for f in failures if f.error_type == ScenarioTimeout.__name__
     )
-    stats["worker_crashes"] = sum(
-        1 for f in failures if f.error_type == WorkerCrashed.__name__
-    )
-    stats["retried"] = retried
     stats["total_discovery_seconds"] = round(wall, 6)
     return stats
-
-
-class BatchDiscovery:
-    """Front-end running many scenarios with shared computation.
-
-    >>> batch = BatchDiscovery(workers=1)  # doctest: +SKIP
-    >>> batch.discover_many(scenarios)     # doctest: +SKIP
-    """
-
-    def __init__(
-        self, workers: int = 1, policy: BatchPolicy | None = None
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.policy = policy or BatchPolicy()
-
-    def discover_many(
-        self,
-        scenarios: Sequence[Scenario],
-        workers: int | None = None,
-    ) -> BatchResult:
-        scenarios = list(scenarios)
-        self._check_unique_ids(scenarios)
-        workers = self.workers if workers is None else workers
-        notes: list[str] = []
-        outcomes: list[tuple[str, object] | None] = [None] * len(scenarios)
-        retried = 0
-        if workers > 1 and len(scenarios) > 1:
-            retried = self._run_parallel(scenarios, workers, outcomes, notes)
-        else:
-            for position, scenario in enumerate(scenarios):
-                outcomes[position] = _guarded_run(
-                    scenario, self.policy.timeout_seconds
-                )
-        results: list[tuple[str, DiscoveryResult]] = []
-        failures: list[ScenarioFailure] = []
-        for position, outcome in enumerate(outcomes):
-            if outcome is None:  # pragma: no cover - defensive
-                failures.append(
-                    ScenarioFailure(
-                        scenario_id=scenarios[position].scenario_id,
-                        error_type=WorkerCrashed.__name__,
-                        message="scenario produced no outcome",
-                    )
-                )
-                continue
-            kind, payload = outcome
-            if kind == "ok":
-                results.append(
-                    (scenarios[position].scenario_id, payload)  # type: ignore[arg-type]
-                )
-            else:
-                failures.append(payload)  # type: ignore[arg-type]
-        stats = _aggregate_stats(results, len(scenarios), failures, retried)
-        return BatchResult(results, stats, notes, failures)
-
-    @staticmethod
-    def _check_unique_ids(scenarios: Sequence[Scenario]) -> None:
-        seen: set[str] = set()
-        for scenario in scenarios:
-            if scenario.scenario_id in seen:
-                raise ValueError(
-                    f"duplicate scenario_id {scenario.scenario_id!r}; "
-                    f"ids must be unique within a batch"
-                )
-            seen.add(scenario.scenario_id)
-
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        scenarios: Sequence[Scenario],
-        workers: int,
-        outcomes: list[tuple[str, object] | None],
-        notes: list[str],
-    ) -> int:
-        """Fan groups out over a process pool; fill ``outcomes`` in place.
-
-        Returns the number of scenarios that were re-run serially after
-        a worker death.
-        """
-        # Imported here so the serial path never loads multiprocessing.
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
-
-        policy = self.policy
-        # Probe every scenario for picklability before spawning workers:
-        # ProcessPoolExecutor raises lazily otherwise, poisoning the pool
-        # mid-batch for a spec that was doomed from the start.
-        pool_items: list[tuple[int, Scenario]] = []
-        serial_items: list[tuple[int, Scenario]] = []
-        for position, scenario in enumerate(scenarios):
-            error = _pickling_error(scenario)
-            if error is None:
-                pool_items.append((position, scenario))
-                continue
-            if policy.on_unpicklable == "fail":
-                notes.append(
-                    f"scenario {scenario.scenario_id!r} is not picklable "
-                    f"({type(error).__name__}); recorded as failure"
-                )
-                outcomes[position] = (
-                    "error",
-                    ScenarioFailure(
-                        scenario_id=scenario.scenario_id,
-                        error_type=type(error).__name__,
-                        message=f"scenario spec does not pickle: {error}",
-                    ),
-                )
-            else:
-                notes.append(
-                    f"scenario {scenario.scenario_id!r} is not picklable "
-                    f"({type(error).__name__}); falling back to serial"
-                )
-                serial_items.append((position, scenario))
-
-        retry_items: list[tuple[int, Scenario]] = []
-        retried = 0
-        if pool_items:
-            groups = _group_by_pair(pool_items)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                future_groups = {
-                    pool.submit(
-                        _run_group, group, policy.timeout_seconds
-                    ): group
-                    for group in groups
-                }
-                pending = set(future_groups)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        group = future_groups[future]
-                        try:
-                            rows = future.result()
-                        except Exception as error:
-                            # A dead worker (BrokenProcessPool) fails every
-                            # in-flight future; collect the groups for a
-                            # bounded serial re-run instead of aborting.
-                            group_ids = [s.scenario_id for _, s in group]
-                            notes.append(
-                                f"worker running {group_ids} died "
-                                f"({type(error).__name__}: {error}); "
-                                + (
-                                    "retrying serially"
-                                    if policy.retries > 0
-                                    else "recording failures"
-                                )
-                            )
-                            if policy.retries > 0:
-                                retry_items.extend(group)
-                            else:
-                                for position, scenario in group:
-                                    outcomes[position] = (
-                                        "error",
-                                        ScenarioFailure(
-                                            scenario_id=scenario.scenario_id,
-                                            error_type=WorkerCrashed.__name__,
-                                            message=(
-                                                f"worker process died: "
-                                                f"{type(error).__name__}: "
-                                                f"{error}"
-                                            ),
-                                        ),
-                                    )
-                            continue
-                        for position, _, kind, payload in rows:
-                            outcomes[position] = (kind, payload)
-
-        for position, scenario in retry_items:
-            retried += 1
-            outcome = None
-            for attempt in range(2, policy.retries + 2):
-                outcome = _guarded_run(
-                    scenario, policy.timeout_seconds, attempts=attempt
-                )
-                if outcome[0] == "ok":
-                    break
-            outcomes[position] = outcome
-
-        for position, scenario in serial_items:
-            outcomes[position] = _guarded_run(
-                scenario, policy.timeout_seconds
-            )
-        return retried
 
 
 def discover_many(
     scenarios: Sequence[Scenario],
     workers: int = 1,
-    policy: BatchPolicy | None = None,
+    timeout_seconds: float | None = None,
 ) -> BatchResult:
-    """Run many discovery scenarios, sharing work; see the module doc."""
-    return BatchDiscovery(workers=workers, policy=policy).discover_many(
-        scenarios
-    )
+    """Run many discovery scenarios in order, sharing work; see the
+    module doc.
+
+    ``timeout_seconds`` is the per-scenario wall-clock limit (``None``
+    disables it). Discovery's searches check it at their loop heads
+    (:mod:`repro.deadline`), so it stops a run the same way on any
+    thread or process. ``workers`` accepts only ``1``.
+    """
+    if workers != 1:
+        raise ValueError(
+            f"discover_many runs serially (workers=1), got workers={workers}; "
+            "spread work over processes with `repro evaluate --workers N` "
+            "or `repro serve --processes N`"
+        )
+    if timeout_seconds is not None and timeout_seconds <= 0:
+        raise ValueError(
+            f"timeout_seconds must be positive, got {timeout_seconds}"
+        )
+    scenarios = list(scenarios)
+    seen: set[str] = set()
+    for scenario in scenarios:
+        if scenario.scenario_id in seen:
+            raise ValueError(
+                f"duplicate scenario_id {scenario.scenario_id!r}; "
+                f"ids must be unique within a batch"
+            )
+        seen.add(scenario.scenario_id)
+    results: list[tuple[str, DiscoveryResult]] = []
+    failures: list[ScenarioFailure] = []
+    for scenario in scenarios:
+        kind, payload = _guarded_run(scenario, timeout_seconds)
+        if kind == "ok":
+            results.append((scenario.scenario_id, payload))  # type: ignore[arg-type]
+        else:
+            failures.append(payload)  # type: ignore[arg-type]
+    stats = _aggregate_stats(results, len(scenarios), failures)
+    return BatchResult(results, stats, failures)
 
 
 def scenarios_for_cases(

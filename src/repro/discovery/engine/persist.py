@@ -7,9 +7,9 @@ This is the persistence tier under the in-memory caches: the engine's
 cached artifact is valid for any process, on any day, as long as the
 code that wrote it still produces the same artifact for the same
 fingerprint. :class:`PersistentStageStore` turns that property into
-shared warm state: CLI runs, ``discover_many`` workers, the service's
-compute processes, and restarts all read and write one directory of
-fingerprint-named entry files.
+shared warm state: CLI runs, ``repro evaluate --workers`` processes,
+the service's compute processes, and restarts all read and write one
+directory of fingerprint-named entry files.
 
 Durability and correctness rules (production posture):
 
@@ -31,9 +31,10 @@ Activation: the store is off unless a cache directory is named — by
 ``DiscoveryOptions(cache_dir=...)`` (a per-run contextvar override, see
 :func:`cache_dir_override`), by :func:`configure` (process-wide: the
 service and CLI install their ``--cache-dir`` here), or by the
-``REPRO_CACHE_DIR`` environment variable (lowest precedence; how batch
-workers and CI jobs inherit one). ``repro.perf.clear_caches()``
-clears the active store along with the in-memory tiers.
+``REPRO_CACHE_DIR`` environment variable (lowest precedence; how
+``repro evaluate --workers`` processes and CI jobs inherit one).
+``repro.perf.clear_caches()`` clears the active store along with the
+in-memory tiers.
 """
 
 from __future__ import annotations

@@ -35,12 +35,7 @@ from repro.datasets.registry import (
     load_all_datasets,
     load_dataset,
 )
-from repro.discovery.batch import (
-    BatchPolicy,
-    Scenario,
-    ScenarioFailure,
-    discover_many,
-)
+from repro.discovery.batch import Scenario, ScenarioFailure, discover_many
 from repro.discovery.mapper import SemanticMapper
 from repro.discovery.options import DiscoveryOptions
 from repro.evaluation.measures import PrecisionRecall, average, precision_recall
@@ -68,8 +63,8 @@ class CaseResult:
 class DatasetResult:
     """All case results of one dataset pair plus its characteristics.
 
-    ``failures`` records cases that produced no result (exception,
-    timeout, worker crash) when running with ``fail_fast=False``; their
+    ``failures`` records cases that produced no result (an exception or
+    a timeout) when running with ``fail_fast=False``; their
     ids are absent from ``case_results`` for the failing method.
     """
 
@@ -136,16 +131,15 @@ def _score_case(
 def run_dataset(
     pair: DatasetPair,
     methods=METHODS,
-    workers: int = 1,
     fail_fast: bool = True,
     timeout_seconds: float | None = None,
 ) -> DatasetResult:
     """Run all benchmark cases of one dataset pair with all methods.
 
     Each method's cases go through :func:`repro.discovery.discover_many`
-    on its engine, so the pair's graph indexes and caches are shared
-    across its cases (and, with ``workers > 1``, cases fan out over a
-    process pool).
+    on its engine, one after another in this process, so the pair's
+    graph indexes and caches are shared across its cases. To spread
+    pairs over processes, use :func:`run_all` with ``workers > 1``.
 
     With ``fail_fast=True`` (default) the first failing case raises a
     :class:`~repro.exceptions.BatchError`; with ``fail_fast=False``
@@ -166,11 +160,7 @@ def run_dataset(
             )
             for mapping_case in pair.cases
         ]
-        batch = discover_many(
-            scenarios,
-            workers=workers,
-            policy=BatchPolicy(timeout_seconds=timeout_seconds),
-        )
+        batch = discover_many(scenarios, timeout_seconds=timeout_seconds)
         if fail_fast:
             batch.raise_first_failure()
         results_by_id = dict(batch.results)
@@ -218,6 +208,8 @@ def run_all(
     cross the process boundary); each pair's cases then share caches
     serially inside their worker.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1:
         # Imported here so the serial path never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

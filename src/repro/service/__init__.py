@@ -11,7 +11,8 @@ serves discovery over HTTP/JSON:
   cache keyed by :func:`repro.discovery.batch.scenario_fingerprint`;
 * :mod:`repro.service.jobs` — a bounded job queue and worker-thread
   pool over :func:`repro.discovery.batch.discover_many` (or, with
-  ``--processes``, over a pool of compute processes), with
+  ``--processes``, over :class:`~repro.service.jobs.ComputePool`, the
+  compute processes that run the batch layer's guarded entry), with
   single-flight coalescing of identical in-flight requests;
 * :mod:`repro.service.metrics` — request/latency/cache counters layered
   on :mod:`repro.perf`, exposed Prometheus-style at ``GET /metrics``;

@@ -3,7 +3,7 @@
 Discovery requests become :class:`Job` records on a bounded
 ``queue.Queue``; a fixed pool of daemon *threads* drains it. With one
 compute process (the default) each thread runs its scenario through
-:func:`repro.discovery.batch.discover_many` in serial mode, sharing the
+:func:`repro.discovery.batch.discover_many`, sharing the
 process's warm :class:`~repro.perf.GraphIndex` registry and translation
 caches. With ``processes > 1`` each thread hands the scenario to a
 :class:`ComputePool` of long-lived processes instead, which run the
@@ -45,7 +45,6 @@ import warnings
 from collections import OrderedDict
 
 from repro.discovery.batch import (
-    BatchPolicy,
     Scenario,
     ScenarioFailure,
     _guarded_run,
@@ -408,10 +407,10 @@ class JobQueue:
         scenario's content fingerprint as they complete.
     metrics:
         The shared :class:`ServiceMetrics` sink.
-    policy:
-        Optional :class:`BatchPolicy` applied to every job. Its
-        ``timeout_seconds`` stops a job's discovery on the worker
-        thread and fails the job with ``ScenarioTimeout`` (see
+    timeout_seconds:
+        Per-job wall-clock limit (``None`` disables it). It stops a
+        job's discovery on the worker thread or in the compute process
+        and fails the job with ``ScenarioTimeout`` (see
         :mod:`repro.deadline`).
     history:
         How many retained jobs stay visible to ``GET /jobs/<id>``. Only
@@ -429,7 +428,7 @@ class JobQueue:
         capacity: int,
         cache: ResultCache,
         metrics: ServiceMetrics,
-        policy: BatchPolicy | None = None,
+        timeout_seconds: float | None = None,
         history: int = 4096,
         pool: ComputePool | None = None,
     ) -> None:
@@ -439,11 +438,15 @@ class JobQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if history < 1:
             raise ValueError(f"history must be >= 1, got {history}")
+        if timeout_seconds is not None and timeout_seconds <= 0:
+            raise ValueError(
+                f"timeout_seconds must be positive, got {timeout_seconds}"
+            )
         self.workers = workers
         self.capacity = capacity
         self._cache = cache
         self._metrics = metrics
-        self._policy = policy or BatchPolicy()
+        self._timeout_seconds = timeout_seconds
         self._history = history
         self._queue: queue.Queue = queue.Queue(maxsize=capacity)
         self._stopping = threading.Event()
@@ -594,13 +597,13 @@ class JobQueue:
         try:
             if self._pool is None:
                 batch = discover_many(
-                    [job.scenario], workers=1, policy=self._policy
+                    [job.scenario], timeout_seconds=self._timeout_seconds
                 )
                 failure = batch.failures[0] if batch.failures else None
                 result = None if failure else batch.results[0][1]
             else:
                 kind, outcome = self._pool.run(
-                    job.scenario, self._policy.timeout_seconds
+                    job.scenario, self._timeout_seconds
                 )
                 failure, result = (
                     (outcome, None) if kind == "error" else (None, outcome)

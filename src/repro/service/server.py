@@ -54,7 +54,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.deadline import deadline
-from repro.discovery.batch import BatchPolicy, Scenario
+from repro.discovery.batch import Scenario
 from repro.discovery.engine import persist
 from repro.exceptions import (
     QueueFullError,
@@ -115,6 +115,9 @@ class ServiceConfig:
             )
         if self.request_timeout_seconds <= 0:
             raise ValueError("request_timeout_seconds must be positive")
+        job_timeout = self.job_timeout_seconds
+        if job_timeout is not None and job_timeout <= 0:
+            raise ValueError("job_timeout_seconds must be positive")
         if self.cache_dir is not None and not self.cache_dir:
             raise ValueError("cache_dir must be a non-empty path or None")
 
@@ -218,11 +221,6 @@ class MappingService:
             ttl_seconds=config.cache_ttl_seconds,
             store=store,
         )
-        policy = None
-        if config.job_timeout_seconds is not None:
-            policy = BatchPolicy(
-                timeout_seconds=config.job_timeout_seconds
-            )
         pool = None
         if config.processes > 1:
             pool = ComputePool(config.processes, config.cache_dir)
@@ -231,7 +229,7 @@ class MappingService:
             capacity=config.queue_capacity,
             cache=self.cache,
             metrics=self.metrics,
-            policy=policy,
+            timeout_seconds=config.job_timeout_seconds,
             pool=pool,
         )
         self.started_at = time.monotonic()

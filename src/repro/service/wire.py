@@ -657,7 +657,6 @@ def failure_to_wire(failure: ScenarioFailure) -> dict[str, Any]:
         "scenario_id": failure.scenario_id,
         "traceback": list(failure.traceback_summary),
         "elapsed_seconds": failure.elapsed_seconds,
-        "attempts": failure.attempts,
     }
 
 

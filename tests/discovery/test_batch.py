@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.discovery import (
-    BatchDiscovery,
     Scenario,
     SemanticMapper,
     discover_many,
     scenarios_for_cases,
 )
-from repro.discovery.batch import _group_by_pair
 
 
 def _tgds(result):
@@ -40,7 +38,7 @@ def scenarios(bookstore, employee):
 
 
 def test_serial_matches_individual_mappers(scenarios, bookstore, employee):
-    batch = discover_many(scenarios, workers=1)
+    batch = discover_many(scenarios)
     assert len(batch) == 2
     for example, (scenario_id, result) in zip(
         (bookstore, employee), batch.results
@@ -52,7 +50,7 @@ def test_serial_matches_individual_mappers(scenarios, bookstore, employee):
 
 
 def test_results_keep_input_order(scenarios):
-    batch = discover_many(list(reversed(scenarios)), workers=1)
+    batch = discover_many(list(reversed(scenarios)))
     assert [scenario_id for scenario_id, _ in batch.results] == [
         "employee",
         "bookstore",
@@ -60,34 +58,23 @@ def test_results_keep_input_order(scenarios):
 
 
 def test_result_for(scenarios):
-    batch = discover_many(scenarios, workers=1)
+    batch = discover_many(scenarios)
     assert len(batch.result_for("bookstore")) >= 1
     with pytest.raises(KeyError):
         batch.result_for("missing")
 
 
-def test_parallel_matches_serial(scenarios):
-    serial = discover_many(scenarios, workers=1)
-    parallel = discover_many(scenarios, workers=2)
-    assert [sid for sid, _ in parallel.results] == [
-        sid for sid, _ in serial.results
-    ]
-    for (_, left), (_, right) in zip(serial.results, parallel.results):
-        assert _tgds(left) == _tgds(right)
-
-
 def test_aggregate_stats(scenarios):
-    batch = discover_many(scenarios, workers=1)
+    batch = discover_many(scenarios)
     assert batch.stats["scenarios"] == 2
     assert batch.stats["total_discovery_seconds"] >= 0
-    assert batch.notes == []
 
 
 def test_aggregate_span_seconds_are_float_sums(scenarios):
     import repro.perf as perf
 
     perf.clear_caches()
-    batch = discover_many(scenarios, workers=1)
+    batch = discover_many(scenarios)
     keys = {
         key
         for _, result in batch.results
@@ -103,22 +90,14 @@ def test_aggregate_span_seconds_are_float_sums(scenarios):
         assert batch.stats[key] == expected, key
 
 
-def test_grouping_by_schema_pair(scenarios, bookstore):
-    extra = Scenario.create(
-        "bookstore-2",
-        bookstore.source,
-        bookstore.target,
-        bookstore.correspondences,
-    )
-    groups = _group_by_pair(scenarios + [extra])
-    assert len(groups) == 2
-    sizes = sorted(len(group) for group in groups)
-    assert sizes == [1, 2]
-
-
-def test_workers_validation():
-    with pytest.raises(ValueError):
-        BatchDiscovery(workers=0)
+def test_workers_validation(scenarios):
+    """Only ``workers=1`` is accepted; the error names the two entry
+    points that do spread work over processes."""
+    for workers in (0, 2):
+        with pytest.raises(ValueError) as error:
+            discover_many(scenarios, workers=workers)
+        assert "repro evaluate --workers" in str(error.value)
+        assert "repro serve --processes" in str(error.value)
 
 
 def test_scenarios_for_cases(bookstore):

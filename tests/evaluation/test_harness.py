@@ -5,6 +5,8 @@ slowest tests in the suite — but they ARE the reproduction: semantic
 recall 1.0 everywhere, semantic precision ≥ RIC everywhere.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.datasets.registry import dataset_names, load_dataset
@@ -16,6 +18,7 @@ from repro.evaluation import (
     render_figure6,
     render_figure7,
     render_table1,
+    run_all,
     run_case,
     run_dataset,
 )
@@ -151,3 +154,32 @@ class TestFailureHandling:
         result = run_dataset(pair)
         assert result.ok
         assert render_failures([result]) == "Failures: none"
+
+
+class TestWorkers:
+    """``repro evaluate --workers N`` fans dataset pairs out over
+    processes; the results must not depend on it."""
+
+    @staticmethod
+    def _untimed(results):
+        return [
+            (
+                result.pair.name,
+                [
+                    replace(case, elapsed_seconds=0.0)
+                    for case in result.case_results
+                ],
+                [replace(f, elapsed_seconds=0.0) for f in result.failures],
+            )
+            for result in results
+        ]
+
+    def test_two_workers_equal_a_serial_run(self):
+        serial = run_all()
+        parallel = run_all(workers=2)
+        assert [r.pair.name for r in parallel] == list(dataset_names())
+        assert self._untimed(parallel) == self._untimed(serial)
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_all(workers=0)

@@ -32,9 +32,9 @@ def gate(monkeypatch):
     release = threading.Event()
     real = jobs_mod.discover_many
 
-    def gated(scenarios, workers=1, policy=None):
+    def gated(scenarios, timeout_seconds=None):
         release.wait(30)
-        return real(scenarios, workers=workers, policy=policy)
+        return real(scenarios, timeout_seconds=timeout_seconds)
 
     monkeypatch.setattr(jobs_mod, "discover_many", gated)
     yield release

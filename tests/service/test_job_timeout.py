@@ -1,7 +1,7 @@
 """``--job-timeout`` on the service's worker threads.
 
 A job runs discovery on a :class:`~repro.service.jobs.JobQueue` worker
-thread under the service's ``BatchPolicy``. The limit is a cooperative
+thread under the service's job timeout. The limit is a cooperative
 deadline checked by discovery's search loops, so it stops the run on
 that thread: a synchronous request whose job it stopped gets a 504 with
 the failure record, and the worker goes on to serve the next job.

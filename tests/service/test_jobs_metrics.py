@@ -175,7 +175,7 @@ class TestJobQueue:
         release = threading.Event()
         wedged = threading.Event()
 
-        def blocking_discover(scenarios, workers=1, policy=None):
+        def blocking_discover(scenarios, timeout_seconds=None):
             wedged.set()
             release.wait(30)
             raise RuntimeError("released by test")
@@ -208,7 +208,12 @@ class TestJobQueue:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"workers": -1}, {"capacity": 0}, {"history": 0}],
+        [
+            {"workers": -1},
+            {"capacity": 0},
+            {"history": 0},
+            {"timeout_seconds": 0},
+        ],
     )
     def test_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ the perf counters run a :class:`ReproServer` in-process.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -20,15 +21,22 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.service.server as server_mod
+from repro.discovery.batch import Scenario
 from repro.service.client import ServiceClient
 from repro.service.metrics import parse_exposition
 from repro.service.server import ReproServer, ServiceConfig
-from tests.discovery.test_batch_faults import (
-    SlowScenario,
-    WorkerKillerScenario,
-)
+from tests.discovery.test_batch_faults import SlowScenario
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
+
+class WorkerKillerScenario(Scenario):
+    """Hard-exits when run in a compute process; succeeds in the parent."""
+
+    def run(self):
+        if multiprocessing.current_process().name != "MainProcess":
+            os._exit(13)
+        return super().run()
 
 
 class TestConfigValidation:
@@ -39,6 +47,10 @@ class TestConfigValidation:
     def test_processes_must_be_positive(self):
         with pytest.raises(ValueError, match="processes"):
             ServiceConfig(processes=0)
+
+    def test_job_timeout_must_be_positive(self):
+        with pytest.raises(ValueError, match="job_timeout_seconds"):
+            ServiceConfig(job_timeout_seconds=0)
 
 
 def _post(url: str, path: str, payload: dict, timeout: float = 60.0):

@@ -168,7 +168,7 @@ class TestDiscover:
 
         release = threading.Event()
 
-        def blocking_discover(scenarios, workers=1, policy=None):
+        def blocking_discover(scenarios, timeout_seconds=None):
             release.wait(30)
             raise RuntimeError("released by test")
 
@@ -203,7 +203,7 @@ class TestDiscover:
 
         release = threading.Event()
 
-        def blocking_discover(scenarios, workers=1, policy=None):
+        def blocking_discover(scenarios, timeout_seconds=None):
             release.wait(30)
             raise RuntimeError("released by test")
 

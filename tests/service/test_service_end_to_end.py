@@ -37,7 +37,7 @@ REQUESTS = [CASES[i % len(CASES)] for i in range(20)]
 def serial_mappings():
     """Reference payloads from a plain serial discover_many run."""
     scenarios = [scenario_from_wire(spec) for spec in CASES]
-    batch = discover_many(scenarios, workers=1)
+    batch = discover_many(scenarios)
     assert not batch.failures
     return {
         scenario_id: json.dumps(

@@ -13,6 +13,16 @@ class TestDatasetsCommand:
             assert name in out
 
 
+class TestEvaluateCommand:
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_usage_error(self, workers, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--workers", workers])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --workers: must be >= 1" in err
+
+
 class TestDescribeCommand:
     def test_prints_schemas_and_cases(self, capsys):
         assert main(["describe", "Hotel"]) == 0

@@ -8,8 +8,9 @@ and three synthetic families are pinned at 10, 30 and 60 classes by
 blind-search runs could still be compared, and all three agreed.
 
 Each case runs cold (``clear_caches()`` first) and then warm in the same
-process; both must reproduce the pinned digest, and so must a parallel
-batch of the 34 paper cases. The digest rule is the benchmark's
+process; both must reproduce the pinned digest, and so must the 34 paper
+cases run in the service's two compute processes, which pickle each
+scenario over and each result back. The digest rule is the benchmark's
 (``bench/workloads.py:tgd_digest``): sha256 over the candidates'
 ``to_tgd("M<i>")`` lines joined by newlines.
 
@@ -29,8 +30,9 @@ import pytest
 import repro.perf as perf
 from repro.datasets import synthetic
 from repro.datasets.registry import load_all_datasets
-from repro.discovery.batch import Scenario, discover_many
+from repro.discovery.batch import Scenario
 from repro.discovery.mapper import SemanticMapper
+from tests.compute_pool import run_in_compute_pool
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "bench" / "golden.json"
 
@@ -95,10 +97,11 @@ def test_paper_cases_match_golden_in_a_parallel_batch():
         for pair in load_all_datasets()
         for case in pair.cases
     ]
-    perf.clear_caches()
-    batch = discover_many(scenarios, workers=2)
-    assert batch.failures == []
-    digests = {key: tgd_digest(result) for key, result in batch.results}
+    outcomes = run_in_compute_pool(scenarios)
+    assert [kind for kind, _ in outcomes.values()] == ["ok"] * 34
+    digests = {
+        key: tgd_digest(result) for key, (_, result) in outcomes.items()
+    }
     assert digests == golden
 
 

@@ -1,9 +1,10 @@
 """The package's import footprint: a process loads only what it runs.
 
 ``import repro`` (and the CLI and service front doors) must stay pure
-stdlib and must not load the process-pool machinery, which only the
-``workers > 1`` paths use. Both showed up in start-up time and resident
-memory, so this pins them out of the import graph.
+stdlib and must not load the process-pool machinery, which only
+``repro evaluate --workers N`` (N > 1) and ``repro serve --processes N``
+(N > 1) use. Both showed up in start-up time and resident memory, so
+this pins them out of the import graph.
 
 The same holds for the package's own code: packages resolve their
 re-exported names on first use, so a discovery process never loads the

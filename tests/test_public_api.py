@@ -57,7 +57,6 @@ EXPECTED_ALL = {
     "suggest_correspondences",
     "as_correspondence_set",
     # Discovery
-    "BatchPolicy",
     "BatchResult",
     "DiscoveryOptions",
     "DiscoveryResult",

@@ -15,6 +15,7 @@ from repro.discovery import (
     discover_mappings,
 )
 from repro.trace import TRACE_FORMAT, Tracer
+from tests.compute_pool import run_in_compute_pool
 
 
 def explain_result(scenario, **option_changes):
@@ -231,13 +232,13 @@ class TestBatchEquivalence:
         ]
 
     def test_parallel_serial_equivalent_with_explain(self, scenarios):
-        serial = discover_many(scenarios, workers=1)
-        parallel = discover_many(scenarios, workers=2)
-        assert not serial.failures and not parallel.failures
-        for (sid, s_result), (pid, p_result) in zip(
-            serial.results, parallel.results
-        ):
-            assert sid == pid
+        serial = discover_many(scenarios)
+        parallel = run_in_compute_pool(scenarios)
+        assert not serial.failures
+        assert len(serial) == len(parallel) == 3
+        for sid, s_result in serial.results:
+            kind, p_result = parallel[sid]
+            assert kind == "ok", p_result
             assert [str(c.source_query) for c in s_result.candidates] == [
                 str(c.source_query) for c in p_result.candidates
             ]

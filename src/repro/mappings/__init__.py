@@ -1,4 +1,9 @@
-"""Mapping expressions: tgds, candidates, exchange, and the lifecycle algebra."""
+"""Mapping expressions: tgds, candidates, exchange, and the lifecycle algebra.
+
+``exchange`` executes a mapping and ``implies`` decides entailment
+between mappings with the same chase round
+(:func:`repro.mappings.exchange.chase_round`).
+"""
 
 from repro import _lazy_package
 
@@ -27,7 +32,6 @@ __all__ = _lazy_package(
             "implies",
             "minimize_mapping_set",
         ),
-        "repro.mappings.sql": ("insert_sql", "select_sql"),
         "repro.mappings.serialize": ("dump_mapping_set", "load_mapping_set"),
         "repro.mappings.diff": ("MappingDiff", "diff_candidates"),
         "repro.mappings.verify": (

@@ -12,11 +12,13 @@ turn one-shot discovery into continuous mapping maintenance:
 * :func:`implies` / :func:`contains` / :func:`equivalent` — logical
   containment between mappings (Calì–Torlone), decided by the chase:
   freeze the premise of the candidate to be derived into a canonical
-  instance, chase it with the other mapping, and look for the frozen
-  conclusion among the chased facts via the CQ homomorphism machinery
-  of :mod:`repro.queries.homomorphism`. Because the tgds here are
-  source-to-target (premises over source tables only), a single chase
-  round is complete.
+  instance, chase it with the other mapping by the round that
+  :func:`~repro.mappings.exchange.exchange` runs
+  (:func:`~repro.mappings.exchange.chase_round`), and look for the
+  frozen conclusion among the chased facts via the CQ homomorphism
+  machinery of :mod:`repro.queries.homomorphism`. Because the tgds here
+  are source-to-target (premises over source tables only), a single
+  chase round is complete.
 
 All entry points accept a :class:`~repro.mappings.expression.MappingSet`,
 a bare :class:`~repro.mappings.expression.MappingCandidate`, or any
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from repro.correspondences import Correspondence
 from repro.exceptions import QueryError
-from repro.mappings.exchange import skolem_function
+from repro.mappings.exchange import chase_round
 from repro.mappings.expression import (
     MappingCandidate,
     MappingSet,
@@ -47,8 +49,6 @@ from repro.queries.conjunctive import (
 from repro.queries.homomorphism import (
     _bucket_atoms,
     _find_homomorphism,
-    _homomorphisms,
-    _profile,
     minimize,
 )
 from repro.queries.rewrite import (
@@ -74,53 +74,6 @@ def _frozen_constant(variable: Variable) -> Constant:
     return Constant(("⊥frozen", variable.name))
 
 
-def _aligned_tgd(candidate: MappingCandidate, name: str) -> SourceToTargetTGD | None:
-    try:
-        return candidate.to_tgd(name)
-    except QueryError:
-        return None
-
-
-def _symbolic_chase(
-    tgds: list[SourceToTargetTGD], source_facts: tuple[Atom, ...]
-) -> tuple[Atom, ...]:
-    """One chase round of s-t tgds over ground source facts.
-
-    Mirrors :func:`repro.mappings.exchange.exchange` symbolically: every
-    homomorphism of a tgd's premise into the source facts fires the
-    conclusion, with existential variables instantiated as
-    :class:`SkolemTerm` applications of the shared
-    :func:`~repro.mappings.exchange.skolem_function` symbols over the
-    exported terms. Source and target facts are kept in separate sets so
-    same-named tables on both sides of an evolution hop cannot feed a
-    premise with chased facts — which also makes the single round
-    complete.
-    """
-    produced: dict[Atom, None] = {}
-    for tgd in tgds:
-        exported_map = list(
-            zip(tgd.source.head_terms, tgd.target.head_terms)
-        )
-        existentials = tgd.existential_variables()
-        ordered = _profile(tgd.source).ordered
-        for hom in _homomorphisms(ordered, source_facts, {}):
-            binding: dict[Variable, Term] = {}
-            export_values: list[Term] = []
-            for source_term, target_term in exported_map:
-                value = substitute_term(source_term, hom)
-                export_values.append(value)
-                if isinstance(target_term, Variable):
-                    binding[target_term] = value
-            for variable in existentials:
-                binding[variable] = SkolemTerm(
-                    skolem_function(tgd.name, variable),
-                    tuple(export_values),
-                )
-            for atom in tgd.target.body:
-                produced.setdefault(substitute_atom(atom, binding))
-    return tuple(produced)
-
-
 def implies(first: MappingLike, second: MappingLike) -> bool:
     """True when ``first`` logically entails ``second``.
 
@@ -131,15 +84,9 @@ def implies(first: MappingLike, second: MappingLike) -> bool:
     candidate's conclusion — with the shared (exported) variables pinned
     to their frozen constants — among the chased facts.
     """
-    premise_tgds = [
-        tgd
-        for index, candidate in enumerate(candidates_of(first), 1)
-        if (tgd := _aligned_tgd(candidate, f"L{index}")) is not None
-    ]
+    premise_tgds = MappingSet.of(first).to_tgds("L")
     for candidate in candidates_of(second):
-        goal = _aligned_tgd(candidate, "G")
-        if goal is None:
-            return False
+        goal = candidate.to_tgd("G")
         freeze = {
             variable: _frozen_constant(variable)
             for variable in goal.source.body_variables()
@@ -147,7 +94,7 @@ def implies(first: MappingLike, second: MappingLike) -> bool:
         source_facts = tuple(
             substitute_atom(atom, freeze) for atom in goal.source.body
         )
-        chased = _symbolic_chase(premise_tgds, source_facts)
+        chased = chase_round(premise_tgds, source_facts)
         pinned: dict[Variable, Term] = {
             variable: freeze[variable]
             for variable in goal.target.body_variables()
@@ -251,9 +198,7 @@ def _compose_pair(
     second: MappingCandidate,
     second_index: int,
 ) -> list[MappingCandidate]:
-    tgd = _aligned_tgd(second, f"R{second_index}")
-    if tgd is None:
-        return []
+    tgd = second.to_tgd(f"R{second_index}")
     renaming = {
         variable: Variable(variable.name + "·r")
         for variable in {*tgd.source.variables(), *tgd.target.variables()}
@@ -420,10 +365,9 @@ def compose(
     first_candidates = candidates_of(first)
     first_hop: dict[str, tuple[int, LAVView, SourceToTargetTGD]] = {}
     for position, candidate in enumerate(first_candidates, 1):
-        tgd = _aligned_tgd(candidate, f"M{position}")
-        if tgd is not None:
-            view = _first_hop_view(tgd)
-            first_hop[view.name] = (position, view, tgd)
+        tgd = candidate.to_tgd(f"M{position}")
+        view = _first_hop_view(tgd)
+        first_hop[view.name] = (position, view, tgd)
     views = _ViewSequence(view for _, view, _ in first_hop.values())
     plan = _RewritePlan()
     composed: list[MappingCandidate] = []

@@ -1,27 +1,33 @@
 """Data exchange: executing GLAV mappings on source instances.
 
 Given a set of s-t tgds and a source instance, :func:`exchange` computes a
-*canonical universal solution* the standard way: evaluate each tgd's
-source query, and for every satisfying binding insert the target body's
-atoms, instantiating target-existential variables with labeled nulls built
-from Skolem terms over the exported values (Section 1's observation that
+*canonical universal solution* by one round of the chase
+(:func:`chase_round`): each source row becomes a ground ``T:`` fact,
+every homomorphism of a tgd's premise into those facts fires its
+conclusion, and target-existential variables become labeled nulls named
+by Skolem terms over the exported values (Section 1's observation that
 "Skolem functions are generally used to represent existentially
-quantified variables").
+quantified variables"). :mod:`repro.mappings.algebra` runs the same
+round over frozen premises to decide implication between mappings.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro.exceptions import QueryError
 from repro.mappings.tgd import SourceToTargetTGD
 from repro.queries.conjunctive import (
     Atom,
     Constant,
+    SkolemTerm,
     Term,
     Variable,
+    db_atom,
+    substitute_atom,
+    substitute_term,
 )
-from repro.queries.datalog import evaluate_bindings
+from repro.queries.homomorphism import _bucket_atoms, _homomorphisms, _profile
 from repro.relational.instance import Instance, LabeledNull
 from repro.relational.schema import RelationalSchema
 
@@ -29,21 +35,55 @@ from repro.relational.schema import RelationalSchema
 def skolem_function(tgd_name: str, variable: Variable) -> str:
     """The Skolem-function symbol for one tgd existential.
 
-    One naming convention shared by the whole lifecycle: data exchange
-    builds labeled nulls as applications of this symbol to the exported
-    values, and :mod:`repro.mappings.algebra` builds symbolic
-    :class:`~repro.queries.conjunctive.SkolemTerm` applications of the
-    *same* symbol when unfolding or chasing mappings — so a composed
-    mapping's provenance reads like the exchange nulls it stands for.
+    One naming convention shared by the whole lifecycle: the chase
+    instantiates a tgd's existentials as
+    :class:`~repro.queries.conjunctive.SkolemTerm` applications of this
+    symbol to the exported terms, :func:`exchange` writes them as labeled
+    nulls of the same name, and :mod:`repro.mappings.algebra` uses the
+    same symbols when composing mappings — so a composed mapping's
+    provenance reads like the exchange nulls it stands for.
     """
     return f"{tgd_name}:{variable.name}"
 
 
-def _skolem_null(
-    tgd_name: str, variable: Variable, exported: tuple[Hashable, ...]
-) -> LabeledNull:
-    values = ",".join(repr(value) for value in exported)
-    return LabeledNull(f"{skolem_function(tgd_name, variable)}({values})")
+def chase_round(
+    tgds: Iterable[SourceToTargetTGD], source_facts: Sequence[Atom]
+) -> tuple[Atom, ...]:
+    """One chase round of s-t tgds over ground source facts.
+
+    Every homomorphism of a tgd's premise into the source facts fires
+    the conclusion, with existential variables instantiated as
+    :class:`SkolemTerm` applications of the :func:`skolem_function`
+    symbols over the exported terms, so two firings agreeing on exports
+    share their Skolem terms. Source and target facts are kept apart, so
+    same-named tables on both sides of an evolution hop cannot feed a
+    premise with chased facts — which also makes the single round
+    complete. The produced facts come back deduplicated, in firing order.
+    """
+    buckets = _bucket_atoms(source_facts)
+    produced: dict[Atom, None] = {}
+    for tgd in tgds:
+        exported_map = list(
+            zip(tgd.source.head_terms, tgd.target.head_terms)
+        )
+        existentials = tgd.existential_variables()
+        ordered = _profile(tgd.source).ordered
+        for hom in _homomorphisms(ordered, buckets, {}):
+            binding: dict[Variable, Term] = {}
+            export_values: list[Term] = []
+            for source_term, target_term in exported_map:
+                value = substitute_term(source_term, hom)
+                export_values.append(value)
+                if isinstance(target_term, Variable):
+                    binding[target_term] = value
+            for variable in existentials:
+                binding[variable] = SkolemTerm(
+                    skolem_function(tgd.name, variable),
+                    tuple(export_values),
+                )
+            for atom in tgd.target.body:
+                produced.setdefault(substitute_atom(atom, binding))
+    return tuple(produced)
 
 
 def exchange(
@@ -55,61 +95,44 @@ def exchange(
 
     Labeled nulls are deterministic functions of (tgd, variable, exported
     values), so repeated runs produce identical instances and two tgd
-    firings agreeing on exports share nulls.
+    firings agreeing on exports share nulls. A null is labelled with its
+    Skolem term, such as ``M3:x('ann')``.
     """
-    target = Instance(target_schema)
+    premise_tables: dict[str, None] = {}
     for tgd in tgds:
-        _fire(tgd, source_instance, target)
+        for atom in tgd.source.body:
+            if not atom.is_db_atom:
+                raise QueryError(
+                    f"source body must use T: atoms, got {atom.predicate!r}"
+                )
+            table = source_instance.schema.table(atom.bare_predicate)
+            if table.arity != atom.arity:
+                raise QueryError(
+                    f"atom {atom} has arity {atom.arity} but table "
+                    f"{table.name!r} has {table.arity} columns"
+                )
+            premise_tables.setdefault(table.name)
+    source_facts = tuple(
+        db_atom(table, *map(Constant, row))
+        for table in premise_tables
+        for row in source_instance.rows(table)
+    )
+    target = Instance(target_schema)
+    for atom in chase_round(tgds, source_facts):
+        if not atom.is_db_atom:
+            raise QueryError(
+                f"target body must use T: atoms, got {atom.predicate!r}"
+            )
+        target.add(atom.bare_predicate, [_value(term) for term in atom.terms])
     return target
 
 
-def _fire(
-    tgd: SourceToTargetTGD, source_instance: Instance, target: Instance
-) -> None:
-    aligned = tgd  # queries already share exported variables by contract
-    for binding in evaluate_bindings(aligned.source, source_instance):
-        exported: dict[Variable, Hashable] = {}
-        export_values = []
-        for source_term, target_term in zip(
-            aligned.source.head_terms, aligned.target.head_terms
-        ):
-            value = _term_value(source_term, binding, {})
-            export_values.append(value)
-            if isinstance(target_term, Variable):
-                exported[target_term] = value
-        null_cache: dict[Variable, LabeledNull] = {}
-        for atom in aligned.target.body:
-            if not atom.is_db_atom:
-                raise QueryError(
-                    f"target body must use T: atoms, got {atom.predicate!r}"
-                )
-            row = []
-            for term in atom.terms:
-                if isinstance(term, Variable) and term not in exported:
-                    if term not in null_cache:
-                        null_cache[term] = _skolem_null(
-                            aligned.name, term, tuple(export_values)
-                        )
-                    row.append(null_cache[term])
-                else:
-                    row.append(_term_value(term, binding, exported))
-            target.add(atom.bare_predicate, row)
-
-
-def _term_value(
-    term: Term,
-    binding: dict[Variable, Hashable],
-    exported: dict[Variable, Hashable],
-) -> Hashable:
-    if isinstance(term, Variable):
-        if term in exported:
-            return exported[term]
-        if term in binding:
-            return binding[term]
-        raise QueryError(f"unbound variable {term} during exchange")
-    if isinstance(term, Constant):
-        return term.value
-    raise QueryError(f"cannot exchange Skolem term {term}")
+def _value(term: Term) -> Hashable:
+    """A chased term as an instance value: a Skolem term is a labeled null."""
+    if isinstance(term, SkolemTerm):
+        values = ",".join(repr(argument.value) for argument in term.arguments)
+        return LabeledNull(f"{term.function}({values})")
+    return term.value
 
 
 def certain_rows(instance: Instance, table_name: str) -> tuple[tuple, ...]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 from repro.correspondences import Correspondence
+from repro.exceptions import QueryError
 from repro.queries.conjunctive import ConjunctiveQuery, Variable
 from repro.queries.homomorphism import are_equivalent
 from repro.mappings.tgd import SourceToTargetTGD, align_queries
@@ -37,6 +38,10 @@ class MappingCandidate:
     edges, whose joins a data-exchange engine may want to treat as outer
     joins (see :mod:`repro.mappings.refinement`). The field never
     participates in candidate identity.
+
+    The two heads pair up by position, so they must have the same
+    arity; a candidate whose heads differ is refused with
+    :class:`~repro.exceptions.QueryError` when it is built.
     """
 
     source_query: ConjunctiveQuery
@@ -45,6 +50,15 @@ class MappingCandidate:
     method: str = "semantic"
     notes: str = ""
     source_optional_tables: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        source_arity = len(self.source_query.head_terms)
+        target_arity = len(self.target_query.head_terms)
+        if source_arity != target_arity:
+            raise QueryError(
+                "source and target heads must have the same arity: "
+                f"{source_arity} vs {target_arity}"
+            )
 
     def to_tgd(self, name: str = "M") -> SourceToTargetTGD:
         tgd = align_queries(self.source_query, self.target_query)

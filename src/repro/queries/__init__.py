@@ -34,7 +34,7 @@ __all__ = _lazy_package(
             "InclusionDependency",
             "table_seed_atom",
         ),
-        "repro.queries.datalog": ("evaluate_bindings", "evaluate_query"),
+        "repro.queries.datalog": ("evaluate_query",),
         "repro.queries.rewrite": (
             "InverseRule",
             "LAVView",

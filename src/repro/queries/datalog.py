@@ -2,8 +2,10 @@
 
 A non-recursive, backtracking join evaluator: body atoms must be ``T:``
 (table) atoms whose predicates name tables of the instance's schema.
-Used to *execute* discovered mapping expressions and to cross-check the
-algebra evaluator in tests.
+:func:`evaluate_query` answers a query over an instance: verification
+(:mod:`repro.mappings.verify`) checks mappings with it, and tests check
+it against the relational-algebra evaluator. Executing a mapping is the
+chase round of :mod:`repro.mappings.exchange`.
 """
 
 from __future__ import annotations
@@ -103,23 +105,3 @@ def evaluate_query(
         )
     return frozenset(answers)
 
-
-def evaluate_bindings(
-    query: ConjunctiveQuery, instance: Instance
-) -> tuple[Binding, ...]:
-    """All satisfying bindings (full variable assignments), deterministic.
-
-    Used by data exchange, which needs bindings for *all* body variables —
-    including existential ones — to build Skolem values.
-    """
-    ordered = tuple(
-        sorted(query.body, key=lambda a: (-a.arity, a.predicate))
-    )
-    results = []
-    seen = set()
-    for binding in _join(ordered, instance, {}):
-        frozen = tuple(sorted((v.name, repr(val)) for v, val in binding.items()))
-        if frozen not in seen:
-            seen.add(frozen)
-            results.append(binding)
-    return tuple(results)

@@ -209,17 +209,22 @@ def _cannot_map(outer: _QueryProfile, inner: _QueryProfile) -> bool:
 
 def _homomorphisms(
     atoms: tuple[Atom, ...],
-    target_atoms: tuple[Atom, ...],
+    target_buckets: dict[str, tuple[Atom, ...]],
     mapping: dict[Variable, Term],
 ) -> Iterator[dict[Variable, Term]]:
+    """Every homomorphism extending ``mapping``, depth-first.
+
+    Each pattern atom scans only the target atoms of its own predicate
+    (``target_buckets``, as built by :func:`_bucket_atoms`).
+    """
     if not atoms:
         yield mapping
         return
     first, rest = atoms[0], atoms[1:]
-    for target in target_atoms:
+    for target in target_buckets.get(first.predicate, ()):
         extended = _match_atom(first, target, mapping)
         if extended is not None:
-            yield from _homomorphisms(rest, target_atoms, extended)
+            yield from _homomorphisms(rest, target_buckets, extended)
 
 
 def _bucket_atoms(body: Sequence[Atom]) -> dict[str, tuple[Atom, ...]]:

@@ -120,3 +120,23 @@ class TestExchange:
         source_answers = evaluate_query(m5.source, source_instance)
         target_answers = evaluate_query(m5.target, target)
         assert source_answers <= target_answers
+
+    def test_premise_must_name_source_tables(
+        self, source_instance, target_schema
+    ):
+        """A premise over a table the source lacks, or with the wrong
+        arity, is an error, not an empty solution."""
+        from repro.exceptions import QueryError, SchemaError
+
+        unknown = SourceToTargetTGD(
+            parse_query("ans(v1) :- author(v1)"),
+            parse_query("ans(v1) :- hasbooksoldat(v1, x)"),
+        )
+        with pytest.raises(SchemaError, match="author"):
+            exchange([unknown], source_instance, target_schema)
+        misfit = SourceToTargetTGD(
+            parse_query("ans(v1) :- person(v1, v2)"),
+            parse_query("ans(v1) :- hasbooksoldat(v1, x)"),
+        )
+        with pytest.raises(QueryError, match="arity 2"):
+            exchange([misfit], source_instance, target_schema)

@@ -7,6 +7,7 @@ plus the MappingSet pruning helpers built on them.
 import pytest
 
 from repro.correspondences import Correspondence
+from repro.exceptions import QueryError
 from repro.mappings import (
     MappingCandidate,
     MappingSet,
@@ -207,12 +208,19 @@ class TestCompose:
         assert direct.rows("q") == chained.rows("q") == ()
 
     def test_provenance_names_candidate_positions(self):
-        """A first-hop candidate whose sides export different arities is
-        skipped, but later candidates keep their own position."""
-        misaligned = candidate(
-            "ans(n, a) :- person(n, a)",
-            "ans(n) :- emp(n)",
-            covered=("person.age <-> emp.name",),
+        """A candidate whose sides export different arities is refused
+        when it is built; composed provenance names each first-hop
+        candidate by its own position."""
+        with pytest.raises(QueryError, match="same arity: 2 vs 1"):
+            candidate(
+                "ans(n, a) :- person(n, a)",
+                "ans(n) :- emp(n)",
+                covered=("person.age <-> emp.name",),
+            )
+        unrelated = candidate(
+            "ans(d) :- dept(d)",
+            "ans(d) :- office(d)",
+            covered=("dept.name <-> office.name",),
         )
         good = candidate(
             "ans(n) :- person(n, a)",
@@ -224,7 +232,7 @@ class TestCompose:
             "ans(n) :- worker(n)",
             covered=("emp.name <-> worker.name",),
         )
-        (result,) = compose([misaligned, good], second)
+        (result,) = compose([unrelated, good], second)
         assert result.notes == "composed M2∘R1"
         assert [str(c) for c in result.covered] == [
             "person.name ↔ worker.name"

@@ -38,8 +38,9 @@ constants = st.one_of(
 
 
 @st.composite
-def safe_queries(draw):
-    """A safe conjunctive query: every head variable occurs in the body."""
+def safe_queries(draw, arity):
+    """A safe conjunctive query with ``arity`` head variables, each of
+    which occurs in the body."""
     body_vars = draw(
         st.lists(names, min_size=1, max_size=4, unique=True)
     ).copy()
@@ -61,7 +62,7 @@ def safe_queries(draw):
     head = [
         Variable(name)
         for name in draw(
-            st.lists(st.sampled_from(usable), min_size=1, max_size=3)
+            st.lists(st.sampled_from(usable), min_size=arity, max_size=arity)
         )
     ]
     return ConjunctiveQuery(head, atoms, draw(names))
@@ -80,9 +81,11 @@ def candidates(draw):
     )
     from repro.correspondences import Correspondence
 
+    # Both heads share one arity, as a candidate requires.
+    arity = draw(st.integers(min_value=1, max_value=3))
     return MappingCandidate(
-        source_query=draw(safe_queries()),
-        target_query=draw(safe_queries()),
+        source_query=draw(safe_queries(arity)),
+        target_query=draw(safe_queries(arity)),
         covered=tuple(Correspondence.parse(t) for t in covered_texts),
         method=draw(st.sampled_from(["semantic", "syntactic", "manual"])),
         notes=draw(st.text(max_size=30)),

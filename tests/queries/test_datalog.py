@@ -10,7 +10,6 @@ from repro.queries import (
     Variable,
     cm_atom,
     db_atom,
-    evaluate_bindings,
     evaluate_query,
 )
 from repro.relational import Instance, RelationalSchema, Table
@@ -84,20 +83,6 @@ class TestEvaluation:
         )
         with pytest.raises(QueryError):
             evaluate_query(q, instance)
-
-
-class TestBindings:
-    def test_bindings_cover_existential_variables(self, instance):
-        q = ConjunctiveQuery(
-            [x], [db_atom("writes", x, y), db_atom("soldAt", y, z)]
-        )
-        bindings = evaluate_bindings(q, instance)
-        assert all({x, y, z} <= set(b) for b in bindings)
-        assert len(bindings) == 4  # one per satisfying assignment
-
-    def test_bindings_deterministic(self, instance):
-        q = ConjunctiveQuery([x], [db_atom("writes", x, y)])
-        assert evaluate_bindings(q, instance) == evaluate_bindings(q, instance)
 
 
 class TestAgreementWithAlgebra:

@@ -330,6 +330,23 @@ class TestCompose:
         assert status == 400
         assert "first" in payload["error"]["message"]
 
+    def test_mismatched_head_arity_400(self, client):
+        """A candidate whose heads differ in arity is refused, not left
+        out of the composition."""
+        first = _mapping_document(
+            "ans(n, a) :- person(n, a)",
+            "ans(n, a) :- emp(n, a)",
+            "person.name <-> emp.name",
+        )
+        first["candidates"][0]["target"]["head"].pop()
+        status, payload = client.request(
+            "POST", "/compose", {"first": first, "second": self.SECOND()}
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "WireFormatError"
+        message = payload["error"]["message"]
+        assert "'first'" in message and "same arity: 2 vs 1" in message
+
     def test_bad_option_types_400(self, client):
         status, payload = client.request(
             "POST",

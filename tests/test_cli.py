@@ -487,6 +487,28 @@ class TestEvolveAndCompose:
         assert main(["compose", str(tmp_path / "ghost.json"), evolved]) == 2
         assert "cannot load" in capsys.readouterr().err
 
+    def test_compose_mismatched_heads_fails(self, capsys, evolved, tmp_path):
+        """A document whose candidate heads differ in arity is a load
+        error (exit 2), not a candidate that composes to nothing."""
+        import json
+
+        from repro.mappings import MappingCandidate, MappingSet
+        from repro.mappings.serialize import mapping_set_to_dict
+        from repro.queries.parser import parse_query
+
+        candidate = MappingCandidate(
+            parse_query("ans(x, y) :- a(x, y)"),
+            parse_query("ans(x, y) :- m(x, y)"),
+            (),
+        )
+        document = mapping_set_to_dict(MappingSet.of([candidate]))
+        document["candidates"][0]["target"]["head"].pop()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["compose", str(bad), evolved]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and "same arity: 2 vs 1" in err
+
     def test_max_solutions_flag_is_gone(self, capsys, evolved):
         with pytest.raises(SystemExit) as exit_info:
             main(["compose", evolved, evolved, "--max-solutions", "4"])

@@ -69,7 +69,6 @@ def test_discovery_skips_what_it_never_calls():
         "repro.ingest",
         "repro.service",
         "repro.mappings.algebra",
-        "repro.mappings.sql",
         "repro.mappings.serialize",
         "repro.mappings.verify",
         "repro.semantics.recover",

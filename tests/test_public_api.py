@@ -229,6 +229,11 @@ REMOVED = (
     ("repro.mappings.algebra", None, "invert"),
     ("repro.mappings.algebra", None, "InversionResult"),
     ("repro.mappings.algebra", None, "InversionReport"),
+    ("repro.mappings", None, "sql"),
+    ("repro.mappings", None, "insert_sql"),
+    ("repro.mappings", None, "select_sql"),
+    ("repro.queries", None, "evaluate_bindings"),
+    ("repro.queries.datalog", None, "evaluate_bindings"),
 )
 
 

@@ -290,17 +290,15 @@ def scale_point(family: str, classes: int):
     the requested budget.
     """
     if family == "chain":
-        length = max(1, classes // 2 - 1)
-        model = chain_model("probe", length)
-        return class_count(model), chain_scenario(length)
-    if family == "isa_fan":
-        length = max(1, classes // (ISA_FAN_WIDTH + 1) - 1)
-        model = isa_fan_model("probe", length)
-        return class_count(model), isa_fan_scenario(length)
-    if family == "reified_web":
-        links = max(2, (classes - 1) // 2)
-        model = reified_web_model("probe", links)
-        return class_count(model), reified_web_scenario(links)
-    raise ValueError(
-        f"unknown family {family!r}; known: {sorted(FAMILY_NAMES)}"
-    )
+        scenario = chain_scenario(max(1, classes // 2 - 1))
+    elif family == "isa_fan":
+        scenario = isa_fan_scenario(
+            max(1, classes // (ISA_FAN_WIDTH + 1) - 1)
+        )
+    elif family == "reified_web":
+        scenario = reified_web_scenario(max(2, (classes - 1) // 2))
+    else:
+        raise ValueError(
+            f"unknown family {family!r}; known: {sorted(FAMILY_NAMES)}"
+        )
+    return class_count(scenario[0].model), scenario

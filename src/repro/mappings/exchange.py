@@ -27,7 +27,7 @@ from repro.queries.conjunctive import (
     substitute_atom,
     substitute_term,
 )
-from repro.queries.homomorphism import _bucket_atoms, _homomorphisms, _profile
+from repro.queries.homomorphism import _FactIndex, _homomorphisms, _profile
 from repro.relational.instance import Instance, LabeledNull
 from repro.relational.schema import RelationalSchema
 
@@ -60,7 +60,7 @@ def chase_round(
     premise with chased facts — which also makes the single round
     complete. The produced facts come back deduplicated, in firing order.
     """
-    buckets = _bucket_atoms(source_facts)
+    facts = _FactIndex(source_facts)
     produced: dict[Atom, None] = {}
     for tgd in tgds:
         exported_map = list(
@@ -68,7 +68,7 @@ def chase_round(
         )
         existentials = tgd.existential_variables()
         ordered = _profile(tgd.source).ordered
-        for hom in _homomorphisms(ordered, buckets, {}):
+        for hom in _homomorphisms(ordered, facts, {}):
             binding: dict[Variable, Term] = {}
             export_values: list[Term] = []
             for source_term, target_term in exported_map:

@@ -209,22 +209,22 @@ def _cannot_map(outer: _QueryProfile, inner: _QueryProfile) -> bool:
 
 def _homomorphisms(
     atoms: tuple[Atom, ...],
-    target_buckets: dict[str, tuple[Atom, ...]],
+    facts: "_FactIndex",
     mapping: dict[Variable, Term],
 ) -> Iterator[dict[Variable, Term]]:
     """Every homomorphism extending ``mapping``, depth-first.
 
-    Each pattern atom scans only the target atoms of its own predicate
-    (``target_buckets``, as built by :func:`_bucket_atoms`).
+    Each pattern atom reads only the facts :meth:`_FactIndex.candidates`
+    leaves it, in fact order.
     """
     if not atoms:
         yield mapping
         return
     first, rest = atoms[0], atoms[1:]
-    for target in target_buckets.get(first.predicate, ()):
+    for target in facts.candidates(first, mapping):
         extended = _match_atom(first, target, mapping)
         if extended is not None:
-            yield from _homomorphisms(rest, target_buckets, extended)
+            yield from _homomorphisms(rest, facts, extended)
 
 
 def _bucket_atoms(body: Sequence[Atom]) -> dict[str, tuple[Atom, ...]]:
@@ -232,6 +232,48 @@ def _bucket_atoms(body: Sequence[Atom]) -> dict[str, tuple[Atom, ...]]:
     for atom in body:
         buckets.setdefault(atom.predicate, []).append(atom)
     return {predicate: tuple(atoms) for predicate, atoms in buckets.items()}
+
+
+class _FactIndex:
+    """Facts bucketed by predicate, looked up by a bound position's value.
+
+    :meth:`candidates` narrows a pattern atom's bucket to the facts that
+    agree with the pattern at its first constant or already-bound
+    variable, through a ``(predicate, position)`` → value → facts index
+    built on first use. A narrowed list keeps fact order and
+    drops only facts that fail to match at that position, so the
+    successful matches come in the same sequence as from a full scan.
+    """
+
+    __slots__ = ("_buckets", "_by_value")
+
+    def __init__(self, facts: Sequence[Atom]) -> None:
+        self._buckets = _bucket_atoms(facts)
+        self._by_value: dict[tuple[str, int], dict[Term, list[Atom]]] = {}
+
+    def candidates(
+        self, pattern: Atom, mapping: dict[Variable, Term]
+    ) -> Sequence[Atom]:
+        for position, term in enumerate(pattern.terms):
+            if isinstance(term, Variable):
+                value = mapping.get(term)
+                if value is None:
+                    continue
+            elif isinstance(term, Constant):
+                value = term
+            else:
+                continue
+            key = (pattern.predicate, position)
+            index = self._by_value.get(key)
+            if index is None:
+                index = self._by_value[key] = {}
+                for fact in self._buckets.get(pattern.predicate, ()):
+                    if position < len(fact.terms):
+                        index.setdefault(fact.terms[position], []).append(
+                            fact
+                        )
+            return index.get(value, ())
+        return self._buckets.get(pattern.predicate, ())
 
 
 def _find_homomorphism(

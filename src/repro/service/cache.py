@@ -17,12 +17,18 @@ amortized sweep in ``put`` reclaims expired entries from the cold end of
 the LRU order, so skewed access patterns cannot pin dead payloads in
 memory indefinitely.
 
+A payload is an :class:`EncodedResult`: the finished result as the
+sorted-key JSON bytes it was encoded to once, where it was computed.
+The same bytes are stored, sent down the compute pipe and spliced into
+every response, so no hit re-encodes anything.
+
 With a ``store`` attached (the disk tier of
 :mod:`repro.discovery.engine.persist`), results are written through to a
-cache directory and a memory miss falls back to it, so a restarted
-server serves what an earlier one computed. Disk entries carry their
-*epoch* store time, making the TTL meaningful across processes
-(monotonic clocks are process-local).
+cache directory as ``(epoch, bytes)`` and a memory miss falls back to
+it, so a restarted server serves what an earlier one computed. The
+epoch store time makes the TTL meaningful across processes (monotonic
+clocks are process-local). An entry of any other shape, such as the
+dict payload of an older layout, reads as a miss.
 
 All operations are thread-safe; the service's handler threads and job
 workers share one instance.
@@ -30,10 +36,12 @@ workers share one instance.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.discovery.engine.persist import PersistentStageStore
@@ -49,8 +57,38 @@ RESULT_STAGE = "service.result"
 SWEEP_PROBES = 16
 
 
+class EncodedResult(Mapping):
+    """A finished discovery result as its sorted-key JSON bytes.
+
+    ``raw`` is ``json.dumps(result_to_wire(result), sort_keys=True)``
+    encoded once; the HTTP handler writes it into a response as it
+    stands. In-process readers get the JSON object through this
+    read-only mapping, decoded on each access: nothing decoded is kept.
+    """
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: bytes) -> None:
+        self.raw = raw
+
+    def _decoded(self) -> dict[str, Any]:
+        return json.loads(self.raw)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._decoded()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self._decoded())
+
+    def __repr__(self) -> str:
+        return f"EncodedResult({len(self.raw)} bytes)"
+
+
 class ResultCache:
-    """A bounded, thread-safe LRU + TTL map of fingerprint → payload.
+    """A bounded, thread-safe LRU + TTL map of fingerprint → result.
 
     Parameters
     ----------
@@ -91,7 +129,9 @@ class ResultCache:
         self._epoch_clock = epoch_clock
         self._store = store
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[float, Any]] = OrderedDict()
+        self._entries: OrderedDict[str, tuple[float, EncodedResult]] = (
+            OrderedDict()
+        )
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -131,8 +171,8 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Any | None:
-        """The payload stored under ``key``, or ``None`` (miss/expired)."""
+    def get(self, key: str) -> EncodedResult | None:
+        """The result stored under ``key``, or ``None`` (miss/expired)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -147,24 +187,27 @@ class ResultCache:
             self._misses += 1
         return self._get_from_store(key)
 
-    def _get_from_store(self, key: str) -> Any | None:
+    def _get_from_store(self, key: str) -> EncodedResult | None:
         """Disk-tier fallback after a memory miss (lock not held)."""
         if self._store is None or self.max_entries == 0:
             return None
         entry = self._store.get(RESULT_STAGE, key)
-        if not isinstance(entry, tuple) or len(entry) != 2:
-            if entry is not None:
-                # Unexpected shape (older layout): treat as a miss.
-                entry = None
+        if (
+            not isinstance(entry, tuple)
+            or len(entry) != 2
+            or not isinstance(entry[1], bytes)
+        ):
+            # Absent, or another shape (an older layout): a miss.
             with self._lock:
                 self._disk_misses += 1
             return None
-        stored_epoch, payload = entry
+        stored_epoch, raw = entry
         age = max(0.0, self._epoch_clock() - float(stored_epoch))
         if self.ttl_seconds is not None and age > self.ttl_seconds:
             with self._lock:
                 self._disk_misses += 1
             return None
+        payload = EncodedResult(raw)
         with self._lock:
             # Promote with the original age so the TTL keeps counting
             # from when the result was computed, not when it was read.
@@ -176,7 +219,7 @@ class ResultCache:
             self._disk_hits += 1
         return payload
 
-    def put(self, key: str, payload: Any) -> None:
+    def put(self, key: str, payload: EncodedResult) -> None:
         """Store ``payload`` under ``key``, evicting the LRU tail.
 
         Also runs the amortized expiry sweep (TTL-dead entries are
@@ -194,7 +237,7 @@ class ResultCache:
                 self._evictions += 1
         if self._store is not None:
             self._store.put(
-                RESULT_STAGE, key, (self._epoch_clock(), payload)
+                RESULT_STAGE, key, (self._epoch_clock(), payload.raw)
             )
 
     # ------------------------------------------------------------------

@@ -20,6 +20,11 @@ Admission control happens at submit time, single-flight style:
 3. otherwise the job is enqueued, or :class:`QueueFullError` raised
    when the queue is at capacity (the server turns that into HTTP 429).
 
+A finished result is encoded once, where it was computed — on the job
+thread, or in the compute process, which sends back ``(stats, bytes)``
+— and kept only as that :class:`~repro.service.cache.EncodedResult`:
+the result cache, the job record and every response share its bytes.
+
 Failures inside a job reuse the batch layer's fault isolation: a
 failing scenario produces a structured error payload, never a dead
 worker thread. A compute process that dies fails the job it was
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import pickle
 import queue
 import signal
@@ -54,7 +60,7 @@ from repro.discovery.batch import (
 from repro.discovery.engine import persist
 from repro.discovery.fingerprint import semantics_content_key
 from repro.exceptions import QueueFullError, WorkerCrashed
-from repro.service.cache import ResultCache
+from repro.service.cache import EncodedResult, ResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.wire import failure_to_wire, result_to_wire
 
@@ -153,7 +159,7 @@ class Job:
         self.scenario: Scenario | None = scenario
         self.state = QUEUED
         self.cached = False
-        self.result: dict | None = None
+        self.result: EncodedResult | None = None
         self.error: dict | None = None
         self.submitted_at = time.monotonic()
         self.started_at: float | None = None
@@ -161,7 +167,9 @@ class Job:
         self._done = threading.Event()
 
     @classmethod
-    def cache_hit(cls, job_id: str, scenario_id: str, payload: dict) -> "Job":
+    def cache_hit(
+        cls, job_id: str, scenario_id: str, payload: EncodedResult
+    ) -> "Job":
         """A job served from the result cache: born finished."""
         job = cls.__new__(cls)
         job.job_id = job_id
@@ -181,7 +189,7 @@ class Job:
         self.state = RUNNING
         self.started_at = time.monotonic()
 
-    def finish(self, payload: dict) -> None:
+    def finish(self, payload: EncodedResult) -> None:
         self.result = payload
         self.state = DONE
         self._settle()
@@ -253,6 +261,13 @@ def _kept(table: OrderedDict, key: str, make):
     return value
 
 
+def _encoded(result) -> tuple[dict, bytes]:
+    """A finished ``DiscoveryResult`` as ``(stats, sorted-key JSON)``:
+    the stats feed the metrics, the bytes are all that is kept."""
+    raw = json.dumps(result_to_wire(result), sort_keys=True)
+    return result.stats, raw.encode("utf-8")
+
+
 def _run_in_compute_process(
     shell: Scenario,
     source: tuple[str, bytes],
@@ -260,14 +275,16 @@ def _run_in_compute_process(
     timeout_seconds: float | None,
 ) -> tuple[str, object]:
     """The batch layer's guarded run of ``shell`` over this process's
-    semantics objects; ``source``/``target`` are ``(content key,
-    pickle)`` pairs, unpickled only for a schema not kept here."""
+    semantics objects, its result encoded here; ``source``/``target``
+    are ``(content key, pickle)`` pairs, unpickled only for a schema not
+    kept here."""
     scenario = dataclasses.replace(
         shell,
         source=_kept(_SEMANTICS, source[0], lambda: pickle.loads(source[1])),
         target=_kept(_SEMANTICS, target[0], lambda: pickle.loads(target[1])),
     )
-    return _guarded_run(scenario, timeout_seconds)
+    kind, outcome = _guarded_run(scenario, timeout_seconds)
+    return kind, _encoded(outcome) if kind == "ok" else outcome
 
 
 def _compute_main(conn, cache_dir: str | None) -> None:
@@ -343,8 +360,8 @@ class ComputePool:
     ) -> tuple[str, object]:
         """Run one scenario in a compute process; never raises for it.
 
-        Returns ``("ok", DiscoveryResult)`` or ``("error",
-        ScenarioFailure)``, like the guarded entry it runs.
+        Returns ``("ok", (stats, bytes))``, the result encoded in the
+        compute process, or ``("error", ScenarioFailure)``.
         """
         worker = self._idle.get()
         process, conn = worker
@@ -599,21 +616,22 @@ class JobQueue:
                 batch = discover_many(
                     [job.scenario], timeout_seconds=self._timeout_seconds
                 )
-                failure = batch.failures[0] if batch.failures else None
-                result = None if failure else batch.results[0][1]
+                kind, outcome = (
+                    ("error", batch.failures[0])
+                    if batch.failures
+                    else ("ok", _encoded(batch.results[0][1]))
+                )
             else:
                 kind, outcome = self._pool.run(
                     job.scenario, self._timeout_seconds
                 )
-                failure, result = (
-                    (outcome, None) if kind == "error" else (None, outcome)
-                )
-            if failure is not None:
-                job.fail(failure_to_wire(failure))
+            if kind == "error":
+                job.fail(failure_to_wire(outcome))
                 self._metrics.inc("jobs_failed_total")
             else:
-                observe_run_stats(self._metrics, result.stats)
-                payload = result_to_wire(result)
+                stats, raw = outcome
+                observe_run_stats(self._metrics, stats)
+                payload = EncodedResult(raw)
                 # Store before dropping the in-flight marker so a
                 # concurrent submit always finds the result in one
                 # of the two places (no recompute window).

@@ -63,7 +63,7 @@ from repro.exceptions import (
     WireFormatError,
 )
 from repro.perf import counters as perf_counters
-from repro.service.cache import ResultCache
+from repro.service.cache import EncodedResult, ResultCache
 from repro.service.jobs import ComputePool, JobQueue
 from repro.service.metrics import ServiceMetrics, perf_gauges
 from repro.service.wire import (
@@ -150,9 +150,10 @@ def _side_to_wire(side: Any) -> dict[str, Any]:
 def _verify_result(result: Any, ingested: Any) -> dict[str, Any]:
     """Check a finished job's mappings against the sampled instances.
 
-    The job payload is the wire document (possibly replayed from the
-    result cache), so candidates are reconstructed from their serialized
-    form rather than assuming an in-memory ``DiscoveryResult`` exists.
+    The job payload is the encoded wire document (possibly replayed from
+    the result cache), so candidates are reconstructed from their
+    serialized form rather than assuming an in-memory
+    ``DiscoveryResult`` exists.
     """
     from repro.mappings.serialize import candidate_from_dict
     from repro.mappings.verify import verify_mappings
@@ -177,6 +178,27 @@ def _verify_result(result: Any, ingested: Any) -> dict[str, Any]:
             "target": ingested.target_instance.size(),
         },
     }
+
+
+def _json_bytes(payload: dict[str, Any]) -> bytes:
+    """``json.dumps(payload, sort_keys=True)`` as UTF-8 bytes, with each
+    top-level :class:`EncodedResult` written as its stored bytes.
+
+    The sorted-key encoding of a dict is its sorted items, each encoded
+    alone, so splicing ``raw`` in yields the same bytes as encoding the
+    decoded result in place.
+    """
+    items = b", ".join(
+        json.dumps(key).encode("utf-8")
+        + b": "
+        + (
+            value.raw
+            if isinstance(value, EncodedResult)
+            else json.dumps(value, sort_keys=True).encode("utf-8")
+        )
+        for key, value in sorted(payload.items())
+    )
+    return b"{" + items + b"}"
 
 
 def _versioned(payload: dict[str, Any]) -> dict[str, Any]:
@@ -665,12 +687,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self,
         status: int,
-        payload: Any,
+        payload: dict[str, Any],
         headers: dict[str, str] | None = None,
     ) -> None:
-        if isinstance(payload, dict):
-            payload = _versioned(payload)
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = _json_bytes(_versioned(payload))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -24,6 +24,31 @@ def test_scale_point_respects_budget():
             assert actual <= budget, (family, budget, actual)
 
 
+#: ``scale_point`` class counts: the bench's synthetic points and the
+#: tier-1 sizes, recorded when the count came from a separate model.
+SCALE_POINT_CLASSES = {
+    ("chain", 150): 150,
+    ("chain", 510): 510,
+    ("isa_fan", 150): 150,
+    ("isa_fan", 510): 510,
+    ("reified_web", 509): 509,
+    ("reified_web", 999): 999,
+    ("reified_web", 1499): 1499,
+    **{("chain", size): size for size in (10, 12, 30, 40, 60, 120)},
+    **{("isa_fan", size): size for size in (10, 30, 40, 60, 120)},
+    ("isa_fan", 12): 10,
+    **{("reified_web", size): size - 1 for size in (10, 12, 30, 40, 60, 120)},
+}
+
+
+@pytest.mark.parametrize("point", sorted(SCALE_POINT_CLASSES))
+def test_scale_point_counts_the_scenario_models(point):
+    actual, (source, target, _) = synthetic.scale_point(*point)
+    assert actual == SCALE_POINT_CLASSES[point]
+    assert actual == synthetic.class_count(source.model)
+    assert actual == synthetic.class_count(target.model)
+
+
 def test_generators_are_deterministic():
     for family in synthetic.FAMILY_NAMES:
         _, (source, _, correspondences) = synthetic.scale_point(family, 12)

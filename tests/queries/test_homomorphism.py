@@ -14,6 +14,7 @@ from repro.queries import (
     keep_maximal,
     minimize,
 )
+from repro.queries.homomorphism import _FactIndex, _homomorphisms, _match_atom
 
 x, y, z, u, v = (Variable(n) for n in "xyzuv")
 
@@ -320,3 +321,46 @@ class TestStreamedKeepMaximal:
         kept = keep_maximal([specific])
         assert keep_maximal([general], kept) is kept
         assert kept == [general]
+
+
+def full_scan_homomorphisms(atoms, facts, mapping):
+    """Reference: every pattern atom tries every fact, in fact order."""
+    if not atoms:
+        yield mapping
+        return
+    for fact in facts:
+        extended = _match_atom(atoms[0], fact, mapping)
+        if extended is not None:
+            yield from full_scan_homomorphisms(atoms[1:], facts, extended)
+
+
+#: Two tables, ``r`` binary and ``s`` unary, over three values: small
+#: enough that several facts agree on a value, so an index lookup
+#: returns more than one of them.
+ARITY = {"r": 2, "s": 1}
+
+
+def atoms_over(terms):
+    return st.sampled_from(sorted(ARITY)).flatmap(
+        lambda predicate: st.lists(
+            terms, min_size=ARITY[predicate], max_size=ARITY[predicate]
+        ).map(lambda chosen: db_atom(predicate, *chosen))
+    )
+
+
+values = st.integers(0, 2).map(Constant)
+ground_facts = st.lists(atoms_over(values), max_size=20)
+premises = st.lists(
+    atoms_over(st.one_of(st.sampled_from([x, y, z]), values)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=200)
+@given(atoms=premises, facts=ground_facts)
+def test_fact_index_keeps_the_full_scan_order(atoms, facts):
+    """The value index only skips facts that cannot match, so the chase
+    fires in the same order as with a scan of every fact."""
+    indexed = list(_homomorphisms(tuple(atoms), _FactIndex(facts), {}))
+    assert indexed == list(full_scan_homomorphisms(atoms, facts, {}))

@@ -6,7 +6,15 @@ from repro.datasets.paper_examples import bookstore_example
 from repro.discovery.batch import Scenario, scenario_fingerprint
 from repro.discovery.engine.persist import PersistentStageStore
 from repro.discovery.options import DiscoveryOptions
-from repro.service.cache import RESULT_STAGE, SWEEP_PROBES, ResultCache
+from repro.service.cache import (
+    RESULT_STAGE,
+    SWEEP_PROBES,
+    EncodedResult,
+    ResultCache,
+)
+
+#: A stored result: the disk tier keeps only encoded bytes.
+PAYLOAD = EncodedResult(b'{"payload": 1}')
 
 
 class FakeClock:
@@ -170,8 +178,9 @@ class TestDiskTier:
         store = self._store(tmp_path)
         writer = ResultCache(max_entries=4, store=store)
         reader = ResultCache(max_entries=4, store=store)
-        writer.put("key", {"payload": 1})
+        writer.put("key", PAYLOAD)
         assert reader.get("key") == {"payload": 1}
+        assert reader.get("key").raw == PAYLOAD.raw
         stats = reader.stats()
         assert stats["disk_hits"] == 1
         assert stats["misses"] == 1  # the memory miss that fell through
@@ -180,9 +189,9 @@ class TestDiskTier:
         store = self._store(tmp_path)
         writer = ResultCache(max_entries=4, store=store)
         reader = ResultCache(max_entries=4, store=store)
-        writer.put("key", "payload")
-        assert reader.get("key") == "payload"
-        assert reader.get("key") == "payload"
+        writer.put("key", PAYLOAD)
+        assert reader.get("key") == PAYLOAD
+        assert reader.get("key") == PAYLOAD
         stats = reader.stats()
         assert stats["disk_hits"] == 1
         assert stats["hits"] == 1
@@ -193,7 +202,7 @@ class TestDiskTier:
         writer = ResultCache(
             max_entries=4, ttl_seconds=10.0, store=store, epoch_clock=epoch
         )
-        writer.put("key", "payload")
+        writer.put("key", PAYLOAD)
         epoch.advance(11.0)
         reader = ResultCache(
             max_entries=4, ttl_seconds=10.0, store=store, epoch_clock=epoch
@@ -207,7 +216,7 @@ class TestDiskTier:
         writer = ResultCache(
             max_entries=4, ttl_seconds=10.0, store=store, epoch_clock=epoch
         )
-        writer.put("key", "payload")
+        writer.put("key", PAYLOAD)
         epoch.advance(6.0)
         clock = FakeClock()
         reader = ResultCache(
@@ -217,7 +226,7 @@ class TestDiskTier:
             store=store,
             epoch_clock=epoch,
         )
-        assert reader.get("key") == "payload"  # promoted at age 6
+        assert reader.get("key") == PAYLOAD  # promoted at age 6
         # Both clocks tick on: total age 11 > TTL. The promoted copy
         # must expire on its *original* age, not its promotion time,
         # and the disk entry is equally past TTL.
@@ -233,10 +242,23 @@ class TestDiskTier:
         assert reader.get("key") is None
         assert reader.stats()["disk_misses"] == 1
 
+    def test_dict_payload_of_the_old_layout_is_a_miss(self, tmp_path):
+        """Results used to be stored as decoded dicts; such an entry is
+        not served, and the next computed result replaces it."""
+        store = self._store(tmp_path)
+        store.put(RESULT_STAGE, "key", (1_000_000.0, {"payload": 1}))
+        reader = ResultCache(max_entries=4, store=store)
+        assert reader.get("key") is None
+        assert reader.stats()["disk_misses"] == 1
+        assert reader.stats()["disk_hits"] == 0
+        reader.put("key", PAYLOAD)
+        fresh = ResultCache(max_entries=4, store=store)
+        assert fresh.get("key").raw == PAYLOAD.raw
+
     def test_disabled_cache_skips_the_store(self, tmp_path):
         store = self._store(tmp_path)
         seeded = ResultCache(max_entries=4, store=store)
-        seeded.put("key", "payload")
+        seeded.put("key", PAYLOAD)
         disabled = ResultCache(max_entries=0, store=store)
         assert disabled.get("key") is None
         assert disabled.stats()["disk_hits"] == 0

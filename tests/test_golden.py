@@ -32,6 +32,7 @@ from repro.datasets import synthetic
 from repro.datasets.registry import load_all_datasets
 from repro.discovery.batch import Scenario
 from repro.discovery.mapper import SemanticMapper
+from repro.mappings.serialize import candidate_from_dict
 from tests.compute_pool import run_in_compute_pool
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "bench" / "golden.json"
@@ -100,7 +101,11 @@ def test_paper_cases_match_golden_in_a_parallel_batch():
     outcomes = run_in_compute_pool(scenarios)
     assert [kind for kind, _ in outcomes.values()] == ["ok"] * 34
     digests = {
-        key: tgd_digest(result) for key, (_, result) in outcomes.items()
+        key: tgd_digest(
+            candidate_from_dict(entry)
+            for entry in wire["mapping"]["candidates"]
+        )
+        for key, (_, wire) in outcomes.items()
     }
     assert digests == golden
 

@@ -4,8 +4,8 @@
 :class:`~repro.discovery.mapper.SemanticMapper`, one after another in
 this process. The shared-computation layer does the heavy lifting
 automatically: scenarios over the same schema pair hit the same
-:class:`~repro.perf.GraphIndex`, reasoner memos, and translation caches,
-so a whole-dataset run pays the per-graph costs once.
+:class:`~repro.perf.GraphIndex` and translation memos, so a
+whole-dataset run pays the per-graph costs once.
 
 Work spreads over processes one level up, not here: ``repro evaluate
 --workers N`` fans dataset pairs out

@@ -1,7 +1,7 @@
 """Content fingerprints for discovery inputs and pipeline stages.
 
-Every cache in the discovery stack — the service's result cache, the
-batch layer's schema-pair grouping, and the staged engine's
+Every cache in the discovery stack — the service's result cache and
+the staged engine's
 :class:`~repro.discovery.engine.cache.StageCache` — keys on *content*,
 never on object identity: two equal-but-distinct inputs (a dataset
 reloaded from disk, a scenario rebuilt from a wire payload) must land on
@@ -46,19 +46,18 @@ def semantics_content_key(semantics: "SchemaSemantics") -> str:
     """A stable fingerprint of a :class:`SchemaSemantics`' full content.
 
     Keys on this instead of ``id()`` so equal-but-distinct objects (e.g.
-    scenarios rebuilt from a dataset loader) share cache entries and
-    batch workers. The fingerprint covers the schema (tables, columns,
-    keys, RICs), the conceptual model (cardinalities, ISA, disjointness,
-    semantic types — via ``model_to_dict``), and every s-tree; it is
-    cached on the object because semantics are immutable after
-    construction.
+    scenarios rebuilt from a dataset loader) share cache entries. The
+    fingerprint covers the schema (tables, columns, keys, RICs), the
+    conceptual model (cardinalities, ISA, disjointness, semantic types —
+    via ``model_to_dict``), and every s-tree; it is cached on the object
+    because semantics are immutable after construction.
 
     The digest is the SHA-256 of ``repr`` of the tuple ``(schema name,
     tables, RICs, model dict, trees)``, but that text is fed to the hash
     piece by piece (one table, one model entry, one s-tree at a time),
     so a wide schema never holds its whole spec string in memory.
     """
-    cached = getattr(semantics, "_batch_content_key", None)
+    cached = getattr(semantics, "_content_key", None)
     if cached is not None:
         return cached
     from repro.cm.serialize import model_to_dict
@@ -88,7 +87,7 @@ def semantics_content_key(semantics: "SchemaSemantics") -> str:
         depth=3,
     )
     key = digest.hexdigest()
-    semantics._batch_content_key = key  # type: ignore[attr-defined]
+    semantics._content_key = key  # type: ignore[attr-defined]
     return key
 
 

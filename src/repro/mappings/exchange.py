@@ -2,13 +2,15 @@
 
 Given a set of s-t tgds and a source instance, :func:`exchange` computes a
 *canonical universal solution* by one round of the chase
-(:func:`chase_round`): each source row becomes a ground ``T:`` fact,
-every homomorphism of a tgd's premise into those facts fires its
-conclusion, and target-existential variables become labeled nulls named
-by Skolem terms over the exported values (Section 1's observation that
-"Skolem functions are generally used to represent existentially
-quantified variables"). :mod:`repro.mappings.algebra` runs the same
-round over frozen premises to decide implication between mappings.
+(:func:`chase_round`): each source row becomes a ground ``T:`` fact
+(:func:`~repro.queries.datalog.table_facts`, shared with query
+evaluation), every homomorphism of a tgd's premise into those facts
+fires its conclusion, and target-existential variables become labeled
+nulls named by Skolem terms over the exported values (Section 1's
+observation that "Skolem functions are generally used to represent
+existentially quantified variables"). :mod:`repro.mappings.algebra`
+runs the same round over frozen premises to decide implication between
+mappings.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from repro.exceptions import QueryError
 from repro.mappings.tgd import SourceToTargetTGD
 from repro.queries.conjunctive import (
     Atom,
-    Constant,
     SkolemTerm,
     Term,
     Variable,
-    db_atom,
     substitute_atom,
     substitute_term,
 )
+from repro.queries.datalog import table_facts
 from repro.queries.homomorphism import _FactIndex, _homomorphisms, _profile
 from repro.relational.instance import Instance, LabeledNull
 from repro.relational.schema import RelationalSchema
@@ -98,24 +99,8 @@ def exchange(
     firings agreeing on exports share nulls. A null is labelled with its
     Skolem term, such as ``M3:x('ann')``.
     """
-    premise_tables: dict[str, None] = {}
-    for tgd in tgds:
-        for atom in tgd.source.body:
-            if not atom.is_db_atom:
-                raise QueryError(
-                    f"source body must use T: atoms, got {atom.predicate!r}"
-                )
-            table = source_instance.schema.table(atom.bare_predicate)
-            if table.arity != atom.arity:
-                raise QueryError(
-                    f"atom {atom} has arity {atom.arity} but table "
-                    f"{table.name!r} has {table.arity} columns"
-                )
-            premise_tables.setdefault(table.name)
-    source_facts = tuple(
-        db_atom(table, *map(Constant, row))
-        for table in premise_tables
-        for row in source_instance.rows(table)
+    source_facts = table_facts(
+        (atom for tgd in tgds for atom in tgd.source.body), source_instance
     )
     target = Instance(target_schema)
     for atom in chase_round(tgds, source_facts):

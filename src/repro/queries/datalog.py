@@ -1,16 +1,18 @@
 """Evaluation of conjunctive queries over relational instances.
 
-A non-recursive, backtracking join evaluator: body atoms must be ``T:``
-(table) atoms whose predicates name tables of the instance's schema.
-:func:`evaluate_query` answers a query over an instance: verification
+Body atoms must be ``T:`` (table) atoms whose predicates name tables of
+the instance's schema. :func:`table_facts` turns the rows of the tables
+a body names into ground ``T:`` facts, and :func:`evaluate_query` reads
+a query's answers from the homomorphisms of its body into those facts —
+the search the chase round of :mod:`repro.mappings.exchange` fires tgd
+premises with, over the same value index. Verification
 (:mod:`repro.mappings.verify`) checks mappings with it, and tests check
-it against the relational-algebra evaluator. Executing a mapping is the
-chase round of :mod:`repro.mappings.exchange`.
+it against the relational-algebra evaluator.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Iterable
 
 from repro.exceptions import QueryError
 from repro.queries.conjunctive import (
@@ -18,72 +20,50 @@ from repro.queries.conjunctive import (
     ConjunctiveQuery,
     Constant,
     SkolemTerm,
-    Term,
     Variable,
+    db_atom,
 )
+from repro.queries.homomorphism import _FactIndex, _homomorphisms, _profile
 from repro.relational.instance import Instance
 
-Binding = dict[Variable, Hashable]
 
+def table_facts(atoms: Iterable[Atom], instance: Instance) -> tuple[Atom, ...]:
+    """The rows of every table ``atoms`` name, as ground ``T:`` facts.
 
-def _match_row(
-    atom: Atom, row: tuple, binding: Binding
-) -> Binding | None:
-    """Extend ``binding`` so ``atom`` matches ``row``, or return ``None``."""
-    extended = dict(binding)
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Variable):
-            if term in extended:
-                if extended[term] != value:
-                    return None
-            else:
-                extended[term] = value
-        elif isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
+    Every atom is checked before any row is read: it must be a ``T:``
+    atom (:class:`QueryError`) over a table of the instance's schema
+    (:class:`~repro.exceptions.SchemaError`) with that table's arity
+    (:class:`QueryError`). Tables come in order of first mention, each
+    with its rows in instance order.
+    """
+    tables: dict[str, None] = {}
+    for atom in atoms:
+        if not atom.is_db_atom:
             raise QueryError(
-                f"cannot evaluate atom with Skolem term: {atom}"
+                f"expected a T: atom over a table, got {atom.predicate!r}"
             )
-    return extended
-
-
-def _join(
-    atoms: tuple[Atom, ...], instance: Instance, binding: Binding
-) -> Iterator[Binding]:
-    if not atoms:
-        yield binding
-        return
-    first, rest = atoms[0], atoms[1:]
-    if not first.is_db_atom:
-        raise QueryError(
-            f"evaluation requires T: atoms, got {first.predicate!r}"
-        )
-    table_name = first.bare_predicate
-    table = instance.schema.table(table_name)
-    if table.arity != first.arity:
-        raise QueryError(
-            f"atom {first} has arity {first.arity} but table "
-            f"{table_name!r} has {table.arity} columns"
-        )
-    for row in instance.rows(table_name):
-        extended = _match_row(first, row, binding)
-        if extended is not None:
-            yield from _join(rest, instance, extended)
-
-
-def _evaluate_head(term: Term, binding: Binding) -> Hashable:
-    if isinstance(term, Variable):
-        return binding[term]
-    if isinstance(term, Constant):
-        return term.value
-    raise QueryError(f"cannot evaluate head term {term}")
+        table = instance.schema.table(atom.bare_predicate)
+        if table.arity != atom.arity:
+            raise QueryError(
+                f"atom {atom} has arity {atom.arity} but table "
+                f"{table.name!r} has {table.arity} columns"
+            )
+        tables.setdefault(table.name)
+    return tuple(
+        db_atom(table, *map(Constant, row))
+        for table in tables
+        for row in instance.rows(table)
+    )
 
 
 def evaluate_query(
     query: ConjunctiveQuery, instance: Instance
 ) -> frozenset[tuple]:
     """All answer tuples of ``query`` over ``instance`` (set semantics).
+
+    A Skolem term anywhere in the query is a :class:`QueryError`, and
+    every body atom is checked as :func:`table_facts` does, even when
+    another atom's table is empty.
 
     >>> from repro.relational import Instance, RelationalSchema, Table
     >>> from repro.queries.conjunctive import db_atom, Variable
@@ -94,14 +74,15 @@ def evaluate_query(
     >>> sorted(evaluate_query(q, inst))
     [(1,)]
     """
-    # Order atoms so highly shared variables bind early (cheap heuristic).
-    ordered = tuple(
-        sorted(query.body, key=lambda a: (-a.arity, a.predicate))
-    )
-    answers = set()
-    for binding in _join(ordered, instance, {}):
-        answers.add(
-            tuple(_evaluate_head(term, binding) for term in query.head_terms)
+    body_terms = (term for atom in query.body for term in atom.terms)
+    for term in (*query.head_terms, *body_terms):
+        if isinstance(term, SkolemTerm):
+            raise QueryError(f"cannot evaluate Skolem term {term} in {query}")
+    facts = _FactIndex(table_facts(query.body, instance))
+    return frozenset(
+        tuple(
+            (binding[term] if isinstance(term, Variable) else term).value
+            for term in query.head_terms
         )
-    return frozenset(answers)
-
+        for binding in _homomorphisms(_profile(query).ordered, facts, {})
+    )

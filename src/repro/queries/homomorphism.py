@@ -8,7 +8,11 @@ but the queries this library produces are tiny (a handful of atoms).
 
 Used for: eliminating redundant rewritings (Example 3.4's ``q'₂ ⊆ q'₃``),
 deduplicating candidate mappings, and comparing generated mappings against
-benchmark mappings in the evaluation harness.
+benchmark mappings in the evaluation harness. The same matcher, run for
+every solution over a :class:`_FactIndex` of ground facts
+(:func:`_homomorphisms`), fires tgd premises in the chase round of
+:mod:`repro.mappings.exchange` and answers queries over instances in
+:mod:`repro.queries.datalog`.
 
 Containment checks sit on discovery's hottest path (every candidate
 rewriting is minimized and then compared against the kept ones in
@@ -42,50 +46,8 @@ from repro.queries.conjunctive import (
 )
 
 
-def _match_term(
-    pattern: Term, target: Term, mapping: dict[Variable, Term]
-) -> dict[Variable, Term] | None:
-    """One-way matching: bind pattern variables to target terms."""
-    if isinstance(pattern, Variable):
-        bound = mapping.get(pattern)
-        if bound is None:
-            extended = dict(mapping)
-            extended[pattern] = target
-            return extended
-        return mapping if bound == target else None
-    if isinstance(pattern, Constant):
-        return mapping if pattern == target else None
-    if isinstance(pattern, SkolemTerm):
-        if (
-            not isinstance(target, SkolemTerm)
-            or pattern.function != target.function
-            or len(pattern.arguments) != len(target.arguments)
-        ):
-            return None
-        current: dict[Variable, Term] | None = mapping
-        for p_arg, t_arg in zip(pattern.arguments, target.arguments):
-            current = _match_term(p_arg, t_arg, current)
-            if current is None:
-                return None
-        return current
-    return None
-
-
-def _match_atom(
-    pattern: Atom, target: Atom, mapping: dict[Variable, Term]
-) -> dict[Variable, Term] | None:
-    if pattern.predicate != target.predicate or pattern.arity != target.arity:
-        return None
-    current: dict[Variable, Term] | None = mapping
-    for p_term, t_term in zip(pattern.terms, target.terms):
-        current = _match_term(p_term, t_term, current)
-        if current is None:
-            return None
-    return current
-
-
 # ---------------------------------------------------------------------------
-# Destructive matching with a trail (no per-step dict copies)
+# One-way matching with a trail (no per-step dict copies)
 # ---------------------------------------------------------------------------
 
 
@@ -95,10 +57,12 @@ def _match_term_mut(
     mapping: dict[Variable, Term],
     trail: list[Variable],
 ) -> bool:
-    """Like :func:`_match_term` but extends ``mapping`` in place.
+    """Bind ``pattern``'s variables so it matches ``target``, in place.
 
-    Every new binding is pushed onto ``trail`` so the caller can undo a
-    failed branch with :func:`_undo_to`.
+    Constants match themselves and Skolem terms match same-function
+    Skolem terms argument by argument. Every new binding is pushed onto
+    ``trail`` so the caller can undo a failed branch with
+    :func:`_undo_to`.
     """
     if isinstance(pattern, Variable):
         bound = mapping.get(pattern)
@@ -215,16 +179,31 @@ def _homomorphisms(
     """Every homomorphism extending ``mapping``, depth-first.
 
     Each pattern atom reads only the facts :meth:`_FactIndex.candidates`
-    leaves it, in fact order.
+    leaves it, in fact order. The search binds variables in one dict
+    with a trail, as :func:`_find_homomorphism` does, and yields a copy
+    of it per solution; ``mapping`` itself is left as it was.
     """
-    if not atoms:
-        yield mapping
-        return
-    first, rest = atoms[0], atoms[1:]
-    for target in facts.candidates(first, mapping):
-        extended = _match_atom(first, target, mapping)
-        if extended is not None:
-            yield from _homomorphisms(rest, facts, extended)
+    bindings = dict(mapping)
+    trail: list[Variable] = []
+    count = len(atoms)
+
+    def search(depth: int) -> Iterator[dict[Variable, Term]]:
+        if depth == count:
+            yield dict(bindings)
+            return
+        pattern = atoms[depth]
+        for target in facts.candidates(pattern, bindings):
+            if pattern.arity != target.arity:
+                continue
+            mark = len(trail)
+            for p_term, t_term in zip(pattern.terms, target.terms):
+                if not _match_term_mut(p_term, t_term, bindings, trail):
+                    break
+            else:
+                yield from search(depth + 1)
+            _undo_to(bindings, trail, mark)
+
+    return search(0)
 
 
 def _bucket_atoms(body: Sequence[Atom]) -> dict[str, tuple[Atom, ...]]:

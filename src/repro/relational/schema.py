@@ -135,7 +135,7 @@ class RelationalSchema:
     >>> schema = RelationalSchema("src")
     >>> _ = schema.add_table(Table("person", ["pname"], ["pname"]))
     >>> _ = schema.add_table(Table("writes", ["pname", "bid"], ["pname", "bid"]))
-    >>> schema.add_ric(ReferentialConstraint.parse("writes.pname -> person.pname"))
+    >>> _ = schema.add_ric(ReferentialConstraint.parse("writes.pname -> person.pname"))
     >>> sorted(schema.table_names())
     ['person', 'writes']
     """

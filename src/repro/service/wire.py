@@ -96,7 +96,7 @@ def resolve_dataset(name: str) -> DatasetPair:
     """Load a registered dataset pair once and keep it for the process.
 
     Reusing the same :class:`DatasetPair` objects across requests is
-    what keeps the graph indexes, reasoner memos, and the batch layer's
+    what keeps the graph indexes, translation memos, and the semantics'
     content keys warm — a cold ``load_dataset`` per request would defeat
     the serving architecture.
     """

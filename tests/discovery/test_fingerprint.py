@@ -49,7 +49,7 @@ def _reference_key(semantics) -> str:
 
 def _streamed_key(semantics) -> str:
     """The key computed now, not the one cached on the object."""
-    semantics.__dict__.pop("_batch_content_key", None)
+    semantics.__dict__.pop("_content_key", None)
     return semantics_content_key(semantics)
 
 

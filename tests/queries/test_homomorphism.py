@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.queries import (
     ConjunctiveQuery,
     Constant,
+    SkolemTerm,
     Variable,
     are_equivalent,
     containment_mapping,
@@ -14,7 +15,7 @@ from repro.queries import (
     keep_maximal,
     minimize,
 )
-from repro.queries.homomorphism import _FactIndex, _homomorphisms, _match_atom
+from repro.queries.homomorphism import _FactIndex, _homomorphisms
 
 x, y, z, u, v = (Variable(n) for n in "xyzuv")
 
@@ -323,13 +324,45 @@ class TestStreamedKeepMaximal:
         assert kept == [general]
 
 
+def copying_match_term(pattern, target, mapping):
+    """Reference one-way matcher: a new dict for every new binding."""
+    if isinstance(pattern, Variable):
+        bound = mapping.get(pattern)
+        if bound is None:
+            return {**mapping, pattern: target}
+        return mapping if bound == target else None
+    if isinstance(pattern, Constant):
+        return mapping if pattern == target else None
+    if (
+        not isinstance(target, SkolemTerm)
+        or pattern.function != target.function
+        or len(pattern.arguments) != len(target.arguments)
+    ):
+        return None
+    for p_arg, t_arg in zip(pattern.arguments, target.arguments):
+        mapping = copying_match_term(p_arg, t_arg, mapping)
+        if mapping is None:
+            return None
+    return mapping
+
+
+def copying_match_atom(pattern, target, mapping):
+    if pattern.predicate != target.predicate or pattern.arity != target.arity:
+        return None
+    for p_term, t_term in zip(pattern.terms, target.terms):
+        mapping = copying_match_term(p_term, t_term, mapping)
+        if mapping is None:
+            return None
+    return mapping
+
+
 def full_scan_homomorphisms(atoms, facts, mapping):
     """Reference: every pattern atom tries every fact, in fact order."""
     if not atoms:
         yield mapping
         return
     for fact in facts:
-        extended = _match_atom(atoms[0], fact, mapping)
+        extended = copying_match_atom(atoms[0], fact, mapping)
         if extended is not None:
             yield from full_scan_homomorphisms(atoms[1:], facts, extended)
 
@@ -349,9 +382,19 @@ def atoms_over(terms):
 
 
 values = st.integers(0, 2).map(Constant)
-ground_facts = st.lists(atoms_over(values), max_size=20)
+variables = st.sampled_from([x, y, z])
+
+
+def skolem(terms):
+    """Skolem terms over ``terms``, as the chase writes existentials."""
+    return terms.map(lambda term: SkolemTerm("f", (term,)))
+
+
+ground_facts = st.lists(
+    atoms_over(st.one_of(values, skolem(values))), max_size=20
+)
 premises = st.lists(
-    atoms_over(st.one_of(st.sampled_from([x, y, z]), values)),
+    atoms_over(st.one_of(variables, values, skolem(variables))),
     min_size=1,
     max_size=3,
 )
@@ -364,3 +407,14 @@ def test_fact_index_keeps_the_full_scan_order(atoms, facts):
     fires in the same order as with a scan of every fact."""
     indexed = list(_homomorphisms(tuple(atoms), _FactIndex(facts), {}))
     assert indexed == list(full_scan_homomorphisms(atoms, facts, {}))
+
+
+def test_each_solution_is_its_own_copy():
+    """The search binds in one dict; a caller keeps every solution, and
+    its own starting mapping, unchanged."""
+    one, two, three = Constant(1), Constant(2), Constant(3)
+    facts = _FactIndex([db_atom("r", one, two), db_atom("r", one, three)])
+    start = {x: one}
+    solutions = list(_homomorphisms((db_atom("r", x, y),), facts, start))
+    assert solutions == [{x: one, y: two}, {x: one, y: three}]
+    assert start == {x: one}

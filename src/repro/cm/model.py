@@ -268,9 +268,6 @@ class ConceptualModel:
                 f"model {self.name!r} has no relationship {name!r}"
             ) from None
 
-    def has_relationship(self, name: str) -> bool:
-        return name in self._relationships
-
     @property
     def relationships(self) -> Mapping[str, Relationship]:
         return dict(self._relationships)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -136,6 +137,9 @@ class DiscoveredTree:
 
 #: Cap on tied shortest paths kept per node during search.
 MAX_TIED_PATHS = 8
+#: Cap on the combinations of tied paths (one per target) tried as
+#: trees; the rest are counted under ``tree_combinations_dropped``.
+MAX_TREE_COMBINATIONS = 64
 
 
 def _path_sort_key(path: Sequence[CMEdge]) -> tuple:
@@ -363,7 +367,6 @@ def functional_trees_from_root(
     root: str,
     targets: Iterable[str],
     cost_model: CostModel | None = None,
-    max_combinations: int = 64,
 ) -> list[tuple[DiscoveredTree, frozenset[str], int]]:
     """Minimal functional trees rooted at ``root`` reaching ``targets``.
 
@@ -395,9 +398,7 @@ def functional_trees_from_root(
         backward,
         root_bounds,
     )
-    return _trees_from_paths(
-        root, paths, target_set, cost_model, max_combinations
-    )
+    return _trees_from_paths(root, paths, target_set, cost_model)
 
 
 def _trees_from_paths(
@@ -405,16 +406,26 @@ def _trees_from_paths(
     paths: Mapping[str, tuple[int, tuple[tuple[CMEdge, ...], ...]]],
     target_set: set[str],
     cost_model: CostModel,
-    max_combinations: int = 64,
 ) -> list[tuple[DiscoveredTree, frozenset[str], int]]:
-    """The minimal-cost trees a shortest-path table yields for targets."""
+    """The minimal-cost trees a shortest-path table yields for targets.
+
+    At most ``MAX_TREE_COMBINATIONS`` combinations of tied paths are
+    tried; the ones left untried are counted under
+    ``tree_combinations_dropped``.
+    """
     covered = frozenset(t for t in target_set if t in paths)
     choices = [paths[target][1] for target in sorted(covered)]
+    combinations = math.prod(len(tied) for tied in choices)
+    if combinations > MAX_TREE_COMBINATIONS:
+        perf_counters.record(
+            "tree_combinations_dropped",
+            combinations - MAX_TREE_COMBINATIONS,
+        )
     results: list[tuple[int, DiscoveredTree]] = []
     seen: set[frozenset] = set()
-    for index, combination in enumerate(itertools.product(*choices)):
-        if index >= max_combinations:
-            break
+    for combination in itertools.islice(
+        itertools.product(*choices), MAX_TREE_COMBINATIONS
+    ):
         edges: dict[tuple[str, str, str], CMEdge] = {}
         parents: dict[str, str] = {}
         valid = True

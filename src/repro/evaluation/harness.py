@@ -9,8 +9,11 @@ on the case's correspondences:
   run as the ``clio`` engine) — schemas + keys/RICs only.
 
 The harness aggregates per-domain average precision (Figure 6), average
-recall (Figure 7), and the Table 1 characteristics, and can be run as a
-module: ``python -m repro.evaluation.harness``.
+recall (Figure 7), and the Table 1 characteristics. Its one entry point
+is ``python -m repro evaluate`` (:func:`print_evaluation`), whose output
+is committed as ``docs/exhibits.txt`` and checked byte for byte by
+``tests/evaluation/test_harness.py``; regenerate it with
+``PYTHONPATH=src python -m repro evaluate > docs/exhibits.txt``.
 
 Failure semantics
 -----------------
@@ -25,7 +28,6 @@ process exits non-zero to reflect the partial failure. See
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 
 from repro.datasets.registry import (
@@ -275,14 +277,3 @@ def print_evaluation(
         print(render_failures(results))
         return 1
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.evaluation.harness [options]``: ``repro evaluate``."""
-    from repro.__main__ import main as cli_main
-
-    return cli_main(["evaluate", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

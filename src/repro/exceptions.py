@@ -52,10 +52,6 @@ class DatasetError(ReproError):
     """A benchmark dataset definition is internally inconsistent."""
 
 
-class EvaluationError(ReproError):
-    """The evaluation harness was invoked with invalid arguments."""
-
-
 class ValidationError(ReproError):
     """Pre-flight validation of a discovery input found errors.
 

@@ -26,6 +26,10 @@ Counter names used across the codebase:
 ``tied_paths_dropped``
     tied shortest paths truncated by ``MAX_TIED_PATHS`` (satellite:
     truncation is no longer silent);
+``tree_combinations_dropped``
+    combinations of tied paths (one per target) that the functional-tree
+    search left untried past ``MAX_TREE_COMBINATIONS`` (a product of
+    exactly the cap is whole and not counted);
 ``rewrite_limit_hits``
     ``rewrite_query`` calls whose enumeration stopped at its ``limit``
     with rule combinations still untried (one that ends exactly at the

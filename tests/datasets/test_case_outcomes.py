@@ -91,4 +91,5 @@ def test_case_outcome(pairs, case_id):
     assert semantic.measures.generated == expected_generated
 
     ric = run_case(pair, mapping_case, RIC)
+    assert ric.measures.generated >= 1
     assert ric.measures.recall == expected_ric_recall

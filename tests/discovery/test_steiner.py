@@ -14,10 +14,12 @@ from repro.discovery import (
     simple_paths,
 )
 from repro.discovery.steiner import (
+    MAX_TREE_COMBINATIONS,
     PLAIN_EDGE_COST,
     ROLE_EDGE_COST,
     edge_key,
 )
+from repro.perf import counters as perf_counters
 
 
 def first_functional_tree(graph, root, targets):
@@ -107,6 +109,35 @@ class TestFunctionalTreeFromRoot:
         trees = functional_trees_from_root(graph, "F", {"D"})
         labels = sorted(tree.edges[0].label for tree, _, _ in trees)
         assert labels == ["chairOf", "deanOf"]
+
+    @staticmethod
+    def _fan(targets, ties):
+        """Root ``R`` reaching each target ``T<j>`` through ``ties``
+        tied 2-edge paths ``R → M<j>_<i> → T<j>``: ``ties ** targets``
+        minimal trees."""
+        cm = ConceptualModel("fan")
+        cm.add_class("R", attributes=["r"], key=["r"])
+        for j in range(targets):
+            cm.add_class(f"T{j}", attributes=[f"t{j}"], key=[f"t{j}"])
+            for i in range(ties):
+                middle = f"M{j}_{i}"
+                cm.add_class(middle, attributes=[middle.lower()],
+                             key=[middle.lower()])
+                cm.add_relationship(f"to{middle}", "R", middle, "1..1", "0..*")
+                cm.add_relationship(f"from{middle}", middle, f"T{j}",
+                                    "1..1", "0..*")
+        return CMGraph(cm), {f"T{j}" for j in range(targets)}
+
+    @pytest.mark.parametrize("ties, dropped", [(5, 125 - 64), (4, None)])
+    def test_untried_tree_combinations_are_counted(self, ties, dropped):
+        """With 5 tied paths to each of 3 targets, the 125 minimal trees
+        are cut to 64 and the 61 untried combinations are counted; with
+        4, a product of exactly 64, nothing is dropped."""
+        graph, targets = self._fan(targets=3, ties=ties)
+        with perf_counters.scope() as frame:
+            trees = functional_trees_from_root(graph, "R", targets)
+        assert len(trees) == MAX_TREE_COMBINATIONS == 64
+        assert frame.snapshot().get("tree_combinations_dropped") == dropped
 
 
 class TestMinimalFunctionalTrees:

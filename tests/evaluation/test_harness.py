@@ -2,13 +2,16 @@
 
 These run both methods over the reconstructed datasets, so they are the
 slowest tests in the suite — but they ARE the reproduction: semantic
-recall 1.0 everywhere, semantic precision ≥ RIC everywhere.
+recall 1.0 everywhere, semantic precision ≥ RIC everywhere, and
+``repro evaluate`` printing the committed ``docs/exhibits.txt``.
 """
 
+import pathlib
 from dataclasses import replace
 
 import pytest
 
+from repro.__main__ import main
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.exceptions import BatchError
 from repro.evaluation import (
@@ -24,9 +27,20 @@ from repro.evaluation import (
 )
 
 
+EXHIBITS = pathlib.Path(__file__).parents[2] / "docs" / "exhibits.txt"
+
+
 @pytest.fixture(scope="module")
 def all_results():
     return {name: run_dataset(load_dataset(name)) for name in dataset_names()}
+
+
+def test_evaluate_prints_the_committed_exhibits(capsys):
+    """Table 1 and Figures 6-7, byte for byte. A change that moves an
+    exhibit regenerates the file in the same commit:
+    ``PYTHONPATH=src python -m repro evaluate > docs/exhibits.txt``."""
+    assert main(["evaluate"]) == 0
+    assert capsys.readouterr().out == EXHIBITS.read_text(encoding="utf-8")
 
 
 class TestPaperShapes:

@@ -234,6 +234,9 @@ REMOVED = (
     ("repro.mappings", None, "select_sql"),
     ("repro.queries", None, "evaluate_bindings"),
     ("repro.queries.datalog", None, "evaluate_bindings"),
+    ("repro.exceptions", None, "EvaluationError"),
+    ("repro.cm.model", "ConceptualModel", "has_relationship"),
+    ("repro.evaluation.harness", None, "main"),
 )
 
 

@@ -85,9 +85,6 @@ class DatasetResult:
     def average_recall(self, method: str) -> float:
         return average([r.measures.recall for r in self.results_for(method)])
 
-    def total_time(self, method: str) -> float:
-        return sum(r.elapsed_seconds for r in self.results_for(method))
-
     @property
     def ok(self) -> bool:
         return not self.failures

@@ -183,27 +183,36 @@ def _homomorphisms(
     with a trail, as :func:`_find_homomorphism` does, and yields a copy
     of it per solution; ``mapping`` itself is left as it was.
     """
-    bindings = dict(mapping)
-    trail: list[Variable] = []
-    count = len(atoms)
+    return _search_facts(atoms, facts, dict(mapping), [], 0)
 
-    def search(depth: int) -> Iterator[dict[Variable, Term]]:
-        if depth == count:
-            yield dict(bindings)
-            return
-        pattern = atoms[depth]
-        for target in facts.candidates(pattern, bindings):
-            if pattern.arity != target.arity:
-                continue
-            mark = len(trail)
-            for p_term, t_term in zip(pattern.terms, target.terms):
-                if not _match_term_mut(p_term, t_term, bindings, trail):
-                    break
-            else:
-                yield from search(depth + 1)
-            _undo_to(bindings, trail, mark)
 
-    return search(0)
+def _search_facts(
+    atoms: tuple[Atom, ...],
+    facts: "_FactIndex",
+    bindings: dict[Variable, Term],
+    trail: list[Variable],
+    depth: int,
+) -> Iterator[dict[Variable, Term]]:
+    """:func:`_homomorphisms` from ``atoms[depth]`` on.
+
+    A module-level function, not a closure over the search state: a
+    nested function that calls itself is a reference cycle, and every
+    call would leave its bindings to the cycle collector.
+    """
+    if depth == len(atoms):
+        yield dict(bindings)
+        return
+    pattern = atoms[depth]
+    for target in facts.candidates(pattern, bindings):
+        if pattern.arity != target.arity:
+            continue
+        mark = len(trail)
+        for p_term, t_term in zip(pattern.terms, target.terms):
+            if not _match_term_mut(p_term, t_term, bindings, trail):
+                break
+        else:
+            yield from _search_facts(atoms, facts, bindings, trail, depth + 1)
+        _undo_to(bindings, trail, mark)
 
 
 def _bucket_atoms(body: Sequence[Atom]) -> dict[str, tuple[Atom, ...]]:
@@ -266,30 +275,42 @@ def _find_homomorphism(
     predicate index in body order — the same sequence of *successful*
     matches as scanning the full body, so the first solution found is
     identical to the naive search. Recursion depth is bounded by the
-    (small) outer body size.
+    (small) outer body size. ``mapping`` is extended in place.
     """
-    trail: list[Variable] = []
-    count = len(ordered)
+    if _search_buckets(ordered, target_buckets, mapping, [], 0):
+        return mapping
+    return None
 
-    def search(depth: int) -> bool:
-        if depth == count:
-            return True
-        pattern = ordered[depth]
-        for atom in target_buckets.get(pattern.predicate, ()):
-            if pattern.arity != atom.arity:
-                continue
-            mark = len(trail)
-            matched = True
-            for p_term, t_term in zip(pattern.terms, atom.terms):
-                if not _match_term_mut(p_term, t_term, mapping, trail):
-                    matched = False
-                    break
-            if matched and search(depth + 1):
+
+def _search_buckets(
+    ordered: tuple[Atom, ...],
+    target_buckets: dict[str, tuple[Atom, ...]],
+    mapping: dict[Variable, Term],
+    trail: list[Variable],
+    depth: int,
+) -> bool:
+    """:func:`_find_homomorphism` from ``ordered[depth]`` on.
+
+    Module-level for the reason :func:`_search_facts` is: a closure
+    that calls itself would make every containment check a cycle.
+    """
+    if depth == len(ordered):
+        return True
+    pattern = ordered[depth]
+    for atom in target_buckets.get(pattern.predicate, ()):
+        if pattern.arity != atom.arity:
+            continue
+        mark = len(trail)
+        for p_term, t_term in zip(pattern.terms, atom.terms):
+            if not _match_term_mut(p_term, t_term, mapping, trail):
+                break
+        else:
+            if _search_buckets(
+                ordered, target_buckets, mapping, trail, depth + 1
+            ):
                 return True
-            _undo_to(mapping, trail, mark)
-        return False
-
-    return mapping if search(0) else None
+        _undo_to(mapping, trail, mark)
+    return False
 
 
 def containment_mapping(

@@ -356,8 +356,6 @@ def _candidate_rewritings(
             return  # Some atom has no view covering it: no rewriting.
         per_atom_rules.append(matches)
 
-    count = len(body)
-
     # Required-table subtree pruning. A subtree whose chosen rules plus
     # every rule still choosable downstream cannot mention some required
     # table only produces candidates ``finish`` would mark ``_FILTERED``.
@@ -383,38 +381,92 @@ def _candidate_rewritings(
                 suffixes.append(accumulated)
             suffixes.reverse()  # suffixes[d]: tables reachable from depth d
             suffix_tables = tuple(suffixes)
-    table_counts: dict[str, int] = {}
+    state = _Walk(
+        body, per_atom_rules, limit, finish, required_bare, suffix_tables
+    )
+    yield from state.walk(0)
+    if state.truncated:
+        # Rule combinations past the cap were never tried: count it, so
+        # the truncation is not silent.
+        perf_counters.record("rewrite_limit_hits")
 
-    # Depth-first over rule choices, in exactly ``itertools.product``'s
-    # enumeration order, but sharing the unification work of common
-    # prefixes: a prefix that fails to unify prunes its whole subtree
-    # (those combinations would each have failed at the same atom).
-    # The substitution lives in a single dict with a trail (undo log)
-    # instead of being copied at every extension.
-    produced = 0
-    truncated = False
-    chosen: list[InverseRule] = []
-    substitution: dict[Variable, Term] = {}
-    trail: list[Variable] = []
 
-    def walk(depth: int) -> Iterator[object]:
-        nonlocal produced, truncated
-        if depth == count:
+class _Walk:
+    """The state of one :func:`_candidate_rewritings` enumeration.
+
+    Depth-first over rule choices, in exactly ``itertools.product``'s
+    enumeration order, but sharing the unification work of common
+    prefixes: a prefix that fails to unify prunes its whole subtree
+    (those combinations would each have failed at the same atom).
+    The substitution lives in a single dict with a trail (undo log)
+    instead of being copied at every extension.
+
+    The state is an object, not the cells of a nested generator that
+    calls itself: such a generator is a reference cycle, which would
+    keep every enumeration's substitution, trail and renamed rules
+    alive until the cycle collector ran. :meth:`walk` recurses through
+    a bound method made per call and never stored on the object.
+    """
+
+    __slots__ = (
+        "body",
+        "per_atom_rules",
+        "limit",
+        "finish",
+        "required_bare",
+        "suffix_tables",
+        "produced",
+        "truncated",
+        "chosen",
+        "substitution",
+        "trail",
+        "table_counts",
+    )
+
+    def __init__(
+        self,
+        body: tuple[Atom, ...],
+        per_atom_rules: list[tuple[InverseRule, ...]],
+        limit: int,
+        finish: Finish,
+        required_bare: frozenset[str],
+        suffix_tables: tuple[frozenset[str], ...] | None,
+    ) -> None:
+        self.body = body
+        self.per_atom_rules = per_atom_rules
+        self.limit = limit
+        self.finish = finish
+        self.required_bare = required_bare
+        self.suffix_tables = suffix_tables
+        self.produced = 0
+        self.truncated = False
+        self.chosen: list[InverseRule] = []
+        self.substitution: dict[Variable, Term] = {}
+        self.trail: list[Variable] = []
+        self.table_counts: dict[str, int] = {}
+
+    def walk(self, depth: int) -> Iterator[object]:
+        if depth == len(self.body):
             check_deadline()
-            result = finish(chosen, substitution)
+            result = self.finish(self.chosen, self.substitution)
             if result is not None:
-                produced += 1
+                self.produced += 1
                 if result is not _FILTERED:
                     yield result
             return
+        suffix_tables = self.suffix_tables
+        table_counts = self.table_counts
         if suffix_tables is not None:
             reachable = suffix_tables[depth]
-            for table in required_bare:
+            for table in self.required_bare:
                 if table not in reachable and not table_counts.get(table):
                     perf_counters.record("required_subtree_prunes")
                     return
-        pattern = body[depth]
-        rules = per_atom_rules[depth]
+        pattern = self.body[depth]
+        rules = self.per_atom_rules[depth]
+        chosen = self.chosen
+        substitution = self.substitution
+        trail = self.trail
         for index, rule in enumerate(rules):
             mark = len(trail)
             if unify_atoms_inplace(pattern, rule.head, substitution, trail):
@@ -422,23 +474,17 @@ def _candidate_rewritings(
                 if suffix_tables is not None:
                     bare = rule.body.bare_predicate
                     table_counts[bare] = table_counts.get(bare, 0) + 1
-                yield from walk(depth + 1)
+                yield from self.walk(depth + 1)
                 chosen.pop()
                 if suffix_tables is not None:
                     table_counts[bare] -= 1
             while len(trail) > mark:
                 del substitution[trail.pop()]
-            if produced >= limit:
+            if self.produced >= self.limit:
                 # Only a stop with rule choices left untried truncates;
                 # an enumeration that ends exactly at the cap is whole.
-                truncated = truncated or index + 1 < len(rules)
+                self.truncated = self.truncated or index + 1 < len(rules)
                 return
-
-    yield from walk(0)
-    if truncated:
-        # Rule combinations past the cap were never tried: count it, so
-        # the truncation is not silent.
-        perf_counters.record("rewrite_limit_hits")
 
 
 def rewrite_query(

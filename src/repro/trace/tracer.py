@@ -191,6 +191,9 @@ class Recorder:
 
     def _close(self, span: _TimedSpan) -> None:
         span.close()
+        # A closed span needs its recorder no more; a Tracer's tree
+        # holding spans that point back at it would be a cycle.
+        span._recorder = None
         stack = self._open_spans.stack
         stack.pop()
         elapsed = span.elapsed_seconds

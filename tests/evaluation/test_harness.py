@@ -71,11 +71,6 @@ class TestPaperShapes:
         assert any(recall < 1.0 for recall in recalls)
         assert all(recall > 0.0 for recall in recalls)
 
-    def test_generation_time_insignificant(self, all_results):
-        """Per-domain semantic generation stays in interactive range."""
-        for name, result in all_results.items():
-            assert result.total_time(SEMANTIC) < 30.0, name
-
 
 class TestHarnessMechanics:
     def test_run_case_semantic_and_ric(self):
@@ -95,7 +90,6 @@ class TestHarnessMechanics:
         hotel = all_results["Hotel"]
         assert len(hotel.results_for(SEMANTIC)) == 5
         assert len(hotel.results_for(RIC)) == 5
-        assert hotel.total_time(SEMANTIC) > 0
 
 
 class TestReports:

@@ -237,6 +237,7 @@ REMOVED = (
     ("repro.exceptions", None, "EvaluationError"),
     ("repro.cm.model", "ConceptualModel", "has_relationship"),
     ("repro.evaluation.harness", None, "main"),
+    ("repro.evaluation.harness", "DatasetResult", "total_time"),
 )
 
 
